@@ -21,8 +21,9 @@ is derived from the coordinate expressions at import time.
 """
 
 from .rationals import ONE as Q_ONE, qq
+from .rings import accumulate
 from .words import shuffle_words
-from .yside import stuffle_terms
+from .yside import stuffle_terms, x_word
 
 A0, A1, B0, B1, G = range(5)
 W0, W1 = range(2)
@@ -44,17 +45,10 @@ class Poly2:
     __slots__ = ("c",)
 
     def __init__(self, c=None):
-        self.c = {k: v for k, v in (c or {}).items() if v != 0}
+        self.c = {k: v for k, v in (c or {}).items() if v}
 
     def add(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Poly2(out)
+        return Poly2(accumulate(dict(self.c), other.c.items()))
 
     def neg(self):
         return Poly2({k: -v for k, v in self.c.items()})
@@ -63,16 +57,12 @@ class Poly2:
         return self.add(other.neg())
 
     def mul(self, other):
-        out = {}
-        for (i, j), v in self.c.items():
-            for (p, q), w in other.c.items():
-                k = (i + p, j + q)
-                s = out.get(k, 0) + v * w
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Poly2(out)
+        pairs = (
+            ((i + p, j + q), v * w)
+            for (i, j), v in self.c.items()
+            for (p, q), w in other.c.items()
+        )
+        return Poly2(accumulate({}, pairs))
 
     def scale(self, s):
         return Poly2({k: s * v for k, v in self.c.items()})
@@ -176,18 +166,12 @@ class BarElement:
         if _clean:
             self.terms = terms
         else:
-            self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
+            self.terms = {w: c for w, c in (terms or {}).items() if c}
 
     def add(self, other):
         if self.space != other.space:
             raise BarError("space mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        out = accumulate(dict(self.terms), other.terms.items())
         return BarElement(self.space, out, _clean=True)
 
     def neg(self):
@@ -213,12 +197,7 @@ class BarElement:
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 c = cu * cv
-                for w, m in shuffle_words(u, v).items():
-                    s = out.get(w, 0) + c * m
-                    if s == 0:
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
+                accumulate(out, ((w, c * m) for w, m in shuffle_words(u, v).items()))
         return BarElement(self.space, out, _clean=True)
 
     def is_zero(self):
@@ -298,15 +277,6 @@ def check_integrability(e):
 # -- l-elements from the differential equations -------------------------
 
 
-def _omega_word(a):
-    """The word X0^{a_k-1} X1 ... X0^{a_1-1} X1 over letters 0, 1."""
-    w = []
-    for n in reversed(a):
-        w.extend([0] * (n - 1))
-        w.append(1)
-    return tuple(w)
-
-
 _ONE_VAR_SUB = {
     "x": {0: (A0,), 1: (A1,)},
     "y": {0: (B0,), 1: (B1,)},
@@ -327,7 +297,7 @@ def build_l(a, tag):
     except KeyError:
         raise BarError("unknown tag %r" % tag)
     words = {(): Q_ONE}
-    for ch in _omega_word(a):
+    for ch in x_word(a):
         nxt = {}
         for w, c in words.items():
             for letter in sub[ch]:
@@ -340,21 +310,13 @@ def build_l_m04(a):
     """Bar element of l_a on the one-variable space, with the (-1)^{dp} sign."""
     a = tuple(a)
     sign = qq(-1 if len(a) % 2 else 1)
-    return BarElement("m04", {_omega_word(a): sign}, _clean=True)
+    return BarElement("m04", {x_word(a): sign}, _clean=True)
 
 
 def _prepend(heads, e):
     """Sum of sign * [letter| e ] over (letter, sign) pairs."""
-    terms = {}
-    for letter, sign in heads:
-        for w, c in e.terms.items():
-            key = (letter,) + w
-            s = terms.get(key, 0) + sign * c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-    return BarElement("m05", terms, _clean=True)
+    pairs = (((letter,) + w, sign * c) for letter, sign in heads for w, c in e.terms.items())
+    return BarElement("m05", accumulate({}, pairs), _clean=True)
 
 
 _L2_CACHE = {}
@@ -459,7 +421,7 @@ def pair_p5(e, g):
     for w, c in e.terms.items():
         word = tuple(M05_DUAL[i][0] for i in w)
         coef = g.coefficient(word)
-        if ring.is_zero(coef):
+        if not coef:
             continue
         sign = 1
         for i in w:
@@ -476,7 +438,7 @@ def pair_m04(e, g):
     total = ring.zero
     for w, c in e.terms.items():
         coef = g.coefficient(w)
-        if ring.is_zero(coef):
+        if not coef:
             continue
         total = total + coef * ring.embed(c)
     return total

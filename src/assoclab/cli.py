@@ -24,12 +24,6 @@ def build_parser():
         help="output format (default text)",
     )
     common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker threads (accepted for compatibility; checks run sequentially)",
-    )
-    common.add_argument(
         "--seed",
         type=int,
         default=argparse.SUPPRESS,
@@ -149,19 +143,6 @@ def _jsonify(value):
         return format_rational(qq(value))
     except (TypeError, ValueError):
         return str(value)
-
-
-def _all_indices(max_weight):
-    out = []
-
-    def rec(acc, left):
-        if acc:
-            out.append(tuple(acc))
-        for n in range(1, left + 1):
-            rec(acc + [n], left - n)
-
-    rec([], max_weight)
-    return sorted(out, key=lambda a: (sum(a), len(a), a))
 
 
 # -- subcommands ---------------------------------------------------------
@@ -294,6 +275,7 @@ def _widen(s, trunc):
 
 def cmd_bar(args):
     from . import barcx
+    from .yside import all_indices
 
     if args.bar_command == "check":
         a = _parse_index(args.index)
@@ -317,7 +299,7 @@ def cmd_bar(args):
     checks = {}
     if args.max_weight:
         ok = True
-        idx = _all_indices(args.max_weight)
+        idx = all_indices(args.max_weight)
         for a in idx:
             for b in idx:
                 if sum(a) + sum(b) <= args.max_weight:
@@ -394,7 +376,7 @@ def emit(args, checks, extras):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, default in (("report", "text"), ("threads", 1), ("seed", 0)):
+    for name, default in (("report", "text"), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:

@@ -13,19 +13,22 @@ that drive the bracket-closure proof.
 from itertools import combinations
 
 from .rationals import binomial, qq
-from .rings import RATIONALS
+from .rings import RATIONALS, accumulate
 from .lie import lie_basis
 from .series import (
     Series,
     SeriesAlgebra,
+    TensorSeries,
     abelianize,
     is_lie,
     one,
+    primitive_tensor,
     substitute,
+    tensor,
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
-from .lab import _solve_affine
+from .lab import _solve_affine, gamma_shape
 from . import yside
 from .yside import (
     delta_star,
@@ -44,23 +47,22 @@ def _leibniz(v, images):
 
     Letters absent from the table map to zero.
     """
-    ring = v.ring
     out = {}
     for w, c in v.terms.items():
         for i, ch in enumerate(w):
             img = images.get(ch)
             if img is None:
                 continue
-            for u, cu in img.terms.items():
-                word = w[:i] + u + w[i + 1 :]
-                if len(word) > v.trunc:
-                    continue
-                s = out.get(word, ring.zero) + c * cu
-                if ring.is_zero(s):
-                    out.pop(word, None)
-                else:
-                    out[word] = s
-    return Series(v.alphabet, v.trunc, ring, out, _clean=True)
+            room = v.trunc - len(w) + 1
+            accumulate(
+                out,
+                (
+                    (w[:i] + u + w[i + 1 :], c * cu)
+                    for u, cu in img.terms.items()
+                    if len(u) <= room
+                ),
+            )
+    return Series(v.alphabet, v.trunc, v.ring, out, _clean=True)
 
 
 def d_psi(psi, v):
@@ -88,7 +90,7 @@ def ihara_bracket(psi1, psi2):
 
 def s_f(f, v):
     """s_f(v) = f v + d_f(v)."""
-    if not f.ring.is_zero(f.constant_term()):
+    if f.constant_term():
         raise ValueError("s_f requires zero constant term")
     return f.mul(v).add(d_psi(f, v))
 
@@ -112,11 +114,10 @@ def big_d_y(f, w):
 
 def is_dmr0(psi):
     """Lie series with vanishing depth-one start whose star part is primitive."""
-    ring = psi.ring
     if not is_lie(psi):
         return False
     for w in ((0,), (1,), (0, 1)):
-        if not ring.is_zero(psi.coefficient(w)):
+        if psi.coefficient(w):
             return False
     return yside.is_primitive_star(psi_star(psi))
 
@@ -136,18 +137,9 @@ def solve_dmr0(degree):
         if c2 != 0:
             col[("c",)] = c2
         star = psi_star(e)
-        diff = delta_star(star)
-        prim = {}
-        for w, c in star.terms.items():
-            if w:
-                prim[((), w)] = c
-                prim[(w, ())] = c
+        diff = delta_star(star).sub(primitive_tensor(star))
         for p, c in diff.terms.items():
-            got = c - prim.pop(p, qq(0))
-            if got != 0:
-                col[("t",) + p] = got
-        for p, c in prim.items():
-            col[("t",) + p] = -c
+            col[("t",) + p] = c
         columns.append(col)
     solved = _solve_affine(columns, {}, len(basis))
     _, kernel = solved
@@ -264,41 +256,15 @@ def lemma_coproduct_check(g, n):
         vs = Series(y_alphabet(trunc), trunc, ring, {v: ring.one})
         left = big_d_y(f, us).scale(c)
         right = big_d_y(f, vs).scale(c)
-        lhs = lhs.sub(_tensor(left, vs)).sub(_tensor(us, right))
-    rhs_terms = {}
+        lhs = lhs.sub(tensor(left, vs)).sub(tensor(us, right))
+    rhs = TensorSeries(y_alphabet(trunc), trunc, ring)
     for k in range(p + 1):
         part = zero(y_alphabet(trunc), trunc, ring)
         for i in range(k, p + 1):
             part = part.add(f_pair(p, comps, i, i - k, trunc))
         ynk = _y_letter(n + k, trunc, ring)
-        for t in (_tensor(part, ynk), _tensor(ynk, part)):
-            for key, c in t.terms.items():
-                s = rhs_terms.get(key, ring.zero) + c
-                if ring.is_zero(s):
-                    rhs_terms.pop(key, None)
-                else:
-                    rhs_terms[key] = s
-    from .series import TensorSeries
-
-    rhs = TensorSeries(y_alphabet(trunc), trunc, ring, rhs_terms, _clean=True)
+        rhs = rhs.add(tensor(part, ynk)).add(tensor(ynk, part))
     return lhs == rhs
-
-
-def _tensor(a, b):
-    """Elementary tensor of two Y-series as a TensorSeries."""
-    from .series import TensorSeries
-
-    ring = a.ring
-    alpha = a.alphabet
-    out = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if alpha.degree(u) + alpha.degree(v) > a.trunc:
-                continue
-            c = cu * cv
-            if not ring.is_zero(c):
-                out[(u, v)] = c
-    return TensorSeries(alpha, a.trunc, ring, out, _clean=True)
 
 
 def lemma_telescoping_check(g, k):
@@ -358,23 +324,13 @@ def coderivation_check(psi, max_weight=None):
         for w in ya.words_of_degree(wgt):
             ws = Series(ya, trunc, ring, {w: ring.one})
             lhs = delta_star(s_f_y(f, ws))
-            rhs_terms = {}
+            rhs = TensorSeries(ya, trunc, ring)
             for (u, v), c in delta_star(ws).terms.items():
                 us = Series(ya, trunc, ring, {u: ring.one})
                 vs = Series(ya, trunc, ring, {v: ring.one})
-                for t in (
-                    _tensor(s_f_y(f, us).scale(c), vs),
-                    _tensor(us, s_f_y(f, vs).scale(c)),
-                ):
-                    for key, cc in t.terms.items():
-                        s = rhs_terms.get(key, ring.zero) + cc
-                        if ring.is_zero(s):
-                            rhs_terms.pop(key, None)
-                        else:
-                            rhs_terms[key] = s
-            from .series import TensorSeries
-
-            if lhs != TensorSeries(ya, trunc, ring, rhs_terms, _clean=True):
+                rhs = rhs.add(tensor(s_f_y(f, us).scale(c), vs))
+                rhs = rhs.add(tensor(us, s_f_y(f, vs).scale(c)))
+            if lhs != rhs:
                 return False
     return True
 
@@ -532,20 +488,7 @@ def gamma_image_check(psi):
     a one-variable series g with coefficients read off the x0^{n-1} x1
     line.  Returns (flag, coefficient table).
     """
-    from .rings import CommSeries
-
     terms = {w: c for w, c in psi.terms.items() if w and w[-1] == 1}
     m = abelianize(Series(psi.alphabet, psi.trunc, psi.ring, terms, _clean=True))
-    trunc = psi.trunc
-    coeffs = {n: -m.coefficient(n - 1, 1) / n for n in range(2, trunc + 1)}
-    expected = {}
-    for n, d in coeffs.items():
-        if d == 0:
-            continue
-        expected[(n, 0)] = expected.get((n, 0), qq(0)) + d
-        expected[(0, n)] = expected.get((0, n), qq(0)) + d
-        for i in range(n + 1):
-            key = (i, n - i)
-            expected[key] = expected.get(key, qq(0)) - d * binomial(n, i)
-    ok = m == CommSeries(expected, trunc)
-    return ok, coeffs
+    coeffs, shape = gamma_shape(m)
+    return m == shape, coeffs

@@ -3,16 +3,15 @@ and verifying its consequences (5-cycle, double shuffle, gamma
 factorization, regularization identities, the group law).
 """
 
-from .rationals import qq
-from .rings import RATIONALS, Poly, PolynomialRing, CommSeries, CommSeriesRing
-from .rationals import binomial
+from .rationals import ONE, ZERO, binomial, qq
+from .rings import RATIONALS, Poly, PolynomialRing, CommSeries
 from .lie import lie_basis
-from .models import a4_model, a4_generators, check_pentagon, check_5cycle
+from .models import a4_model, a4_generators, check_pentagon, check_5cycle, lift_series
+from .presented import echelon, solve_pivots
 from .series import (
     Series,
     SeriesAlgebra,
     letter,
-    one,
     substitute,
     zero,
     abelianize,
@@ -28,56 +27,30 @@ class PentagonObstruction(RuntimeError):
 def _solve_affine(columns, rhs, n_unknowns):
     """Solve sum_i x_i columns[i] = rhs over the rationals.
 
-    columns are sparse word -> coeff tables.  Returns (particular, kernel)
-    with the particular solution taking free variables zero, or None when
-    the system is inconsistent.
+    columns are sparse word -> coeff tables.  Each word is one equation,
+    a row over the unknowns 0..n-1 with the right-hand side as coordinate
+    n, so the system is inconsistent exactly when n becomes a pivot.
+    Returns (particular, kernel) with the particular solution taking free
+    variables zero, or None when the system is inconsistent.
     """
+    n = n_unknowns
     rows = {}
     for i, col in enumerate(columns):
         for w, c in col.items():
-            rows.setdefault(w, [qq(0)] * (n_unknowns + 1))[i] = c
+            rows.setdefault(w, {})[i] = c
     for w, c in rhs.items():
-        rows.setdefault(w, [qq(0)] * (n_unknowns + 1))[n_unknowns] = c
-    # dense echelon over the unknowns; equations inserted in word order
-    pivots = {}
-    for w in sorted(rows):
-        row = rows[w]
-        lead = None
-        while True:
-            lead = next((j for j in range(n_unknowns) if row[j] != 0), None)
-            if lead is None or lead not in pivots:
-                break
-            c = row[lead]
-            prow = pivots[lead]
-            for j in range(lead, n_unknowns + 1):
-                row[j] -= c * prow[j]
-        if lead is None:
-            if row[n_unknowns] != 0:
-                return None
-            continue
-        c = row[lead]
-        row = [v / c for v in row]
-        pivots[lead] = row
-    # back substitution
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for p2, row2 in pivots.items():
-            if p2 < p and row2[p] != 0:
-                c = row2[p]
-                for j in range(p, n_unknowns + 1):
-                    row2[j] -= c * row[j]
-    particular = [qq(0)] * n_unknowns
-    for p, row in pivots.items():
-        particular[p] = row[n_unknowns]
+        rows.setdefault(w, {})[n] = c
+    pivots = echelon([rows[w] for w in sorted(rows)])
+    if n in pivots:
+        return None
+    solve_pivots(pivots)
+    particular = [pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n)]
     kernel = []
-    for f in range(n_unknowns):
-        if f in pivots:
-            continue
-        vec = [qq(0)] * n_unknowns
-        vec[f] = qq(1)
-        for p, row in pivots.items():
-            vec[p] = -row[f]
-        kernel.append(vec)
+    for f in range(n):
+        if f not in pivots:
+            vec = [-pivots[p].get(f, ZERO) if p in pivots else ZERO for p in range(n)]
+            vec[f] = ONE
+            kernel.append(vec)
     return particular, kernel
 
 
@@ -156,15 +129,9 @@ def verify_theorem_main(phi):
 T_RING = PolynomialRing("T")
 
 
-def lift_to_poly_ring(s):
-    return Series(
-        s.alphabet, s.trunc, T_RING, {w: T_RING.embed(c) for w, c in s.terms.items()}
-    )
-
-
 def integral_regularized(a, phi):
     """l^I_a(phi) = l_a(e^{T X1} phi), a polynomial in T."""
-    phi_t = lift_to_poly_ring(phi)
+    phi_t = lift_series(phi, T_RING)
     x1 = Series(X_ALPHABET, phi.trunc, T_RING, {(1,): T_RING.gen})
     return yside.l_value_x(a, x1.exp().mul(phi_t))
 
@@ -215,14 +182,14 @@ def map_L(phi):
     for k in range(1, n_max + 1):
         nxt = [T_RING.zero] * (n_max + 1)
         for i in range(n_max + 1):
-            if term[i].coeffs == ():
+            if not term[i]:
                 continue
             for j in range(1, n_max + 1 - i):
-                if expo[j].coeffs == ():
+                if not expo[j]:
                     continue
                 nxt[i + j] = nxt[i + j] + term[i] * expo[j]
         term = [p * T_RING.embed(qq(1, k)) for p in nxt]
-        if all(p.coeffs == () for p in term):
+        if not any(term):
             break
         for i in range(n_max + 1):
             series[i] = series[i] + term[i]
@@ -291,6 +258,18 @@ def _comm_log(b, trunc):
     return out
 
 
+def gamma_shape(m):
+    """The three-term Gamma shape sum_n d_n (x0^n + x1^n - (x0+x1)^n) fitted to m.
+
+    d_n = -c_{x0^{n-1} x1}(m) / n for 2 <= n <= trunc.  Returns the table
+    of the d_n and the shape as a CommSeries.
+    """
+    coeffs = {n: -m.coefficient(n - 1, 1) / n for n in range(2, m.trunc + 1)}
+    # x0^n and x1^n cancel against the two end terms of (x0+x1)^n
+    shape = {(i, n - i): -d * binomial(n, i) for n, d in coeffs.items() for i in range(1, n)}
+    return coeffs, CommSeries(shape, m.trunc)
+
+
 def gamma_factorize(phi):
     """Factor the meta-abelian quotient as Gamma(x0)Gamma(x1)/Gamma(x0+x1).
 
@@ -298,22 +277,9 @@ def gamma_factorize(phi):
     flag, and the smallest failing total degree when the factorization
     does not hold.
     """
-    trunc = phi.trunc
-    log_b = _comm_log(meta_abelian(phi), trunc)
-    coeffs = {}
-    for n in range(2, trunc + 1):
-        coeffs[n] = -log_b.coefficient(n - 1, 1) / n
-    # log of the claimed factorization: sum_n d_n (x0^n + x1^n - (x0+x1)^n)
-    expected = {}
-    for n, d in coeffs.items():
-        if d == 0:
-            continue
-        expected[(n, 0)] = expected.get((n, 0), qq(0)) + d
-        expected[(0, n)] = expected.get((0, n), qq(0)) + d
-        for i in range(n + 1):
-            m = (i, n - i)
-            expected[m] = expected.get(m, qq(0)) - d * binomial(n, i)
-    diff = log_b - CommSeries(expected, trunc)
+    log_b = _comm_log(meta_abelian(phi), phi.trunc)
+    coeffs, shape = gamma_shape(log_b)
+    diff = log_b - shape
     if not diff.terms:
         return {"success": True, "coefficients": coeffs, "failure_degree": None}
     fail = min(i + j for (i, j) in diff.terms)

@@ -18,7 +18,7 @@ combinations of these five.
 """
 
 from .rationals import qq
-from .rings import RATIONALS, QuadraticExtension
+from .rings import RATIONALS, QuadraticExtension, accumulate
 from .series import Series, one, zero, substitute
 from .words import Alphabet, X_ALPHABET
 
@@ -72,23 +72,17 @@ class PBWModel:
         return all(cls[word[i]] <= cls[word[i + 1]] for i in range(len(word) - 1))
 
     def normalize(self, s):
-        ring = self.ring
+        embed = self.ring.embed
         out = {}
         for w, c in s.terms.items():
             if self.is_normal(w):
-                v = out.get(w, ring.zero) + c
-                if ring.is_zero(v):
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-                continue
-            for u, m in self._straighten(w).items():
-                v = out.get(u, ring.zero) + c * ring.embed(m)
-                if ring.is_zero(v):
-                    out.pop(u, None)
-                else:
-                    out[u] = v
-        return Series(self.alphabet, s.trunc, ring, out, _clean=True)
+                accumulate(out, ((w, c),))
+            else:
+                accumulate(
+                    out,
+                    ((u, c if m == 1 else c * embed(m)) for u, m in self._straighten(w).items()),
+                )
+        return Series(self.alphabet, s.trunc, self.ring, out, _clean=True)
 
     # -- algebra protocol -----------------------------------------------
 

@@ -9,8 +9,8 @@ complete for homogeneous ideals because every two-sided ideal element
 u.r.v lies in letters.I_{d-1} once u is nonempty.
 """
 
-from .rationals import qq, parse_rational
-from .rings import RATIONALS
+from .rationals import ONE, QQ, qq, parse_rational
+from .rings import RATIONALS, accumulate
 from .series import Series
 from .words import Alphabet
 
@@ -19,62 +19,48 @@ class PresentationError(ValueError):
     pass
 
 
-def echelon(rows, field):
-    """Insertion echelon over an abstract field; returns pivot -> monic row.
+def echelon(rows):
+    """Insertion echelon over the rationals; returns pivot -> monic row.
 
-    Coordinates are compared by their natural (tuple) order; the pivot set
-    is the leading-coordinate set of the row space, hence canonical.
+    Rows are sparse coordinate -> coeff tables.  Coordinates are compared
+    by their natural order; the pivot set is the leading-coordinate set of
+    the row space, hence canonical.
     """
     pivots = {}
     for row in rows:
-        row = dict(row)
+        row = {k: v for k, v in row.items() if v}
         while row:
             lead = min(row)
             if lead not in pivots:
                 break
-            c = row.pop(lead)
-            for k, v in pivots[lead].items():
-                if k == lead:
-                    continue
-                s = field.sub(row.get(k, field.zero), field.mul(c, v))
-                if field.is_zero(s):
-                    row.pop(k, None)
-                else:
-                    row[k] = s
+            c = -row.pop(lead)
+            accumulate(row, ((k, c * v) for k, v in pivots[lead].items() if k != lead))
         if row:
             lead = min(row)
-            c = field.inv(row[lead])
-            pivots[lead] = {k: field.mul(c, v) for k, v in row.items()}
+            c = ONE / row[lead]
+            pivots[lead] = {k: c * v for k, v in row.items()}
     return pivots
 
 
-def solve_pivots(pivots, field):
+def solve_pivots(pivots):
     """Fully back-substitute so each pivot row mentions no other pivot coord."""
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for k in sorted(row):
             if k == lead or k not in pivots:
                 continue
-            c = row.pop(k)
+            c = -row.pop(k)
             # pivots[k] has k > lead, so it is already fully solved
-            for k2, v in pivots[k].items():
-                if k2 == k:
-                    continue
-                s = field.sub(row.get(k2, field.zero), field.mul(c, v))
-                if field.is_zero(s):
-                    row.pop(k2, None)
-                else:
-                    row[k2] = s
+            accumulate(row, ((k2, c * v) for k2, v in pivots[k].items() if k2 != k))
     return pivots
 
 
 class Presentation:
     """A graded algebra given by degree-1 generators and relations of degree <= 2."""
 
-    def __init__(self, names, relations, field=RATIONALS, name=""):
+    def __init__(self, names, relations, name=""):
         self.name = name
         self.generator_names = tuple(names)
-        self.field = field
         self.full_alphabet = Alphabet(self.generator_names)
         lin, quad = [], []
         for r in relations:
@@ -92,14 +78,13 @@ class Presentation:
         self._rewrite_quadratic(quad)
         self.basis = {0: [()], 1: [(i,) for i in range(len(self.letters))]}
         self.reduction = {}
-        self._nf_cache = {(): {(): self.field.one}}
+        self._nf_cache = {(): {(): ONE}}
 
     # -- construction ---------------------------------------------------
 
     def _eliminate_linear(self, lin):
-        field = self.field
-        rows = [{(g,): field.embed(c) for (g,), c in r.items()} for r in lin]
-        pivots = solve_pivots(echelon(rows, field), field)
+        rows = [{(g,): QQ(c) for (g,), c in r.items()} for r in lin]
+        pivots = solve_pivots(echelon(rows))
         self.letters = [
             i for i in range(len(self.generator_names)) if (i,) not in pivots
         ]
@@ -108,31 +93,24 @@ class Presentation:
         self.generator_images = []
         for g in range(len(self.generator_names)):
             if (g,) in pivots:
-                img = {
-                    pos[k[0]]: field.neg(c)
-                    for k, c in pivots[(g,)].items()
-                    if k != (g,)
-                }
+                img = {pos[k[0]]: -c for k, c in pivots[(g,)].items() if k != (g,)}
             else:
-                img = {pos[g]: field.one}
+                img = {pos[g]: ONE}
             self.generator_images.append(img)
 
     def _rewrite_quadratic(self, quad):
-        field = self.field
+        images = self.generator_images
         self.quadratic = []
         for r in quad:
-            row = {}
-            for (a, b), c in r.items():
-                c = field.embed(c)
-                for i, ca in self.generator_images[a].items():
-                    for j, cb in self.generator_images[b].items():
-                        s = field.add(
-                            row.get((i, j), field.zero), field.mul(c, field.mul(ca, cb))
-                        )
-                        if field.is_zero(s):
-                            row.pop((i, j), None)
-                        else:
-                            row[(i, j)] = s
+            row = accumulate(
+                {},
+                (
+                    ((i, j), QQ(c) * (ca * cb))
+                    for (a, b), c in r.items()
+                    for i, ca in images[a].items()
+                    for j, cb in images[b].items()
+                ),
+            )
             if row:
                 self.quadratic.append(row)
 
@@ -141,36 +119,32 @@ class Presentation:
             self._build_degree(d)
 
     def _build_degree(self, d):
-        field = self.field
         letters = range(len(self.letters))
         prev = self.basis[d - 1]
         rows = []
         for r in self.quadratic:
             for v in self.basis[d - 2]:
-                row = {}
-                for (a, b), c in r.items():
-                    for u, c2 in self._reduce_letter(d - 1, b, v).items():
-                        w = (a,) + u
-                        s = field.add(row.get(w, field.zero), field.mul(c, c2))
-                        if field.is_zero(s):
-                            row.pop(w, None)
-                        else:
-                            row[w] = s
+                row = accumulate(
+                    {},
+                    (
+                        ((a,) + u, c * c2)
+                        for (a, b), c in r.items()
+                        for u, c2 in self._reduce_letter(d - 1, b, v).items()
+                    ),
+                )
                 if row:
                     rows.append(row)
-        pivots = solve_pivots(echelon(rows, field), field)
+        pivots = solve_pivots(echelon(rows))
         red = {}
         basis = []
         for i in letters:
             for w in prev:
                 word = (i,) + w
                 if word in pivots:
-                    red[word] = {
-                        k: field.neg(c) for k, c in pivots[word].items() if k != word
-                    }
+                    red[word] = {k: -c for k, c in pivots[word].items() if k != word}
                 else:
                     basis.append(word)
-                    red[word] = {word: field.one}
+                    red[word] = {word: ONE}
         basis.sort()
         self.basis[d] = basis
         self.reduction[d] = red
@@ -178,7 +152,7 @@ class Presentation:
     def _reduce_letter(self, d, letter, word):
         """Expansion of letter.word (word a basis word of degree d-1) in B_d."""
         if d == 1:
-            return {(letter,): self.field.one}
+            return {(letter,): ONE}
         return self.reduction[d][(letter,) + word]
 
     # -- queries ----------------------------------------------------------
@@ -193,17 +167,16 @@ class Presentation:
             return self._nf_cache[word]
         except KeyError:
             pass
-        field = self.field
         d = len(word)
         self.extend_to(d)
-        out = {}
-        for u, c in self.normal_form_word(word[1:]).items():
-            for v, c2 in self._reduce_letter(d, word[0], u).items():
-                s = field.add(out.get(v, field.zero), field.mul(c, c2))
-                if field.is_zero(s):
-                    out.pop(v, None)
-                else:
-                    out[v] = s
+        out = accumulate(
+            {},
+            (
+                (v, c * c2)
+                for u, c in self.normal_form_word(word[1:]).items()
+                for v, c2 in self._reduce_letter(d, word[0], u).items()
+            ),
+        )
         self._nf_cache[word] = out
         return out
 
@@ -215,51 +188,47 @@ class Presentation:
             expand = self.generator_images
         else:
             raise PresentationError("series alphabet does not match presentation")
-        field = self.field
         out = {}
         for w, c in s.terms.items():
-            c = field.embed(c) if s.ring is not self.field else c
-            if expand is None:
-                pieces = {w: c}
-            else:
+            pieces = {w: c}
+            if expand is not None:
                 pieces = {(): c}
                 for g in w:
-                    nxt = {}
-                    for u, cu in pieces.items():
-                        for j, cj in expand[g].items():
-                            v = u + (j,)
-                            s2 = field.add(nxt.get(v, field.zero), field.mul(cu, cj))
-                            if field.is_zero(s2):
-                                nxt.pop(v, None)
-                            else:
-                                nxt[v] = s2
-                    pieces = nxt
-            for u, cu in pieces.items():
-                for v, cv in self.normal_form_word(u).items():
-                    s2 = field.add(out.get(v, field.zero), field.mul(cu, cv))
-                    if field.is_zero(s2):
-                        out.pop(v, None)
-                    else:
-                        out[v] = s2
-        return Series(self.alphabet, s.trunc, self.field, out, _clean=True)
+                    pieces = accumulate(
+                        {},
+                        (
+                            (u + (j,), cu * cj)
+                            for u, cu in pieces.items()
+                            for j, cj in expand[g].items()
+                        ),
+                    )
+            accumulate(
+                out,
+                (
+                    (v, cu * cv)
+                    for u, cu in pieces.items()
+                    for v, cv in self.normal_form_word(u).items()
+                ),
+            )
+        return Series(self.alphabet, s.trunc, RATIONALS, out, _clean=True)
 
     # -- loading ------------------------------------------------------
 
     @classmethod
-    def builtin(cls, name, field=RATIONALS):
+    def builtin(cls, name):
         import os
 
         path = os.path.join(os.path.dirname(__file__), "data", name + ".presentation")
-        return cls.load(path, field=field, name=name)
+        return cls.load(path, name=name)
 
     @classmethod
-    def load(cls, path, field=RATIONALS, name=""):
+    def load(cls, path, name=""):
         with open(path) as fh:
             text = fh.read()
-        return cls.parse(text, field=field, name=name)
+        return cls.parse(text, name=name)
 
     @classmethod
-    def parse(cls, text, field=RATIONALS, name=""):
+    def parse(cls, text, name=""):
         names = None
         relations = []
         for ln in text.splitlines():
@@ -276,7 +245,7 @@ class Presentation:
                 raise PresentationError("unrecognized line: %r" % ln)
         if names is None:
             raise PresentationError("missing generators line")
-        return cls(names, relations, field=field, name=name)
+        return cls(names, relations, name=name)
 
 
 def _parse_relation(text, names):

@@ -3,17 +3,30 @@
 Every ring here is an exact commutative ring containing the rationals:
 plain rationals, univariate polynomials over the rationals, a quadratic
 extension adjoining mu with mu^2 = q, and truncated commutative power
-series in two variables.  Ring elements support +, -, *, unary - and ==;
-a ring object knows its zero/one and how to embed a rational.
+series in two variables.  Ring elements support +, -, *, unary - and ==,
+and an element is false exactly when it is zero; a ring object knows its
+zero/one and how to embed a rational.
 """
 
-from .rationals import QQ, qq, format_rational
+from .rationals import QQ, qq
+
+
+def accumulate(out, pairs):
+    """Add (key, coeff) pairs into the dict out, dropping keys whose sum is zero."""
+    get = out.get
+    for k, c in pairs:
+        s = get(k)
+        if s is not None:
+            c = s + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
 
 
 class RationalField:
     """The field of exact rationals."""
-
-    name = "QQ"
 
     def __init__(self):
         self.zero = qq(0)
@@ -21,63 +34,6 @@ class RationalField:
 
     def embed(self, c):
         return QQ(c)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / QQ(a)
-
-    def format(self, x):
-        return format_rational(x)
-
-
-class PrimeField:
-    """F_p for a large prime, used for fast dimension certificates."""
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def embed(self, c):
-        c = QQ(c)
-        num = int(c.numerator) % self.p
-        den = int(c.denominator) % self.p
-        return num * pow(den, self.p - 2, self.p) % self.p
-
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def format(self, x):
-        return str(x)
 
 
 class Poly:
@@ -123,6 +79,9 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -146,21 +105,6 @@ class PolynomialRing:
         c = QQ(c)
         return Poly((c,)) if c != 0 else self.zero
 
-    def is_zero(self, x):
-        return not x.coeffs
-
-    def format(self, x):
-        if not x.coeffs:
-            return "0"
-        parts = []
-        for n, c in enumerate(x.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                parts.append(format_rational(c))
-            else:
-                parts.append("%s*%s^%d" % (format_rational(c), self.var, n))
-        return " + ".join(parts)
 
 
 class QuadElt:
@@ -189,6 +133,9 @@ class QuadElt:
             self.q,
         )
 
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
     def __eq__(self, other):
         return isinstance(other, QuadElt) and self.a == other.a and self.b == other.b
 
@@ -211,12 +158,6 @@ class QuadraticExtension:
     def embed(self, c):
         return QuadElt(QQ(c), qq(0), self.q)
 
-    def is_zero(self, x):
-        return x.a == 0 and x.b == 0
-
-    def format(self, x):
-        return "%s + %s*mu" % (format_rational(x.a), format_rational(x.b))
-
 
 class CommSeries:
     """Truncated commutative power series in two variables."""
@@ -231,10 +172,7 @@ class CommSeries:
         return self.terms.get((i, j), qq(0))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, qq(0)) + c
-        return CommSeries(out, self.trunc)
+        return CommSeries(accumulate(dict(self.terms), other.terms.items()), self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -243,49 +181,19 @@ class CommSeries:
         return CommSeries({m: -c for m, c in self.terms.items()}, self.trunc)
 
     def __mul__(self, other):
-        out = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                if i + k + j + l > self.trunc:
-                    continue
-                m = (i + k, j + l)
-                out[m] = out.get(m, qq(0)) + a * b
-        return CommSeries(out, self.trunc)
+        pairs = (
+            ((i + k, j + l), a * b)
+            for (i, j), a in self.terms.items()
+            for (k, l), b in other.terms.items()
+            if i + k + j + l <= self.trunc
+        )
+        return CommSeries(accumulate({}, pairs), self.trunc)
 
     def __eq__(self, other):
         return isinstance(other, CommSeries) and self.terms == other.terms
 
     def __repr__(self):
         return "CommSeries(%r, trunc=%d)" % (self.terms, self.trunc)
-
-
-class CommSeriesRing:
-    """QQ[[x0, x1]] truncated at a fixed total degree."""
-
-    def __init__(self, trunc, names=("x0", "x1")):
-        self.trunc = trunc
-        self.names = names
-        self.zero = CommSeries({}, trunc)
-        self.one = CommSeries({(0, 0): qq(1)}, trunc)
-        self.x0 = CommSeries({(1, 0): qq(1)}, trunc)
-        self.x1 = CommSeries({(0, 1): qq(1)}, trunc)
-
-    def embed(self, c):
-        return CommSeries({(0, 0): QQ(c)}, self.trunc)
-
-    def is_zero(self, x):
-        return not x.terms
-
-    def format(self, x):
-        if not x.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(x.terms):
-            parts.append(
-                "%s*%s^%d*%s^%d"
-                % (format_rational(x.terms[(i, j)]), self.names[0], i, self.names[1], j)
-            )
-        return " + ".join(parts)
 
 
 RATIONALS = RationalField()

@@ -8,7 +8,7 @@ concatenation (the ambient ring multiplication).
 from functools import lru_cache
 
 from .rationals import qq, format_rational, parse_rational
-from .rings import RATIONALS
+from .rings import RATIONALS, CommSeries, accumulate
 from .words import Alphabet, shuffle_words
 
 
@@ -46,7 +46,7 @@ class Series:
             self.terms = {
                 w: c
                 for w, c in terms.items()
-                if deg(w) <= trunc and not ring.is_zero(c)
+                if deg(w) <= trunc and c
             }
 
     # -- basic queries ------------------------------------------------
@@ -113,15 +113,8 @@ class Series:
 
     def add(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        ring = self.ring
-        for w, c in other.terms.items():
-            s = out.get(w, ring.zero) + c
-            if ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Series(self.alphabet, self.trunc, ring, out, _clean=True)
+        out = accumulate(dict(self.terms), other.terms.items())
+        return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def neg(self):
         return Series(
@@ -136,7 +129,7 @@ class Series:
         return self.add(other.neg())
 
     def scale(self, c):
-        if self.ring.is_zero(c):
+        if not c:
             return Series(self.alphabet, self.trunc, self.ring)
         return Series(
             self.alphabet,
@@ -165,22 +158,15 @@ class Series:
     def mul(self, other):
         """Concatenation product, truncated."""
         self._check_compatible(other)
-        ring = self.ring
         deg = self.alphabet.degree
+        by_degree = [[] for _ in range(self.trunc + 1)]
+        for v, b in other.terms.items():
+            by_degree[deg(v)].append((v, b))
         out = {}
-        right = sorted(other.terms.items(), key=lambda it: deg(it[0]))
         for u, a in self.terms.items():
-            du = deg(u)
-            for v, b in right:
-                if du + deg(v) > self.trunc:
-                    break
-                w = u + v
-                s = out.get(w, ring.zero) + a * b
-                if ring.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return Series(self.alphabet, self.trunc, ring, out, _clean=True)
+            for d in range(self.trunc - deg(u) + 1):
+                accumulate(out, ((u + v, a * b) for v, b in by_degree[d]))
+        return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def shuffle_mul(self, other):
         """Shuffle product (sum over interleavings), truncated."""
@@ -193,18 +179,13 @@ class Series:
                 if deg(u) + deg(v) > self.trunc:
                     continue
                 ab = a * b
-                for w, m in shuffle_words(u, v).items():
-                    s = out.get(w, ring.zero) + ab * ring.embed(m)
-                    if ring.is_zero(s):
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
+                accumulate(out, ((w, ab * ring.embed(m)) for w, m in shuffle_words(u, v).items()))
         return Series(self.alphabet, self.trunc, ring, out, _clean=True)
 
     # -- exp / log / inverse ------------------------------------------
 
     def exp(self):
-        if not self.ring.is_zero(self.constant_term()):
+        if self.constant_term():
             raise ConstantTermError("exp needs zero constant term")
         out = one(self.alphabet, self.trunc, self.ring)
         power = out
@@ -261,7 +242,7 @@ class TensorSeries:
             self.terms = {
                 p: c
                 for p, c in terms.items()
-                if deg(p[0]) + deg(p[1]) <= trunc and not ring.is_zero(c)
+                if deg(p[0]) + deg(p[1]) <= trunc and c
             }
 
     def coefficient(self, u, v):
@@ -279,21 +260,14 @@ class TensorSeries:
         )
 
     def add(self, other):
-        out = dict(self.terms)
-        ring = self.ring
-        for p, c in other.terms.items():
-            s = out.get(p, ring.zero) + c
-            if ring.is_zero(s):
-                out.pop(p, None)
-            else:
-                out[p] = s
-        return TensorSeries(self.alphabet, self.trunc, ring, out, _clean=True)
+        out = accumulate(dict(self.terms), other.terms.items())
+        return TensorSeries(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def sub(self, other):
         return self.add(other.scale(-self.ring.one))
 
     def scale(self, c):
-        if self.ring.is_zero(c):
+        if not c:
             return TensorSeries(self.alphabet, self.trunc, self.ring)
         return TensorSeries(
             self.alphabet,
@@ -303,21 +277,19 @@ class TensorSeries:
         )
 
     def mul(self, other):
-        ring = self.ring
         deg = self.alphabet.degree
         out = {}
         for (u1, u2), a in self.terms.items():
-            d1 = deg(u1) + deg(u2)
-            for (v1, v2), b in other.terms.items():
-                if d1 + deg(v1) + deg(v2) > self.trunc:
-                    continue
-                p = (u1 + v1, u2 + v2)
-                s = out.get(p, ring.zero) + a * b
-                if ring.is_zero(s):
-                    out.pop(p, None)
-                else:
-                    out[p] = s
-        return TensorSeries(self.alphabet, self.trunc, ring, out, _clean=True)
+            room = self.trunc - deg(u1) - deg(u2)
+            accumulate(
+                out,
+                (
+                    ((u1 + v1, u2 + v2), a * b)
+                    for (v1, v2), b in other.terms.items()
+                    if deg(v1) + deg(v2) <= room
+                ),
+            )
+        return TensorSeries(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
 
 # -- constructors -----------------------------------------------------
@@ -338,10 +310,6 @@ def letter(alphabet, trunc, name, ring=RATIONALS):
 
 def from_word(alphabet, trunc, word, ring=RATIONALS, coeff=None):
     return Series(alphabet, trunc, ring, {tuple(word): coeff or ring.one})
-
-
-def tensor_one(alphabet, trunc, ring=RATIONALS):
-    return TensorSeries(alphabet, trunc, ring, {((), ()): ring.one}, _clean=True)
 
 
 class SeriesAlgebra:
@@ -369,14 +337,13 @@ class SeriesAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _word_coproduct(alphabet, trunc, word):
+def _word_coproduct(word):
     """Coproduct of a single word, all letters primitive; word -> pair table."""
     if not word:
         return {((), ()): 1}
-    head = word[:-1]
     i = word[-1]
     out = {}
-    for (u, v), m in _word_coproduct(alphabet, trunc, head).items():
+    for (u, v), m in _word_coproduct(word[:-1]).items():
         for p in ((u + (i,), v), (u, v + (i,))):
             out[p] = out.get(p, 0) + m
     return out
@@ -387,28 +354,27 @@ def coproduct(s):
     ring = s.ring
     out = {}
     for w, c in s.terms.items():
-        for p, m in _word_coproduct(s.alphabet, s.trunc, w).items():
-            v = out.get(p, ring.zero) + c * ring.embed(m)
-            if ring.is_zero(v):
-                out.pop(p, None)
-            else:
-                out[p] = v
+        accumulate(out, ((p, c * ring.embed(m)) for p, m in _word_coproduct(w).items()))
     return TensorSeries(s.alphabet, s.trunc, ring, out, _clean=True)
+
+
+def tensor(a, b):
+    """a (x) b as a TensorSeries, truncated at the degree of a."""
+    deg = a.alphabet.degree
+    out = {}
+    for u, x in a.terms.items():
+        room = a.trunc - deg(u)
+        for v, y in b.terms.items():
+            if deg(v) <= room:
+                c = x * y
+                if c:
+                    out[(u, v)] = c
+    return TensorSeries(a.alphabet, a.trunc, a.ring, out, _clean=True)
 
 
 def tensor_square(s):
     """s (x) s as a TensorSeries."""
-    ring = s.ring
-    deg = s.alphabet.degree
-    out = {}
-    for u, a in s.terms.items():
-        for v, b in s.terms.items():
-            if deg(u) + deg(v) > s.trunc:
-                continue
-            c = a * b
-            if not ring.is_zero(c):
-                out[(u, v)] = c
-    return TensorSeries(s.alphabet, s.trunc, ring, out, _clean=True)
+    return tensor(s, s)
 
 
 def _nonempty_word_pairs(alphabet, trunc):
@@ -442,27 +408,28 @@ def is_group_like(s):
     return by_coproduct
 
 
+def primitive_tensor(s):
+    """1 (x) s + s (x) 1 on the nonconstant part: the coproduct s has if primitive."""
+    terms = {}
+    for w, c in s.terms.items():
+        if w:
+            terms[((), w)] = c
+            terms[(w, ())] = c
+    return TensorSeries(s.alphabet, s.trunc, s.ring, terms)
+
+
 def is_lie(s):
     """Primitivity up to the truncation degree, with the Friedrichs cross-check."""
     ring = s.ring
-    if not ring.is_zero(s.constant_term()):
+    if s.constant_term():
         return False
-    expected = TensorSeries(
-        s.alphabet,
-        s.trunc,
-        ring,
-        {
-            **{((), w): c for w, c in s.terms.items() if w},
-            **{(w, ()): c for w, c in s.terms.items() if w},
-        },
-    )
-    by_coproduct = coproduct(s) == expected
+    by_coproduct = coproduct(s) == primitive_tensor(s)
     by_friedrichs = True
     for u, v in _nonempty_word_pairs(s.alphabet, s.trunc):
         c = ring.zero
         for w, m in shuffle_words(u, v).items():
             c = c + s.coefficient(w) * ring.embed(m)
-        if not ring.is_zero(c):
+        if c:
             by_friedrichs = False
             break
     if by_coproduct != by_friedrichs:
@@ -482,8 +449,7 @@ def substitute(s, images, algebra):
     if len(images) != len(s.alphabet):
         raise AlgebraError("one image per alphabet letter required")
     for img in images:
-        ct = img.constant_term()
-        if not img.ring.is_zero(ct):
+        if img.constant_term():
             raise ConstantTermError("letter image must have zero constant term")
     cache = {(): algebra.one()}
 
@@ -501,21 +467,15 @@ def substitute(s, images, algebra):
     return out
 
 
-def abelianize(s, comm_ring=None):
+def abelianize(s):
     """Send each word to the commutative monomial of its letter counts.
 
     Only two-letter alphabets are supported (the target is QQ[[x0, x1]]).
     """
-    from .rings import CommSeriesRing, CommSeries
-
     if len(s.alphabet) != 2:
         raise AlgebraError("abelianization targets two commuting variables")
-    ring = comm_ring or CommSeriesRing(s.trunc)
-    out = {}
-    for w, c in s.terms.items():
-        m = (sum(1 for i in w if i == 0), sum(1 for i in w if i == 1))
-        out[m] = out.get(m, qq(0)) + c
-    return CommSeries(out, ring.trunc)
+    out = accumulate({}, (((w.count(0), w.count(1)), c) for w, c in s.terms.items()))
+    return CommSeries(out, s.trunc)
 
 
 # -- text format ------------------------------------------------------
@@ -533,6 +493,8 @@ def to_text(s):
 
 
 def from_text(text, weights=None):
+    """Parse the series text format; a repeated word, a term above the
+    declared degree or a zero denominator raises AlgebraError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("alphabet:") or not lines[1].startswith("degree:"):
         raise AlgebraError("malformed series file: missing header")
@@ -546,5 +508,13 @@ def from_text(text, weights=None):
         if not ln.startswith('"'):
             raise AlgebraError("malformed term line: %r" % ln)
         wtext, _, ctext = ln[1:].partition('"')
-        terms[alphabet.parse_word(wtext)] = parse_rational(ctext.strip())
+        word = alphabet.parse_word(wtext)
+        if word in terms:
+            raise AlgebraError("repeated word %r" % wtext)
+        if alphabet.degree(word) > trunc:
+            raise AlgebraError("term %r above degree %d" % (wtext, trunc))
+        try:
+            terms[word] = parse_rational(ctext.strip())
+        except ZeroDivisionError:
+            raise AlgebraError("zero denominator in %r" % ln)
     return Series(alphabet, trunc, RATIONALS, terms)

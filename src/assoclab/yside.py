@@ -10,7 +10,8 @@ the generalized double shuffle relation.
 from functools import lru_cache
 
 from .rationals import qq
-from .series import Series, TensorSeries, one, tensor_square
+from .rings import accumulate
+from .series import Series, TensorSeries, one, primitive_tensor, tensor_square
 from .words import y_alphabet
 
 
@@ -33,13 +34,8 @@ def pi_y(s):
                 run = 0
         if run:
             continue
-        yw = tuple(letters)
-        sign = ring.embed(-1 if len(yw) % 2 else 1)
-        v = out.get(yw, ring.zero) + sign * c
-        if ring.is_zero(v):
-            out.pop(yw, None)
-        else:
-            out[yw] = v
+        # distinct X-words give distinct Y-words, so nothing can cancel
+        out[tuple(letters)] = ring.embed(-1 if len(letters) % 2 else 1) * c
     return Series(ya, s.trunc, ring, out, _clean=True)
 
 
@@ -49,19 +45,10 @@ def embed_y(s, x_alphabet=None):
 
     xa = x_alphabet or X_ALPHABET
     ring = s.ring
-    out = {}
-    for w, c in s.terms.items():
-        xw = []
-        for i in w:
-            xw.extend([0] * i)
-            xw.append(1)
-        xw = tuple(xw)
-        sign = ring.embed(-1 if len(w) % 2 else 1)
-        v = out.get(xw, ring.zero) + sign * c
-        if ring.is_zero(v):
-            out.pop(xw, None)
-        else:
-            out[xw] = v
+    out = {
+        x_word(word_to_index(w)): ring.embed(-1 if len(w) % 2 else 1) * c
+        for w, c in s.terms.items()
+    }
     return Series(xa, s.trunc, ring, out, _clean=True)
 
 
@@ -69,14 +56,14 @@ def embed_y(s, x_alphabet=None):
 
 
 @lru_cache(maxsize=None)
-def _y_word_delta(trunc, word):
+def _y_word_delta(word):
     """Delta_* of a Y-word (letter indices), as a pair-of-words -> int table."""
     if not word:
         return {((), ()): 1}
     head = word[:-1]
     n = word[-1] + 1
     out = {}
-    for (u, v), m in _y_word_delta(trunc, head).items():
+    for (u, v), m in _y_word_delta(head).items():
         for i in range(n + 1):
             left = u if i == 0 else u + (i - 1,)
             right = v if i == n else v + (n - i - 1,)
@@ -90,12 +77,7 @@ def delta_star(s):
     ring = s.ring
     out = {}
     for w, c in s.terms.items():
-        for p, m in _y_word_delta(s.trunc, w).items():
-            v = out.get(p, ring.zero) + c * ring.embed(m)
-            if ring.is_zero(v):
-                out.pop(p, None)
-            else:
-                out[p] = v
+        accumulate(out, ((p, c * ring.embed(m)) for p, m in _y_word_delta(w).items()))
     return TensorSeries(s.alphabet, s.trunc, ring, out, _clean=True)
 
 
@@ -109,7 +91,7 @@ def correction_exponent(phi):
     out = {}
     for n in range(1, phi.trunc + 1):
         c = phi.coefficient((0,) * (n - 1) + (1,))
-        if ring.is_zero(c):
+        if not c:
             continue
         out[(0,) * n] = c * ring.embed(qq(-1 if n % 2 else 1, n))
     return Series(ya, phi.trunc, ring, out, _clean=True)
@@ -130,19 +112,9 @@ def is_group_like_star(g):
 
 
 def is_primitive_star(g):
-    ring = g.ring
-    if not ring.is_zero(g.constant_term()):
+    if g.constant_term():
         return False
-    expected = TensorSeries(
-        g.alphabet,
-        g.trunc,
-        ring,
-        {
-            **{((), w): c for w, c in g.terms.items() if w},
-            **{(w, ()): c for w, c in g.terms.items() if w},
-        },
-    )
-    return delta_star(g) == expected
+    return delta_star(g) == primitive_tensor(g)
 
 
 def check_double_shuffle(phi):
@@ -181,14 +153,33 @@ def l_value(a, g):
     return g.coefficient(index_to_word(a))
 
 
-def l_value_x(a, phi):
-    """l_a(phi) = (-1)^k c_{X0^{ak-1}X1...X0^{a1-1}X1}(phi) on an X-series."""
+def x_word(a):
+    """The word X0^{ak-1}X1...X0^{a1-1}X1 of an index (a1,...,ak), over letters 0, 1."""
     w = []
     for n in reversed(a):
         w.extend([0] * (n - 1))
         w.append(1)
+    return tuple(w)
+
+
+def l_value_x(a, phi):
+    """l_a(phi) = (-1)^k c_{X0^{ak-1}X1...X0^{a1-1}X1}(phi) on an X-series."""
     sign = phi.ring.embed(-1 if len(a) % 2 else 1)
-    return sign * phi.coefficient(tuple(w))
+    return sign * phi.coefficient(x_word(a))
+
+
+def all_indices(max_weight):
+    """Every index of total weight at most max_weight, sorted by weight, depth, entries."""
+    out = []
+
+    def rec(acc, left):
+        if acc:
+            out.append(tuple(acc))
+        for n in range(1, left + 1):
+            rec(acc + [n], left - n)
+
+    rec([], max_weight)
+    return sorted(out, key=lambda a: (sum(a), len(a), a))
 
 
 # -- ordered shuffles with merges -------------------------------------
@@ -297,19 +288,13 @@ def stuffle(a, b):
 
 def partial0(s):
     """Derivation of the X-series algebra with X0 -> 1, X1 -> 0."""
-    ring = s.ring
-    out = {}
-    for w, c in s.terms.items():
-        for i, ch in enumerate(w):
-            if ch != 0:
-                continue
-            v = w[:i] + w[i + 1 :]
-            x = out.get(v, ring.zero) + c
-            if ring.is_zero(x):
-                out.pop(v, None)
-            else:
-                out[v] = x
-    return Series(s.alphabet, s.trunc, ring, out, _clean=True)
+    pairs = (
+        (w[:i] + w[i + 1 :], c)
+        for w, c in s.terms.items()
+        for i, ch in enumerate(w)
+        if ch == 0
+    )
+    return Series(s.alphabet, s.trunc, s.ring, accumulate({}, pairs), _clean=True)
 
 
 def antipode_x(s):

@@ -7,20 +7,7 @@ from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
 from assoclab.series import Series, zero
 from assoclab.words import X_ALPHABET
-
-
-def all_indices(max_weight):
-    """Every composition with total weight at most max_weight."""
-    out = []
-
-    def rec(acc, left):
-        if acc:
-            out.append(tuple(acc))
-        for n in range(1, left + 1):
-            rec(acc + [n], left - n)
-
-    rec([], max_weight)
-    return sorted(out, key=lambda a: (sum(a), len(a), a))
+from assoclab.yside import all_indices  # noqa: F401  (re-exported for the tests)
 
 
 def widen(s, trunc):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from assoclab.cli import main
 from assoclab.series import from_text, is_group_like, to_text
 
 from support import random_group_like
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,44 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert main(["solve-pentagon", "--degree", "3", "--c2", "1/0x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ['"X0.X1" 1/0\n', '"X0.X1" 1/2\n"X0.X1" 1/3\n', '"X0.X0.X1" 5/1\n'],
+    ids=["zero-denominator", "repeated-word", "above-degree"],
+)
+def test_malformed_series_file_exits_two(capsys, tmp_path, body):
+    path = tmp_path / "bad.series"
+    path.write_text('alphabet: X0 X1\ndegree: 2\n"1" 1/1\n' + body)
+    assert main(["verify", "double-shuffle", "--phi", str(path)]) == 2
+
+
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "dims", "--algebra", "a4", "--max-degree", "1"])
+    assert exc.value.code == 2
+
+
+def test_outputs_match_recorded_bytes(capsys, tmp_path):
+    # files recorded from the CLI; any change to the series file or a
+    # JSON report, down to the byte, is a change of output format
+    path = tmp_path / "phi4.series"
+    assert main(["solve-pentagon", "--degree", "4", "--c2-zero", "-o", str(path)]) == 0
+    assert path.read_bytes() == (DATA / "phi4.series").read_bytes()
+    cases = {
+        "verify_main_phi4.json": ["verify", "main", "--phi", str(DATA / "phi4.series")],
+        "dims_generic_p5_3.json": [
+            "dims", "--engine", "generic", "--algebra", "p5", "--max-degree", "3"
+        ],
+        "dmr_dims_5.json": ["dmr", "dims", "--max-degree", "5"],
+        "bar_shuffle_3.json": ["bar", "shuffle", "--max-weight", "3"],
+    }
+    capsys.readouterr()
+    for name, argv in cases.items():
+        code, out = run(capsys, argv + ["--report", "json"])
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes(), name
 
 
 def test_dims_engines_agree(capsys):

@@ -5,6 +5,7 @@ import pytest
 from assoclab import yside
 from assoclab.lab import (
     T_RING,
+    _solve_affine,
     gamma_at_minus_y1,
     gamma_factorize,
     group_law,
@@ -30,6 +31,31 @@ from assoclab.words import X_ALPHABET
 from support import all_indices, random_group_like
 
 # -- the solver -----------------------------------------------------------
+
+
+def _small_system(rhs_c):
+    # a: x0 + x1 + x2 = 4, b: x1 - x2 + x3 = 1, c: x0 + 2 x1 + x3 = rhs_c;
+    # c is a + b when rhs_c = 5 and contradicts them otherwise
+    columns = [
+        {"a": qq(1), "c": qq(1)},
+        {"a": qq(1), "b": qq(1), "c": qq(2)},
+        {"a": qq(1), "b": qq(-1)},
+        {"b": qq(1), "c": qq(1)},
+    ]
+    return columns, {"a": qq(4), "b": qq(1), "c": qq(rhs_c)}
+
+
+def test_solve_affine_inconsistent_system_is_none():
+    columns, rhs = _small_system(6)
+    assert _solve_affine(columns, rhs, 4) is None
+
+
+def test_solve_affine_particular_and_kernel():
+    # reduced row echelon form: x0 + 2 x2 - x3 = 3, x1 - x2 + x3 = 1
+    columns, rhs = _small_system(5)
+    particular, kernel = _solve_affine(columns, rhs, 4)
+    assert particular == [qq(3), qq(1), qq(0), qq(0)]
+    assert kernel == [[qq(-2), qq(1), qq(1), qq(0)], [qq(1), qq(-1), qq(0), qq(1)]]
 
 
 def test_solver_kernel_dimensions(pentagon5):

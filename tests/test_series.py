@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from assoclab import series, yside
 from assoclab.rationals import qq
-from assoclab.rings import RATIONALS
+from assoclab.rings import RATIONALS, PolynomialRing, QuadraticExtension, accumulate
 from assoclab.series import (
     AlphabetMismatch,
     Series,
@@ -16,6 +17,7 @@ from assoclab.series import (
     letter,
     one,
     substitute,
+    tensor,
     tensor_square,
     to_text,
     zero,
@@ -167,3 +169,38 @@ def test_text_roundtrip_weighted_alphabet():
     ya = y_alphabet(4)
     s = random_series(rng, ya, 4)
     assert from_text(to_text(s), weights=ya.weights) == s
+
+
+def test_accumulate_drops_cancelled_keys():
+    out = accumulate({"a": qq(1)}, [("a", qq(-1)), ("b", qq(2)), ("c", qq(0))])
+    assert out == {"b": qq(2)}
+
+
+def test_zero_divisor_products_store_no_term():
+    # in Q[mu]/(mu^2 - 1), (1 + mu)(1 - mu) = 1 - mu^2 = 0
+    ring = QuadraticExtension(1)
+    a, b = ring.one + ring.mu, ring.one - ring.mu
+    assert a and b and not a * b
+    x0 = Series(X_ALPHABET, 2, ring, {(0,): a})
+    x1 = Series(X_ALPHABET, 2, ring, {(1,): b})
+    assert x0.mul(x1).terms == {}
+    assert tensor(x0, x1).terms == {}
+    assert Series(X_ALPHABET, 2, ring, {(0, 1): a * b}).terms == {}
+    poly = PolynomialRing()
+    assert poly.gen and not poly.zero and not poly.gen - poly.gen
+
+
+def test_coproduct_caches_are_keyed_by_word_alone():
+    rng = random.Random(23)
+    s = random_series(rng, X_ALPHABET, 3)
+    series._word_coproduct.cache_clear()
+    coproduct(s)
+    size = series._word_coproduct.cache_info().currsize
+    coproduct(Series(X_ALPHABET, 4, RATIONALS, dict(s.terms)))
+    assert series._word_coproduct.cache_info().currsize == size
+    g = random_series(rng, y_alphabet(3), 3)
+    yside._y_word_delta.cache_clear()
+    yside.delta_star(g)
+    size = yside._y_word_delta.cache_info().currsize
+    yside.delta_star(Series(y_alphabet(4), 4, RATIONALS, dict(g.terms)))
+    assert yside._y_word_delta.cache_info().currsize == size

@@ -96,10 +96,10 @@ def test_delta_star_coassociative_on_words():
         left = {}
         right = {}
         for (u, v), c in d.terms.items():
-            for (p, q), m in yside._y_word_delta(4, u).items():
+            for (p, q), m in yside._y_word_delta(u).items():
                 key = (p, q, v)
                 left[key] = left.get(key, qq(0)) + c * m
-            for (p, q), m in yside._y_word_delta(4, v).items():
+            for (p, q), m in yside._y_word_delta(v).items():
                 key = (u, p, q)
                 right[key] = right.get(key, qq(0)) + c * m
         left = {k: v for k, v in left.items() if v != 0}
