@@ -230,10 +230,9 @@ def cmd_dmr(args):
     if args.dmr_command == "bracket":
         lhs = _load_series(args.lhs)
         rhs = _load_series(args.rhs)
-        if lhs.trunc != rhs.trunc:
-            total = lhs.trunc + rhs.trunc
-            lhs = _widen(lhs, total)
-            rhs = _widen(rhs, total)
+        total = lhs.trunc + rhs.trunc
+        lhs = _widen(lhs, total)
+        rhs = _widen(rhs, total)
         out = dmr.ihara_bracket(lhs, rhs)
         if args.output:
             with open(args.output, "w") as fh:

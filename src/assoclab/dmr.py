@@ -4,10 +4,10 @@ A Lie series psi over X0, X1 with c_{X0} = c_{X1} = c_{X0X1} = 0 belongs
 to the double shuffle Lie algebra when its star regularization
 psi_* = psi_corr + pi_Y(psi) is primitive for the quasi-shuffle
 coproduct.  This module provides the membership test, a degreewise
-solver, the Ihara bracket, and the operator calculus (the derivations
-d_psi and D_f, the left-multiplication-plus-derivation maps s_f and
-their Y-side companions) together with exact checks of the identities
-that drive the bracket-closure proof.
+solver, the Ihara bracket, and the operator calculus (the derivation
+d_psi, the left-multiplication-plus-derivation maps s_f, their Y-side
+companions and the Y-side derivation D^Y_f) together with exact checks
+of the identities that drive the bracket-closure proof.
 """
 
 from itertools import combinations
@@ -70,13 +70,6 @@ def d_psi(psi, v):
     x1 = Series(psi.alphabet, psi.trunc, psi.ring, {(1,): psi.ring.one})
     bracket = x1.mul(psi).sub(psi.mul(x1))
     return _leibniz(v, {1: bracket})
-
-
-def big_d(f, v):
-    """The derivation with X0 -> [f, X0] and X1 -> 0, applied to v."""
-    x0 = Series(f.alphabet, f.trunc, f.ring, {(0,): f.ring.one})
-    bracket = f.mul(x0).sub(x0.mul(f))
-    return _leibniz(v, {0: bracket})
 
 
 def ihara_bracket(psi1, psi2):

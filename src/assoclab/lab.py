@@ -4,9 +4,16 @@ factorization, regularization identities, the group law).
 """
 
 from .rationals import ONE, ZERO, binomial, qq
-from .rings import RATIONALS, Poly, PolynomialRing, CommSeries
+from .rings import RATIONALS, Poly, PolynomialRing, CommSeries, accumulate
 from .lie import lie_basis
-from .models import a4_model, a4_generators, check_pentagon, check_5cycle, lift_series
+from .models import (
+    a4_model,
+    a4_generators,
+    check_pentagon,
+    check_5cycle,
+    lift_series,
+    pentagon_arguments,
+)
 from .presented import echelon, solve_pivots
 from .series import (
     Series,
@@ -54,21 +61,20 @@ def _solve_affine(columns, rhs, n_unknowns):
     return particular, kernel
 
 
-def pentagon_linear_map(e, model, gens):
-    """The linearization of the pentagon residual on a primitive element e."""
-    g = gens
-    args = [
-        (g["t12"], g["t23"].add(g["t24"]), 1),
-        (g["t13"].add(g["t23"]), g["t34"], 1),
-        (g["t23"], g["t34"], -1),
-        (g["t12"].add(g["t13"]), g["t24"].add(g["t34"]), -1),
-        (g["t12"], g["t23"], -1),
-    ]
-    out = model.zero()
-    for g0, g1, sign in args:
-        val = model.evaluate(e, g0, g1)
-        out = out.add(val if sign > 0 else val.neg())
-    return out
+def pentagon_linear_map(basis, model, gens):
+    """The linearized pentagon residual on each Lyndon word of basis.
+
+    Column i is the signed sum over the five pentagon factors of the
+    standard bracketing of basis[i] evaluated in the model; the bracket
+    images are shared through one memo per factor.
+    """
+    columns = [{} for _ in basis]
+    for g0, g1, sign in pentagon_arguments(gens):
+        images, memo = (g0, g1), {}
+        for col, lw in zip(columns, basis):
+            terms = model.lie_image(lw, images, memo).terms
+            accumulate(col, terms.items() if sign > 0 else ((w, -c) for w, c in terms.items()))
+    return [Series(model.alphabet, model.trunc, model.ring, col, _clean=True) for col in columns]
 
 
 def solve_pentagon(trunc, c2=0):
@@ -94,9 +100,9 @@ def solve_pentagon(trunc, c2=0):
         gens = a4_generators(model)
         residual = check_pentagon(psi.truncated(d).exp(), model)
         rhs = {w: -c for w, c in residual.terms.items()}
-        basis = lie_basis(X_ALPHABET, d, d, ring)
+        basis = lie_basis(X_ALPHABET, d, trunc, ring)
         columns = [
-            pentagon_linear_map(e, model, gens).terms for _, e in basis
+            col.terms for col in pentagon_linear_map([lw for lw, _ in basis], model, gens)
         ]
         solved = _solve_affine(columns, rhs, len(basis))
         if solved is None:
@@ -105,8 +111,7 @@ def solve_pentagon(trunc, c2=0):
         kernel_dims[d] = len(kernel)
         if all(v == 0 for v in x) and kernel:
             x = kernel[0]
-        full_basis = lie_basis(X_ALPHABET, d, trunc, ring)
-        for coeff, (_, e) in zip(x, full_basis):
+        for coeff, (_, e) in zip(x, basis):
             if coeff != 0:
                 psi = psi.add(e.scale(coeff))
     phi = psi.exp()

@@ -7,7 +7,7 @@ degree-d part of the free Lie algebra.
 
 from functools import lru_cache
 
-from .rings import RATIONALS
+from .rings import RATIONALS, accumulate
 from .series import Series
 
 
@@ -49,6 +49,29 @@ def bracketing(word):
             out[x + y] = out.get(x + y, 0) + m * n
             out[y + x] = out.get(y + x, 0) - m * n
     return {w: c for w, c in out.items() if c}
+
+
+def lyndon_coordinates(s):
+    """The coordinates of s against the standard bracketings, and a remainder.
+
+    A standard bracketing is its Lyndon word plus larger words of the same
+    length (Reutenauer, Free Lie Algebras, Thm 5.1), so peeling the
+    Lyndon words off in increasing order reads each coordinate as the
+    coefficient left on its word.  Returns (coords, remainder): coords maps
+    each Lyndon word with a nonzero coordinate to it, in increasing order
+    per degree, and remainder = s - sum c * bracketing(w) is empty exactly
+    when s is Lie up to the truncation.  Only unweighted alphabets.
+    """
+    embed = s.ring.embed
+    rest = dict(s.terms)
+    coords = {}
+    for d in range(1, s.trunc + 1):
+        for lw in lyndon_words(len(s.alphabet), d):
+            c = rest.get(lw)
+            if c:
+                coords[lw] = c
+                accumulate(rest, ((w, -c * embed(m)) for w, m in bracketing(lw).items()))
+    return coords, Series(s.alphabet, s.trunc, s.ring, rest, _clean=True)
 
 
 def lie_basis(alphabet, degree, trunc, ring=RATIONALS):

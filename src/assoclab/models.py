@@ -15,14 +15,21 @@ The four-strand model uses fiber t14, t24, t34, base t12, t23 and the
 central sum c of all six generators.  The five-strand model uses fiber
 X34, X45, X24 and base X12, X23; the remaining generators are linear
 combinations of these five.
+
+A group-like series is evaluated in a model as exp of its Lie logarithm,
+whose standard bracketings are built once per argument pair as model
+commutators; other series go through the word-by-word substitution.
 """
 
+from .lie import lyndon_coordinates, standard_factorization
 from .rationals import qq
 from .rings import RATIONALS, QuadraticExtension, accumulate
 from .series import Series, one, zero, substitute
 from .words import Alphabet, X_ALPHABET
 
 FIBER, BASE, CENTER = 0, 1, 2
+
+T_ALPHABET = Alphabet(("T",))
 
 _STRAIGHTEN_CACHES = {}
 
@@ -107,14 +114,13 @@ class PBWModel:
         return self.normalize(a.mul(b))
 
     def exp(self, s):
-        out = self.one()
-        power = out
+        """exp(s) for s with zero constant term: sum_k T^k/k! substituted at s."""
+        terms, fact = {(): self.ring.one}, 1
         for k in range(1, self.trunc + 1):
-            power = self.mul(power, s).scale_q(qq(1, k))
-            if power.is_zero():
-                break
-            out = out.add(power)
-        return out
+            fact *= k
+            terms[(0,) * k] = self.ring.embed(qq(1, fact))
+        series = Series(T_ALPHABET, self.trunc, self.ring, terms, _clean=True)
+        return substitute(series, [s], self)
 
     def inverse(self, s):
         u = self.one().sub(s)
@@ -127,8 +133,42 @@ class PBWModel:
             out = out.add(power)
         return out
 
+    def lie_image(self, lw, images, memo):
+        """Image of the standard bracketing of the Lyndon word lw, letter i -> images[i].
+
+        Built as [image(u), image(v)] over the standard factorization
+        lw = u.v.  memo holds the images already built for this images
+        list, so each Lyndon word costs two model products per list.
+        """
+        val = memo.get(lw)
+        if val is None:
+            if len(lw) == 1:
+                val = images[lw[0]]
+            else:
+                u, v = standard_factorization(lw)
+                a = self.lie_image(u, images, memo)
+                b = self.lie_image(v, images, memo)
+                val = self.mul(a, b).sub(self.mul(b, a))
+            memo[lw] = val
+        return val
+
     def evaluate(self, phi, g0, g1):
-        """phi(g0, g1) for a series phi over X0, X1."""
+        """phi(g0, g1) for a series phi over X0, X1.
+
+        A group-like phi is exp of the Lie series log(phi), whose Lyndon
+        coordinates are evaluated through the memoized bracket images;
+        every other phi, and a phi truncated below the model, goes through
+        the word path.
+        """
+        if phi.trunc >= self.trunc and phi.constant_term() == phi.ring.one:
+            coords, rest = lyndon_coordinates(phi.log())
+            if rest.is_zero():
+                images, memo, terms = (g0, g1), {}, {}
+                for lw, c in coords.items():
+                    img = self.lie_image(lw, images, memo)
+                    accumulate(terms, ((w, c * x) for w, x in img.terms.items()))
+                lie = Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
+                return self.exp(lie)
         return substitute(phi, [g0, g1], self)
 
 
@@ -206,29 +246,48 @@ def lift_series(s, ring):
 # -- equation checkers --------------------------------------------------
 
 
+# The pentagon f1 f2 = f3 f4 f5 with f = phi(g0, g1) for the rows below,
+# each argument a sum of generators; the sign marks the side of the
+# equation, which is also the sign of the row in the linearization.
+PENTAGON = (
+    (("t12",), ("t23", "t24"), 1),
+    (("t13", "t23"), ("t34",), 1),
+    (("t23",), ("t34",), -1),
+    (("t12", "t13"), ("t24", "t34"), -1),
+    (("t12",), ("t23",), -1),
+)
+
+
+def pentagon_arguments(gens):
+    """(g0, g1, sign) for the five pentagon factors, from a4_generators."""
+
+    def total(names):
+        out = gens[names[0]]
+        for name in names[1:]:
+            out = out.add(gens[name])
+        return out
+
+    return [(total(a), total(b), sign) for a, b, sign in PENTAGON]
+
+
 def check_pentagon(phi, model=None):
     """LHS - RHS of the pentagon equation in the four-strand model."""
     m = model or a4_model(phi.trunc, phi.ring)
-    g = a4_generators(m)
-    f1 = m.evaluate(phi, g["t12"], g["t23"].add(g["t24"]))
-    f2 = m.evaluate(phi, g["t13"].add(g["t23"]), g["t34"])
-    f3 = m.evaluate(phi, g["t23"], g["t34"])
-    f4 = m.evaluate(phi, g["t12"].add(g["t13"]), g["t24"].add(g["t34"]))
-    f5 = m.evaluate(phi, g["t12"], g["t23"])
+    f1, f2, f3, f4, f5 = (
+        m.evaluate(phi, g0, g1) for g0, g1, _ in pentagon_arguments(a4_generators(m))
+    )
     return m.mul(f1, f2).sub(m.mul(m.mul(f3, f4), f5))
+
+
+# The factors of the 5-cycle product, as (g0, g1) generator names.
+FIVE_CYCLE = (("X34", "X45"), ("X51", "X12"), ("X23", "X34"), ("X45", "X51"), ("X12", "X23"))
 
 
 def check_5cycle(phi, model=None):
     """Residual of phi_345 phi_512 phi_234 phi_451 phi_123 - 1."""
     m = model or p5_model(phi.trunc, phi.ring)
     g = p5_generators(m)
-    fs = [
-        m.evaluate(phi, g["X34"], g["X45"]),
-        m.evaluate(phi, g["X51"], g["X12"]),
-        m.evaluate(phi, g["X23"], g["X34"]),
-        m.evaluate(phi, g["X45"], g["X51"]),
-        m.evaluate(phi, g["X12"], g["X23"]),
-    ]
+    fs = [m.evaluate(phi, g[a], g[b]) for a, b in FIVE_CYCLE]
     prod = fs[0]
     for f in fs[1:]:
         prod = m.mul(prod, f)
@@ -247,18 +306,19 @@ def check_hexagons(phi):
         return m.exp(t.scale(mu_half))
 
     t12, t13, t23 = g["t12"], g["t13"], g["t23"]
+    f123 = m.evaluate(phi, t12, t23)
     lhs1 = half_exp(t13.add(t23))
     rhs1 = m.evaluate(phi, t13, t12)
     rhs1 = m.mul(rhs1, half_exp(t13))
     rhs1 = m.mul(rhs1, m.inverse(m.evaluate(phi, t13, t23)))
     rhs1 = m.mul(rhs1, half_exp(t23))
-    rhs1 = m.mul(rhs1, m.evaluate(phi, t12, t23))
+    rhs1 = m.mul(rhs1, f123)
     lhs2 = half_exp(t12.add(t13))
     rhs2 = m.inverse(m.evaluate(phi, t23, t13))
     rhs2 = m.mul(rhs2, half_exp(t13))
     rhs2 = m.mul(rhs2, m.evaluate(phi, t12, t13))
     rhs2 = m.mul(rhs2, half_exp(t12))
-    rhs2 = m.mul(rhs2, m.inverse(m.evaluate(phi, t12, t23)))
+    rhs2 = m.mul(rhs2, m.inverse(f123))
     return lhs1.sub(rhs1), lhs2.sub(rhs2)
 
 

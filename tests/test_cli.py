@@ -1,13 +1,16 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from assoclab.cli import main
 from assoclab.series import from_text, is_group_like, to_text
 
-from support import random_group_like
+from support import random_group_like, widen
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -159,6 +162,23 @@ def test_dmr_bracket_and_check(capsys, tmp_path):
     assert code == 0
 
 
+def test_dmr_bracket_widens_equal_truncations(capsys, tmp_path, psi3, psi5):
+    # psi3 saved at degree 5 has the same truncation as psi5; the bracket
+    # must still be taken at degree 10, not cut off at 5
+    pairs = {"narrow": (psi3, psi5), "wide": (widen(psi3, 5), psi5)}
+    terms = {}
+    for name, (lhs, rhs) in pairs.items():
+        lhs_path, rhs_path = tmp_path / (name + "-lhs"), tmp_path / (name + "-rhs")
+        out_path = tmp_path / (name + "-out")
+        lhs_path.write_text(to_text(lhs))
+        rhs_path.write_text(to_text(rhs))
+        argv = ["dmr", "bracket", "--lhs", str(lhs_path), "--rhs", str(rhs_path)]
+        code, _ = run(capsys, argv + ["-o", str(out_path)])
+        assert code == 0
+        terms[name] = from_text(out_path.read_text()).terms
+    assert terms["wide"] and terms["wide"] == terms["narrow"]
+
+
 def test_dmr_lemmas(capsys):
     assert run(capsys, ["dmr", "lemmas", "--degree", "3"])[0] == 0
 
@@ -198,3 +218,20 @@ def test_json_reports_are_deterministic(capsys):
         capsys, ["dmr", "dims", "--max-degree", "4", "--report", "json"]
     )
     assert out1 == out2
+
+
+def test_cli_import_loads_only_its_own_modules():
+    # the start-up path of every command: keep it free of the heavy modules
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import json, sys, assoclab.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('assoclab'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == [
+        "assoclab", "assoclab.cli", "assoclab.rationals", "assoclab.rings",
+        "assoclab.series", "assoclab.words",
+    ]

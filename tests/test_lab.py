@@ -12,11 +12,14 @@ from assoclab.lab import (
     integral_regularized,
     map_L,
     meta_abelian,
+    pentagon_linear_map,
     series_regularized,
     solve_pentagon,
     verify_theorem_gamma,
     verify_theorem_main,
 )
+from assoclab.lie import lie_basis
+from assoclab.models import a4_generators, a4_model, pentagon_arguments
 from assoclab.rationals import qq
 from assoclab.rings import Poly
 from assoclab.series import (
@@ -56,6 +59,21 @@ def test_solve_affine_particular_and_kernel():
     particular, kernel = _solve_affine(columns, rhs, 4)
     assert particular == [qq(3), qq(1), qq(0), qq(0)]
     assert kernel == [[qq(-2), qq(1), qq(1), qq(0)], [qq(1), qq(-1), qq(0), qq(1)]]
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_pentagon_columns_match_the_word_path(degree):
+    model = a4_model(degree)
+    gens = a4_generators(model)
+    basis = lie_basis(X_ALPHABET, degree, degree)
+    columns = pentagon_linear_map([lw for lw, _ in basis], model, gens)
+    assert len(columns) == len(basis)
+    for col, (_, e) in zip(columns, basis):
+        expected = model.zero()
+        for g0, g1, sign in pentagon_arguments(gens):
+            val = substitute(e, [g0, g1], model)
+            expected = expected.add(val if sign > 0 else val.neg())
+        assert col == expected
 
 
 def test_solver_kernel_dimensions(pentagon5):

@@ -1,10 +1,11 @@
 import random
 
-from assoclab.lie import bracketing, lie_basis, lie_bracket, lyndon_words
-from assoclab.series import is_lie
+from assoclab.lie import bracketing, lie_basis, lie_bracket, lyndon_coordinates, lyndon_words
+from assoclab.rings import RATIONALS
+from assoclab.series import Series, is_lie, zero
 from assoclab.words import X_ALPHABET
 
-from support import random_lie
+from support import random_group_like, random_lie, random_lie_mixed, random_series
 
 # necklace counts: dimensions of the free Lie algebra on two generators
 WITT_2 = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
@@ -51,3 +52,37 @@ def test_bracket_closure_and_jacobi():
         .add(lie_bracket(c, lie_bracket(a, b)))
     )
     assert jac.is_zero()
+
+
+def _recombine(coords, remainder):
+    out = remainder
+    for lw, c in coords.items():
+        terms = {w: c * m for w, m in bracketing(lw).items()}
+        out = out.add(Series(X_ALPHABET, remainder.trunc, RATIONALS, terms))
+    return out
+
+
+def test_lyndon_coordinates_round_trip():
+    rng = random.Random(6)
+    trunc = 5
+    inputs = [
+        random_lie_mixed(rng, trunc),
+        random_group_like(rng, trunc).log(),
+        random_group_like(rng, trunc),
+        random_series(rng, X_ALPHABET, trunc),
+        zero(X_ALPHABET, trunc),
+    ]
+    for s in inputs:
+        coords, remainder = lyndon_coordinates(s)
+        assert _recombine(coords, remainder) == s
+        assert remainder.is_zero() == is_lie(s)
+        assert all(coords.values())
+    assert lyndon_coordinates(inputs[0])[1].is_zero()
+    assert not lyndon_coordinates(inputs[3])[1].is_zero()
+
+
+def test_lyndon_coordinates_of_a_basis_element():
+    for d in range(1, 6):
+        for lw, e in lie_basis(X_ALPHABET, d, 6):
+            coords, remainder = lyndon_coordinates(e.scale(RATIONALS.embed(3)))
+            assert coords == {lw: 3} and remainder.is_zero()

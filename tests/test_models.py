@@ -1,7 +1,12 @@
 import random
 
+import pytest
+
+from assoclab.lab import solve_pentagon
 from assoclab.models import (
+    FIVE_CYCLE,
     P5_BRACKETS,
+    PBWModel,
     a4_generators,
     a4_model,
     apply_embedding,
@@ -10,16 +15,19 @@ from assoclab.models import (
     check_5cycle,
     check_hexagons,
     check_pentagon,
+    embedding_images,
+    lift_series,
     p5_generators,
     p5_model,
+    pentagon_arguments,
     tau_images,
 )
 from assoclab.rationals import qq
-from assoclab.rings import RATIONALS
-from assoclab.series import Series, one
+from assoclab.rings import RATIONALS, QuadraticExtension
+from assoclab.series import Series, one, substitute
 from assoclab.words import X_ALPHABET
 
-from support import random_group_like, random_series
+from support import random_group_like, random_lie_mixed, random_series
 
 TRUNC = 4
 
@@ -158,3 +166,102 @@ def test_tau_kills_the_center():
     assert apply_tau(g["c"], m5).is_zero()
     images = tau_images(m5)
     assert len(images) == len(m4.alphabet)
+
+
+# -- bracket evaluation against the word path --------------------------------
+
+EQUIV_TRUNC = 5
+
+
+def word_path(m, phi, g0, g1):
+    return substitute(phi, [g0, g1], m)
+
+
+def equivalence_inputs(ring=RATIONALS):
+    """Group-like, Lie and constant-term-2 series at truncation 5, and a
+    group-like series truncated below the model."""
+    rng = random.Random(46)
+    group_like = random_group_like(rng, EQUIV_TRUNC)
+    lie = random_lie_mixed(rng, EQUIV_TRUNC)
+    doubled = group_like.scale(qq(2))
+    short = group_like.truncated(EQUIV_TRUNC - 1)
+    return [lift_series(s, ring) for s in (group_like, lie, doubled, short)]
+
+
+def assert_paths_agree(m, pairs, inputs):
+    for phi in inputs:
+        for g0, g1 in pairs:
+            assert m.evaluate(phi, g0, g1) == word_path(m, phi, g0, g1)
+
+
+def test_evaluate_matches_word_path_on_pentagon_pairs():
+    m = a4_model(EQUIV_TRUNC)
+    pairs = [(g0, g1) for g0, g1, _ in pentagon_arguments(a4_generators(m))]
+    assert_paths_agree(m, pairs, equivalence_inputs())
+
+
+def test_evaluate_matches_word_path_in_p5():
+    m = p5_model(EQUIV_TRUNC)
+    g = p5_generators(m)
+    pairs = [(g[a], g[b]) for a, b in FIVE_CYCLE]
+    pairs += [embedding_images(w, m) for w in ("i123", "i451", "i432", "i215")]
+    assert_paths_agree(m, pairs, equivalence_inputs())
+
+
+def test_evaluate_matches_word_path_over_the_hexagon_ring():
+    ring = QuadraticExtension(qq(24, 7))
+    m = a4_model(EQUIV_TRUNC, ring)
+    g = a4_generators(m)
+    t12, t13, t23 = g["t12"], g["t13"], g["t23"]
+    pairs = [(t13, t12), (t13, t23), (t12, t23), (t23, t13), (t12, t13)]
+    assert_paths_agree(m, pairs, equivalence_inputs(ring))
+
+
+def test_model_exp_is_the_power_series():
+    rng = random.Random(47)
+    m = a4_model(TRUNC)
+    s = random_model_series(rng, m)
+    expected, power = m.one(), m.one()
+    for k in range(1, TRUNC + 1):
+        power = m.mul(power, s).scale_q(qq(1, k))
+        expected = expected.add(power)
+    assert m.exp(s) == expected
+
+
+def test_residuals_match_word_path(monkeypatch):
+    rng = random.Random(48)
+    phi = random_group_like(rng, TRUNC)
+    c2 = solve_pentagon(TRUNC, c2=qq(2, 3))["phi"]
+    m5 = p5_model(TRUNC)
+
+    def residuals():
+        out = [check_pentagon(phi), check_5cycle(phi), check_hexagons(phi), check_hexagons(c2)]
+        out += [apply_embedding(w, phi, m5) for w in ("i123", "i451", "i432", "i215")]
+        return out
+
+    by_brackets = residuals()
+    monkeypatch.setattr(PBWModel, "evaluate", word_path)
+    assert residuals() == by_brackets
+    assert not by_brackets[0].is_zero() and not by_brackets[1].is_zero()
+    assert not by_brackets[2][0].is_zero()
+
+
+# -- mutation: a perturbed solution fails at the perturbed degree -------------
+
+
+@pytest.fixture(scope="module")
+def phi4():
+    return solve_pentagon(4)["phi"]
+
+
+MUTATED_WORDS = [w for d in range(2, 5) for w in X_ALPHABET.words_of_degree(d)]
+
+
+@pytest.mark.parametrize("word", MUTATED_WORDS, ids=X_ALPHABET.format_word)
+def test_perturbed_solution_fails_at_its_degree(phi4, word):
+    terms = dict(phi4.terms)
+    terms[word] = terms.get(word, 0) + qq(1, 3)
+    phi = Series(X_ALPHABET, phi4.trunc, RATIONALS, terms)
+    for residual in (check_pentagon(phi), check_5cycle(phi)):
+        assert not residual.is_zero()
+        assert min(len(w) for w in residual.terms) == len(word)
