@@ -11,7 +11,6 @@ import sys
 
 from . import __version__
 from .rationals import format_rational, qq
-from .rings import Poly
 from .series import AlgebraError, from_text, to_text
 
 
@@ -133,8 +132,6 @@ def _jsonify(value):
         return value
     if isinstance(value, int):
         return value
-    if isinstance(value, Poly):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

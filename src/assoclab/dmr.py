@@ -19,7 +19,6 @@ from .series import (
     Series,
     SeriesAlgebra,
     TensorSeries,
-    abelianize,
     is_lie,
     one,
     primitive_tensor,
@@ -28,7 +27,7 @@ from .series import (
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
-from .lab import _solve_affine, gamma_shape
+from .lab import _solve_affine, abelian_x1_part, gamma_shape
 from . import yside
 from .yside import (
     delta_star,
@@ -481,7 +480,6 @@ def gamma_image_check(psi):
     a one-variable series g with coefficients read off the x0^{n-1} x1
     line.  Returns (flag, coefficient table).
     """
-    terms = {w: c for w, c in psi.terms.items() if w and w[-1] == 1}
-    m = abelianize(Series(psi.alphabet, psi.trunc, psi.ring, terms, _clean=True))
+    m = abelian_x1_part(psi)
     coeffs, shape = gamma_shape(m)
     return m == shape, coeffs

@@ -3,11 +3,14 @@ and verifying its consequences (5-cycle, double shuffle, gamma
 factorization, regularization identities, the group law).
 """
 
+from math import factorial
+
 from .rationals import ONE, ZERO, binomial, qq
-from .rings import RATIONALS, Poly, PolynomialRing, CommSeries, accumulate
+from .rings import RATIONALS, Poly, PolynomialRing, accumulate
 from .lie import lie_basis
 from .models import (
     a4_model,
+    ab_model,
     a4_generators,
     check_pentagon,
     check_5cycle,
@@ -16,12 +19,13 @@ from .models import (
 )
 from .presented import echelon, solve_pivots
 from .series import (
+    POWER_ALPHABET,
     Series,
     SeriesAlgebra,
     letter,
+    one,
     substitute,
     zero,
-    abelianize,
 )
 from .words import X_ALPHABET
 from . import yside
@@ -66,13 +70,12 @@ def pentagon_linear_map(basis, model, gens):
 
     Column i is the signed sum over the five pentagon factors of the
     standard bracketing of basis[i] evaluated in the model; the bracket
-    images are shared through one memo per factor.
+    images are the model's, shared with every evaluation in it.
     """
     columns = [{} for _ in basis]
     for g0, g1, sign in pentagon_arguments(gens):
-        images, memo = (g0, g1), {}
         for col, lw in zip(columns, basis):
-            terms = model.lie_image(lw, images, memo).terms
+            terms = model.lie_image(lw, (g0, g1)).terms
             accumulate(col, terms.items() if sign > 0 else ((w, -c) for w, c in terms.items()))
     return [Series(model.alphabet, model.trunc, model.ring, col, _clean=True) for col in columns]
 
@@ -174,36 +177,11 @@ def map_L(phi):
     """
     n_max = phi.trunc
     # exponent: T u - sum_{n>=1} l_n(phi) u^n / n as a u-series over k[T]
-    expo = [T_RING.zero] * (n_max + 1)
+    expo = {(0,) * n: T_RING.embed(-yside.l_value_x((n,), phi) / n) for n in range(1, n_max + 1)}
     if n_max >= 1:
-        expo[1] = T_RING.gen
-    for n in range(1, n_max + 1):
-        ln = yside.l_value_x((n,), phi)
-        if ln != 0:
-            expo[n] = expo[n] - T_RING.embed(ln / n)
-    # exp of the u-series
-    series = [T_RING.one] + [T_RING.zero] * n_max
-    term = list(series)
-    for k in range(1, n_max + 1):
-        nxt = [T_RING.zero] * (n_max + 1)
-        for i in range(n_max + 1):
-            if not term[i]:
-                continue
-            for j in range(1, n_max + 1 - i):
-                if not expo[j]:
-                    continue
-                nxt[i + j] = nxt[i + j] + term[i] * expo[j]
-        term = [p * T_RING.embed(qq(1, k)) for p in nxt]
-        if not any(term):
-            break
-        for i in range(n_max + 1):
-            series[i] = series[i] + term[i]
-    images = []
-    fact = qq(1)
-    for n in range(n_max + 1):
-        if n > 0:
-            fact = fact * n
-        images.append(series[n] * T_RING.embed(fact))
+        expo[(0,)] = expo[(0,)] + T_RING.gen
+    series = Series(POWER_ALPHABET, n_max, T_RING, expo).exp()
+    images = [series.coefficient((0,) * n) * T_RING.embed(factorial(n)) for n in range(n_max + 1)]
 
     def apply(p):
         out = T_RING.zero
@@ -240,39 +218,33 @@ def group_law(phi1, phi2):
 # -- gamma factorization -----------------------------------------------
 
 
+def abelian_x1_part(s):
+    """(s_{X1} X1)^ab: the terms of s ending in X1, in QQ[[x0, x1]]."""
+    terms = {w: c for w, c in s.terms.items() if w and w[-1] == 1}
+    part = Series(s.alphabet, s.trunc, s.ring, terms, _clean=True)
+    return ab_model(s.trunc, s.ring).normalize(part)
+
+
 def meta_abelian(phi):
     """B_phi = (1 + phi_{X1} X1)^ab in QQ[[x0, x1]]."""
-    terms = {w: c for w, c in phi.terms.items() if w and w[-1] == 1}
-    terms[()] = phi.ring.one
-    part = Series(phi.alphabet, phi.trunc, phi.ring, terms, _clean=True)
-    return abelianize(part)
-
-
-def _comm_log(b, trunc):
-    u = b - CommSeries({(0, 0): qq(1)}, trunc)
-    out = CommSeries({}, trunc)
-    power = CommSeries({(0, 0): qq(1)}, trunc)
-    for k in range(1, trunc + 1):
-        power = power * u
-        if not power.terms:
-            break
-        out = out + CommSeries(
-            {m: c * qq(-1 if k % 2 == 0 else 1, k) for m, c in power.terms.items()},
-            trunc,
-        )
-    return out
+    return abelian_x1_part(phi).add(one(phi.alphabet, phi.trunc, phi.ring))
 
 
 def gamma_shape(m):
     """The three-term Gamma shape sum_n d_n (x0^n + x1^n - (x0+x1)^n) fitted to m.
 
-    d_n = -c_{x0^{n-1} x1}(m) / n for 2 <= n <= trunc.  Returns the table
-    of the d_n and the shape as a CommSeries.
+    m lives in QQ[[x0, x1]], whose monomial x0^i x1^j is the word
+    X0^i X1^j.  d_n = -c_{x0^{n-1} x1}(m) / n for 2 <= n <= trunc.
+    Returns the table of the d_n and the shape as a series.
     """
-    coeffs = {n: -m.coefficient(n - 1, 1) / n for n in range(2, m.trunc + 1)}
+    coeffs = {n: -m.coefficient((0,) * (n - 1) + (1,)) / n for n in range(2, m.trunc + 1)}
     # x0^n and x1^n cancel against the two end terms of (x0+x1)^n
-    shape = {(i, n - i): -d * binomial(n, i) for n, d in coeffs.items() for i in range(1, n)}
-    return coeffs, CommSeries(shape, m.trunc)
+    shape = {
+        (0,) * i + (1,) * (n - i): -d * binomial(n, i)
+        for n, d in coeffs.items()
+        for i in range(1, n)
+    }
+    return coeffs, Series(m.alphabet, m.trunc, m.ring, shape)
 
 
 def gamma_factorize(phi):
@@ -282,12 +254,12 @@ def gamma_factorize(phi):
     flag, and the smallest failing total degree when the factorization
     does not hold.
     """
-    log_b = _comm_log(meta_abelian(phi), phi.trunc)
+    log_b = ab_model(phi.trunc, phi.ring).log(meta_abelian(phi))
     coeffs, shape = gamma_shape(log_b)
-    diff = log_b - shape
-    if not diff.terms:
+    diff = log_b.sub(shape)
+    if diff.is_zero():
         return {"success": True, "coefficients": coeffs, "failure_degree": None}
-    fail = min(i + j for (i, j) in diff.terms)
+    fail = min(len(w) for w in diff.terms)
     return {"success": False, "coefficients": coeffs, "failure_degree": fail}
 
 

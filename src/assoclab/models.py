@@ -1,4 +1,4 @@
-"""Fast PBW models of the two braid enveloping algebras.
+"""PBW models of the two braid enveloping algebras and of QQ[[x0, x1]].
 
 Both algebras split as (free fiber Lie algebra) acted on by a free base
 Lie algebra, plus (for the four-strand algebra) a central element.  The
@@ -10,6 +10,10 @@ rewriting rule moves a base letter right past a fiber letter:
 with the central letter commuting with everything.  Straightening is
 memoized per model and shared across coefficient rings because all
 bracket coefficients are integers.
+
+The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
+model of the same kind: fiber X0, base X1 and no bracket, so its normal
+words are X0^i X1^j.
 
 The four-strand model uses fiber t14, t24, t34, base t12, t23 and the
 central sum c of all six generators.  The five-strand model uses fiber
@@ -24,14 +28,24 @@ commutators; other series go through the word-by-word substitution.
 from .lie import lyndon_coordinates, standard_factorization
 from .rationals import qq
 from .rings import RATIONALS, QuadraticExtension, accumulate
-from .series import Series, one, zero, substitute
+from .series import (
+    Series,
+    exp_coefficient,
+    geometric_coefficient,
+    log_coefficient,
+    one,
+    power_series,
+    substitute,
+    zero,
+)
 from .words import Alphabet, X_ALPHABET
 
 FIBER, BASE, CENTER = 0, 1, 2
 
-T_ALPHABET = Alphabet(("T",))
-
+# Straightening tables by model name, and the (letters, classes, brackets)
+# each name was first built with: a name names one presentation.
 _STRAIGHTEN_CACHES = {}
+_MODEL_SPECS = {}
 
 
 class PBWModel:
@@ -44,7 +58,11 @@ class PBWModel:
         self.brackets = brackets
         self.trunc = trunc
         self.ring = ring
+        spec = (self.alphabet.names, self.classes, brackets)
+        if _MODEL_SPECS.setdefault(name, spec) != spec:
+            raise ValueError("model name %r is in use for another presentation" % name)
         self._cache = _STRAIGHTEN_CACHES.setdefault(name, {})
+        self._lie_memos = {}
 
     # -- straightening --------------------------------------------------
 
@@ -114,43 +132,41 @@ class PBWModel:
         return self.normalize(a.mul(b))
 
     def exp(self, s):
-        """exp(s) for s with zero constant term: sum_k T^k/k! substituted at s."""
-        terms, fact = {(): self.ring.one}, 1
-        for k in range(1, self.trunc + 1):
-            fact *= k
-            terms[(0,) * k] = self.ring.embed(qq(1, fact))
-        series = Series(T_ALPHABET, self.trunc, self.ring, terms, _clean=True)
-        return substitute(series, [s], self)
+        """exp(s) for s with zero constant term."""
+        return power_series(exp_coefficient, s, self)
+
+    def log(self, s):
+        """log(s) for s with constant term 1."""
+        return power_series(log_coefficient, s.sub(self.one()), self)
 
     def inverse(self, s):
-        u = self.one().sub(s)
-        out = self.one()
-        power = out
-        for _ in range(self.trunc):
-            power = self.mul(power, u)
-            if power.is_zero():
-                break
-            out = out.add(power)
-        return out
+        """s^-1 for s with constant term 1."""
+        return power_series(geometric_coefficient, self.one().sub(s), self)
 
-    def lie_image(self, lw, images, memo):
+    def lie_image(self, lw, images):
         """Image of the standard bracketing of the Lyndon word lw, letter i -> images[i].
 
         Built as [image(u), image(v)] over the standard factorization
-        lw = u.v.  memo holds the images already built for this images
-        list, so each Lyndon word costs two model products per list.
+        lw = u.v.  The model keeps one memo per images list, keyed by the
+        terms of the images, so each Lyndon word costs two model products
+        per list however many callers ask for it.
         """
-        val = memo.get(lw)
-        if val is None:
-            if len(lw) == 1:
-                val = images[lw[0]]
-            else:
-                u, v = standard_factorization(lw)
-                a = self.lie_image(u, images, memo)
-                b = self.lie_image(v, images, memo)
-                val = self.mul(a, b).sub(self.mul(b, a))
-            memo[lw] = val
-        return val
+        key = tuple(frozenset(g.terms.items()) for g in images)
+        memo = self._lie_memos.setdefault(key, {})
+
+        def image(w):
+            val = memo.get(w)
+            if val is None:
+                if len(w) == 1:
+                    val = images[w[0]]
+                else:
+                    u, v = standard_factorization(w)
+                    a, b = image(u), image(v)
+                    val = self.mul(a, b).sub(self.mul(b, a))
+                memo[w] = val
+            return val
+
+        return image(lw)
 
     def evaluate(self, phi, g0, g1):
         """phi(g0, g1) for a series phi over X0, X1.
@@ -163,9 +179,9 @@ class PBWModel:
         if phi.trunc >= self.trunc and phi.constant_term() == phi.ring.one:
             coords, rest = lyndon_coordinates(phi.log())
             if rest.is_zero():
-                images, memo, terms = (g0, g1), {}, {}
+                terms = {}
                 for lw, c in coords.items():
-                    img = self.lie_image(lw, images, memo)
+                    img = self.lie_image(lw, (g0, g1))
                     accumulate(terms, ((w, c * x) for w, x in img.terms.items()))
                 lie = Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
                 return self.exp(lie)
@@ -199,6 +215,14 @@ def a4_generators(model):
         {"c": 1, "t14": -1, "t24": -1, "t34": -1, "t12": -1, "t23": -1}
     )
     return g
+
+
+# -- the commutative quotient ------------------------------------------
+
+
+def ab_model(trunc, ring=RATIONALS):
+    """QQ[[x0, x1]]: letters X0, X1 with no bracket, normal words X0^i X1^j."""
+    return PBWModel("ab", X_ALPHABET.names, (FIBER, BASE), {}, trunc, ring)
 
 
 # -- the five-strand model ---------------------------------------------

@@ -1,11 +1,10 @@
 """Coefficient rings for series coefficients.
 
 Every ring here is an exact commutative ring containing the rationals:
-plain rationals, univariate polynomials over the rationals, a quadratic
-extension adjoining mu with mu^2 = q, and truncated commutative power
-series in two variables.  Ring elements support +, -, *, unary - and ==,
-and an element is false exactly when it is zero; a ring object knows its
-zero/one and how to embed a rational.
+plain rationals, univariate polynomials over the rationals, and a
+quadratic extension adjoining mu with mu^2 = q.  Ring elements support
++, -, *, unary - and ==, and an element is false exactly when it is
+zero; a ring object knows its zero/one and how to embed a rational.
 """
 
 from .rationals import QQ, qq
@@ -157,43 +156,6 @@ class QuadraticExtension:
 
     def embed(self, c):
         return QuadElt(QQ(c), qq(0), self.q)
-
-
-class CommSeries:
-    """Truncated commutative power series in two variables."""
-
-    __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms, trunc):
-        self.trunc = trunc
-        self.terms = {m: c for m, c in terms.items() if c != 0 and m[0] + m[1] <= trunc}
-
-    def coefficient(self, i, j):
-        return self.terms.get((i, j), qq(0))
-
-    def __add__(self, other):
-        return CommSeries(accumulate(dict(self.terms), other.terms.items()), self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CommSeries({m: -c for m, c in self.terms.items()}, self.trunc)
-
-    def __mul__(self, other):
-        pairs = (
-            ((i + k, j + l), a * b)
-            for (i, j), a in self.terms.items()
-            for (k, l), b in other.terms.items()
-            if i + k + j + l <= self.trunc
-        )
-        return CommSeries(accumulate({}, pairs), self.trunc)
-
-    def __eq__(self, other):
-        return isinstance(other, CommSeries) and self.terms == other.terms
-
-    def __repr__(self):
-        return "CommSeries(%r, trunc=%d)" % (self.terms, self.trunc)
 
 
 RATIONALS = RationalField()

@@ -6,9 +6,10 @@ concatenation (the ambient ring multiplication).
 """
 
 from functools import lru_cache
+from math import factorial
 
 from .rationals import qq, format_rational, parse_rational
-from .rings import RATIONALS, CommSeries, accumulate
+from .rings import RATIONALS, accumulate
 from .words import Alphabet, shuffle_words
 
 
@@ -184,44 +185,20 @@ class Series:
 
     # -- exp / log / inverse ------------------------------------------
 
+    def _algebra(self):
+        return SeriesAlgebra(self.alphabet, self.trunc, self.ring)
+
     def exp(self):
-        if self.constant_term():
-            raise ConstantTermError("exp needs zero constant term")
-        out = one(self.alphabet, self.trunc, self.ring)
-        power = out
-        for k in range(1, self.trunc + 1):
-            power = power.mul(self).scale_q(qq(1, k))
-            if power.is_zero():
-                break
-            out = out.add(power)
-        return out
+        return power_series(exp_coefficient, self, self._algebra())
 
     def log(self):
-        if self.constant_term() != self.ring.one:
-            raise ConstantTermError("log needs constant term 1")
         u = self.sub(one(self.alphabet, self.trunc, self.ring))
-        out = zero(self.alphabet, self.trunc, self.ring)
-        power = one(self.alphabet, self.trunc, self.ring)
-        for k in range(1, self.trunc + 1):
-            power = power.mul(u)
-            if power.is_zero():
-                break
-            out = out.add(power.scale_q(qq(-1 if k % 2 == 0 else 1, k)))
-        return out
+        return power_series(log_coefficient, u, self._algebra())
 
     def inverse(self):
         """Multiplicative inverse for constant term 1."""
-        if self.constant_term() != self.ring.one:
-            raise ConstantTermError("inverse needs constant term 1")
         u = one(self.alphabet, self.trunc, self.ring).sub(self)
-        out = one(self.alphabet, self.trunc, self.ring)
-        power = one(self.alphabet, self.trunc, self.ring)
-        for _ in range(self.trunc):
-            power = power.mul(u)
-            if power.is_zero():
-                break
-            out = out.add(power)
-        return out
+        return power_series(geometric_coefficient, u, self._algebra())
 
 
 class TensorSeries:
@@ -461,21 +438,45 @@ def substitute(s, images, algebra):
             cache[word] = val
             return val
 
-    out = algebra.one().scale(s.ring.zero)
+    out = {}
     for w in s.support():
-        out = out.add(image(w).scale(s.terms[w]))
-    return out
+        c = s.terms[w]
+        accumulate(out, ((v, c * x) for v, x in image(w).terms.items()))
+    unit = cache[()]
+    return Series(unit.alphabet, unit.trunc, unit.ring, out, _clean=True)
 
 
-def abelianize(s):
-    """Send each word to the commutative monomial of its letter counts.
+POWER_ALPHABET = Alphabet(("u",))
 
-    Only two-letter alphabets are supported (the target is QQ[[x0, x1]]).
+
+def power_series(coefficient, u, algebra):
+    """sum_k coefficient(k) u^k for 0 <= k <= algebra.trunc, inside algebra.
+
+    The one-letter series with these coefficients is substituted at u, so
+    u must have zero constant term, as substitute checks.
     """
-    if len(s.alphabet) != 2:
-        raise AlgebraError("abelianization targets two commuting variables")
-    out = accumulate({}, (((w.count(0), w.count(1)), c) for w, c in s.terms.items()))
-    return CommSeries(out, s.trunc)
+    ring = algebra.ring
+    terms = {}
+    for k in range(algebra.trunc + 1):
+        c = coefficient(k)
+        if c:
+            terms[(0,) * k] = ring.embed(c)
+    series = Series(POWER_ALPHABET, algebra.trunc, ring, terms, _clean=True)
+    return substitute(series, [u], algebra)
+
+
+def exp_coefficient(k):
+    return qq(1, factorial(k))
+
+
+def log_coefficient(k):
+    """log(1 + u) = sum_{k >= 1} (-1)^(k+1) u^k / k."""
+    return qq(-1 if k % 2 == 0 else 1, k) if k else 0
+
+
+def geometric_coefficient(k):
+    """1 / (1 - u) = sum_k u^k."""
+    return 1
 
 
 # -- text format ------------------------------------------------------

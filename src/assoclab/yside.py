@@ -254,32 +254,11 @@ def stuffle_terms(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def _word_stuffle(u, v):
-    """Quasi-shuffle of two weight words: word -> multiplicity."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out = {}
-    for w, m in _word_stuffle(u[1:], v).items():
-        w = (u[0],) + w
-        out[w] = out.get(w, 0) + m
-    for w, m in _word_stuffle(u, v[1:]).items():
-        w = (v[0],) + w
-        out[w] = out.get(w, 0) + m
-    for w, m in _word_stuffle(u[1:], v[1:]).items():
-        w = (u[0] + v[0],) + w
-        out[w] = out.get(w, 0) + m
-    return out
-
-
 def stuffle(a, b):
     """Quasi-shuffle product of two indices, as an index -> multiplicity table."""
     out = {}
-    for w, m in _word_stuffle(tuple(reversed(a)), tuple(reversed(b))).items():
-        c = tuple(reversed(w))
-        out[c] = out.get(c, 0) + m
+    for _, _, c in stuffle_terms(a, b):
+        out[c] = out.get(c, 0) + 1
     return out
 
 

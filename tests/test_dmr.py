@@ -3,11 +3,12 @@ import random
 import pytest
 
 from assoclab import dmr, yside
-from assoclab.lab import _comm_log, meta_abelian
+from assoclab.lab import meta_abelian
+from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
-from assoclab.series import Series, abelianize, is_group_like, is_lie
+from assoclab.series import Series, is_group_like, is_lie
 from assoclab.words import X_ALPHABET, y_alphabet
 
 from support import random_lie, random_series, widen
@@ -212,12 +213,13 @@ def test_exp_dmr_differs_from_plain_exp(psi3):
 def test_meta_abelian_image_of_exp(psi3):
     p = widen(psi3, 6)
     e = dmr.exp_dmr(p)
-    mlog = _comm_log(meta_abelian(e), 6)
+    ab = ab_model(6)
+    mlog = ab.log(meta_abelian(e))
     x1part = Series(
         X_ALPHABET, 6, RATIONALS,
         {w: c for w, c in p.terms.items() if w and w[-1] == 1},
     )
-    assert mlog == abelianize(x1part)
+    assert mlog == ab.normalize(x1part)
 
 
 # -- change of generators ----------------------------------------------------------

@@ -21,8 +21,9 @@ from assoclab.lab import (
 from assoclab.lie import lie_basis
 from assoclab.models import a4_generators, a4_model, pentagon_arguments
 from assoclab.rationals import qq
-from assoclab.rings import Poly
+from assoclab.rings import RATIONALS, Poly
 from assoclab.series import (
+    Series,
     SeriesAlgebra,
     is_group_like,
     letter,
@@ -200,7 +201,7 @@ def test_group_law_associative():
 
 def test_meta_abelian_of_unit():
     b = meta_abelian(one(X_ALPHABET, 4))
-    assert b.coefficient(0, 0) == 1
+    assert b.coefficient(()) == 1
 
 
 def test_gamma_factorization(phi5):
@@ -217,6 +218,22 @@ def test_gamma_fails_generically():
     report = gamma_factorize(g)
     assert not report["success"]
     assert report["failure_degree"] is not None
+
+
+GAMMA_MUTATED_WORDS = [w for d in range(3, 6) for w in X_ALPHABET.words_of_degree(d)]
+
+
+@pytest.mark.parametrize("word", GAMMA_MUTATED_WORDS, ids=X_ALPHABET.format_word)
+def test_perturbed_solution_gamma(phi5, word):
+    # only words ending in X1 reach the meta-abelian quotient
+    terms = dict(phi5.terms)
+    terms[word] = terms.get(word, 0) + qq(1, 3)
+    report = gamma_factorize(Series(X_ALPHABET, phi5.trunc, RATIONALS, terms))
+    if word[-1] == 1:
+        assert not report["success"]
+        assert report["failure_degree"] == len(word)
+    else:
+        assert report["success"]
 
 
 def test_correction_term_is_inverse_gamma(phi5):

@@ -4,6 +4,8 @@ import pytest
 
 from assoclab.lab import solve_pentagon
 from assoclab.models import (
+    A4_CLASSES,
+    A4_LETTERS,
     FIVE_CYCLE,
     P5_BRACKETS,
     PBWModel,
@@ -24,7 +26,7 @@ from assoclab.models import (
 )
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS, QuadraticExtension
-from assoclab.series import Series, one, substitute
+from assoclab.series import ConstantTermError, Series, one, substitute
 from assoclab.words import X_ALPHABET
 
 from support import random_group_like, random_lie_mixed, random_series
@@ -81,6 +83,45 @@ def test_model_exp_inverse():
     )
     g = m.exp(s)
     assert m.mul(g, m.inverse(g)) == m.one()
+
+
+def test_exp_log_inverse_reject_a_wrong_constant_term():
+    m = a4_model(TRUNC)
+    s = Series(X_ALPHABET, TRUNC, RATIONALS, {(): qq(2), (0,): qq(1)})
+    for f in (m.exp, m.log, m.inverse):
+        with pytest.raises(ConstantTermError):
+            f(m.one().scale_q(2))
+    for f in (s.exp, s.log, s.inverse):
+        with pytest.raises(ConstantTermError):
+            f()
+
+
+def test_model_log_inverts_exp():
+    rng = random.Random(43)
+    m = a4_model(TRUNC)
+    s = random_model_series(rng, m)
+    s = s.sub(m.one().scale(s.constant_term()))
+    assert m.log(m.exp(s)) == s
+
+
+def test_model_name_names_one_presentation():
+    m = a4_model(3)
+    with pytest.raises(ValueError):
+        PBWModel("a4", A4_LETTERS, A4_CLASSES, {}, 3)
+    t12_t14 = m.mul(m.letter("t12"), m.letter("t14"))
+    assert len(t12_t14.terms) == 3
+    free = PBWModel("a4-without-brackets", A4_LETTERS, A4_CLASSES, {}, 3)
+    assert len(free.mul(free.letter("t12"), free.letter("t14")).terms) == 1
+
+
+def test_bracket_images_are_shared_by_equal_arguments():
+    m = a4_model(TRUNC)
+    lw = (0, 0, 1)
+    first = a4_generators(m)
+    again = a4_generators(m)
+    img = m.lie_image(lw, (first["t12"], first["t23"]))
+    assert m.lie_image(lw, (again["t12"], again["t23"])) is img
+    assert m.lie_image(lw, (first["t12"], first["t24"])) is not img
 
 
 def test_central_element_commutes_in_a4():
