@@ -12,6 +12,7 @@ import sys
 from . import __version__
 from .rationals import format_rational, qq
 from .series import AlgebraError, from_text, to_text
+from .words import X_ALPHABET
 
 
 def build_parser():
@@ -108,13 +109,19 @@ class InputError(ValueError):
 
 
 def _load_series(path):
+    """A series file over exactly X0 X1, as every command that reads one needs."""
     try:
         with open(path) as fh:
-            return from_text(fh.read())
+            s = from_text(fh.read())
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except (AlgebraError, ValueError, KeyError) as exc:
         raise InputError("malformed series file %s: %s" % (path, exc))
+    if s.alphabet != X_ALPHABET:
+        raise InputError(
+            "series file %s is over %s, not X0 X1" % (path, " ".join(s.alphabet.names))
+        )
+    return s
 
 
 def _parse_index(text):
@@ -153,6 +160,8 @@ def cmd_solve_pentagon(args):
         c2 = qq(0) if args.c2_zero else parse_rational(args.c2)
     except (ValueError, ZeroDivisionError):
         raise InputError("malformed rational %r" % args.c2)
+    if args.degree < 0:
+        raise InputError("negative degree %d" % args.degree)
     result = solve_pentagon(args.degree, c2=c2)
     if args.output:
         with open(args.output, "w") as fh:

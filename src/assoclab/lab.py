@@ -69,15 +69,20 @@ def pentagon_linear_map(basis, model, gens):
     """The linearized pentagon residual on each Lyndon word of basis.
 
     Column i is the signed sum over the five pentagon factors of the
-    standard bracketing of basis[i] evaluated in the model; the bracket
-    images are the model's, shared with every evaluation in it.
+    standard bracketing of basis[i] evaluated in the model.  The bracket
+    images are the model's integer tables, shared with every evaluation
+    in it, and the columns enter the ring only once summed.
     """
     columns = [{} for _ in basis]
     for g0, g1, sign in pentagon_arguments(gens):
         for col, lw in zip(columns, basis):
-            terms = model.lie_image(lw, (g0, g1)).terms
-            accumulate(col, terms.items() if sign > 0 else ((w, -c) for w, c in terms.items()))
-    return [Series(model.alphabet, model.trunc, model.ring, col, _clean=True) for col in columns]
+            image = model.lie_image(lw, (g0, g1)).items()
+            accumulate(col, image if sign > 0 else ((w, -m) for w, m in image))
+    embed = model.ring.embed
+    return [
+        Series(model.alphabet, model.trunc, model.ring, {w: embed(m) for w, m in col.items()})
+        for col in columns
+    ]
 
 
 def solve_pentagon(trunc, c2=0):
@@ -88,15 +93,18 @@ def solve_pentagon(trunc, c2=0):
     the Lyndon basis.  When the particular solution is zero and the kernel
     is not, the first kernel basis vector is added so the output stays
     away from the trivial solution.  Returns a report dict with the
-    series, its logarithm, and the per-degree kernel dimensions.
+    series, its logarithm, the Lyndon coordinates of the logarithm and
+    the per-degree kernel dimensions.
     """
     ring = RATIONALS
     psi = zero(X_ALPHABET, trunc, ring)
+    coordinates = {}
     c2 = qq(c2)
     if trunc >= 2 and c2 != 0:
         x0 = letter(X_ALPHABET, trunc, "X0")
         x1 = letter(X_ALPHABET, trunc, "X1")
         psi = psi.add(x0.mul(x1).sub(x1.mul(x0)).scale(c2))
+        coordinates[(0, 1)] = c2
     kernel_dims = {}
     for d in range(3, trunc + 1):
         model = a4_model(d, ring)
@@ -114,11 +122,12 @@ def solve_pentagon(trunc, c2=0):
         kernel_dims[d] = len(kernel)
         if all(v == 0 for v in x) and kernel:
             x = kernel[0]
-        for coeff, (_, e) in zip(x, basis):
+        for coeff, (lw, e) in zip(x, basis):
             if coeff != 0:
                 psi = psi.add(e.scale(coeff))
+                coordinates[lw] = coeff
     phi = psi.exp()
-    return {"phi": phi, "psi": psi, "kernel_dims": kernel_dims}
+    return {"phi": phi, "psi": psi, "coordinates": coordinates, "kernel_dims": kernel_dims}
 
 
 def verify_theorem_main(phi):

@@ -8,7 +8,7 @@ rewriting rule moves a base letter right past a fiber letter:
     u.v -> v.u + [u, v]        ([u, v] lands in the fiber)
 
 with the central letter commuting with everything.  Straightening is
-memoized per model and shared across coefficient rings because all
+memoized per model name and shared across coefficient rings because all
 bracket coefficients are integers.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
@@ -20,9 +20,16 @@ central sum c of all six generators.  The five-strand model uses fiber
 X34, X45, X24 and base X12, X23; the remaining generators are linear
 combinations of these five.
 
-A group-like series is evaluated in a model as exp of its Lie logarithm,
-whose standard bracketings are built once per argument pair as model
-commutators; other series go through the word-by-word substitution.
+A Lie element of such a model is a fiber Lie polynomial plus a base Lie
+polynomial (plus a multiple of the center), so the bracket of two of
+them needs no straightening: the fiber and base parts bracket in the
+free algebras, and a base word acts on fiber words through the
+derivations of its letters (`action`).  A group-like series is evaluated
+in a model as exp of its Lie logarithm.  When the two letter images are
+integer combinations of letters, the standard bracketings are integer
+tables memoized by model name and images, shared by every truncation
+and coefficient ring, and the ring enters only in the final sum; other
+series and images go through the word-by-word substitution.
 """
 
 from .lie import lyndon_coordinates, standard_factorization
@@ -46,6 +53,12 @@ FIBER, BASE, CENTER = 0, 1, 2
 # each name was first built with: a name names one presentation.
 _STRAIGHTEN_CACHES = {}
 _MODEL_SPECS = {}
+# Integer tables shared by every truncation and coefficient ring: the
+# base-on-fiber action by model name, (base word, fiber word) -> word -> int,
+# and the Lyndon bracket images by (model name, letter images),
+# Lyndon word -> word -> int.
+_ACTION_TABLES = {}
+_LIE_IMAGES = {}
 
 
 class PBWModel:
@@ -62,7 +75,7 @@ class PBWModel:
         if _MODEL_SPECS.setdefault(name, spec) != spec:
             raise ValueError("model name %r is in use for another presentation" % name)
         self._cache = _STRAIGHTEN_CACHES.setdefault(name, {})
-        self._lie_memos = {}
+        self._actions = _ACTION_TABLES.setdefault(name, {})
 
     # -- straightening --------------------------------------------------
 
@@ -143,48 +156,128 @@ class PBWModel:
         """s^-1 for s with constant term 1."""
         return power_series(geometric_coefficient, self.one().sub(s), self)
 
+    # -- the Lie algebra: brackets with no straightening -----------------
+
+    def action(self, base, word):
+        """base |> word for a base word and a fiber word, as word -> int.
+
+        A base letter acts on fiber words as the derivation extending its
+        brackets with the fiber letters; a base word acts as the composite
+        of its letters' derivations, the last letter first.  Memoized per
+        model name.
+        """
+        key = (base, word)
+        val = self._actions.get(key)
+        if val is None:
+            val = {}
+            u = base[0]
+            if len(base) == 1:
+                for i, x in enumerate(word):
+                    head, tail = word[:i], word[i + 1 :]
+                    accumulate(
+                        val,
+                        ((head + mid + tail, m) for mid, m in self.brackets.get((u, x), {}).items()),
+                    )
+            else:
+                for w, m in self.action(base[1:], word).items():
+                    accumulate(val, ((v, m * n) for v, n in self.action((u,), w).items()))
+            self._actions[key] = val
+        return val
+
+    def bracket(self, a, b):
+        """[a, b] for Lie elements a, b given as word -> int tables.
+
+        A Lie element is f + b + (a multiple of the central letter), f with
+        fiber words only and b with base words only, and
+
+            [f1 + b1, f2 + b2] = (f1 f2 - f2 f1) + b1 |> f2 - b2 |> f1 + (b1 b2 - b2 b1)
+
+        is in normal form as it stands.
+        """
+        f1, b1 = self._split(a)
+        f2, b2 = self._split(b)
+        out = {}
+        for x, y in ((f1, f2), (b1, b2)):
+            for u, m in x.items():
+                for v, n in y.items():
+                    accumulate(out, ((u + v, m * n), (v + u, -m * n)))
+        for x, y, sign in ((b1, f2, 1), (b2, f1, -1)):
+            for u, m in x.items():
+                for v, n in y.items():
+                    mn = sign * m * n
+                    accumulate(out, ((w, mn * k) for w, k in self.action(u, v).items()))
+        return out
+
+    def _split(self, table):
+        """The fiber and the base part of a Lie element; the center drops out."""
+        cls = self.classes
+        parts = ({}, {}, {})
+        for w, m in table.items():
+            parts[cls[w[0]]][w] = m
+        return parts[FIBER], parts[BASE]
+
+    def _bracket_images(self, images):
+        """The bracket-image memo of these letter images, or None when one
+        of them is not an integer combination of letters."""
+        integer = self.ring.integer
+        tables = []
+        for g in images:
+            table = {}
+            for w, c in g.terms.items():
+                m = integer(c)
+                if m is None or len(w) != 1:
+                    return None
+                table[w] = m
+            tables.append(table)
+        key = (self.name,) + tuple(frozenset(t.items()) for t in tables)
+        memo = _LIE_IMAGES.get(key)
+        if memo is None:
+            memo = _LIE_IMAGES[key] = {(i,): t for i, t in enumerate(tables)}
+        return memo
+
+    def _image(self, lw, memo):
+        val = memo.get(lw)
+        if val is None:
+            u, v = standard_factorization(lw)
+            val = memo[lw] = self.bracket(self._image(u, memo), self._image(v, memo))
+        return val
+
     def lie_image(self, lw, images):
         """Image of the standard bracketing of the Lyndon word lw, letter i -> images[i].
 
-        Built as [image(u), image(v)] over the standard factorization
-        lw = u.v.  The model keeps one memo per images list, keyed by the
-        terms of the images, so each Lyndon word costs two model products
-        per list however many callers ask for it.
+        The images must be integer combinations of the model letters.  The
+        image is a word -> int table in normal form, the bracket of the
+        images of u and v over the standard factorization lw = u.v.  It is
+        memoized by model name and the integer letter images, so one table
+        serves every truncation and every coefficient ring.
         """
-        key = tuple(frozenset(g.terms.items()) for g in images)
-        memo = self._lie_memos.setdefault(key, {})
-
-        def image(w):
-            val = memo.get(w)
-            if val is None:
-                if len(w) == 1:
-                    val = images[w[0]]
-                else:
-                    u, v = standard_factorization(w)
-                    a, b = image(u), image(v)
-                    val = self.mul(a, b).sub(self.mul(b, a))
-                memo[w] = val
-            return val
-
-        return image(lw)
+        memo = self._bracket_images(images)
+        if memo is None:
+            raise ValueError("letter images must be integer combinations of letters")
+        return self._image(lw, memo)
 
     def evaluate(self, phi, g0, g1):
         """phi(g0, g1) for a series phi over X0, X1.
 
-        A group-like phi is exp of the Lie series log(phi), whose Lyndon
-        coordinates are evaluated through the memoized bracket images;
-        every other phi, and a phi truncated below the model, goes through
-        the word path.
+        A group-like phi is exp of the Lie series log(phi): when g0 and g1
+        are integer combinations of letters, its Lyndon coordinates
+        multiply the integer bracket images, and the ring enters only in
+        that sum.  Every other phi, a phi truncated below the model and
+        other images go through the word path.
         """
         if phi.trunc >= self.trunc and phi.constant_term() == phi.ring.one:
-            coords, rest = lyndon_coordinates(phi.log())
-            if rest.is_zero():
-                terms = {}
-                for lw, c in coords.items():
-                    img = self.lie_image(lw, (g0, g1))
-                    accumulate(terms, ((w, c * x) for w, x in img.terms.items()))
-                lie = Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
-                return self.exp(lie)
+            memo = self._bracket_images((g0, g1))
+            if memo is not None:
+                coords, rest = lyndon_coordinates(phi.log())
+                if rest.is_zero():
+                    embed = self.ring.embed
+                    terms = {}
+                    for lw, c in coords.items():
+                        if len(lw) <= self.trunc:
+                            img = self._image(lw, memo).items()
+                            accumulate(terms, ((w, c if m == 1 else c * embed(m)) for w, m in img))
+                    lie = Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
+                    return self.exp(lie)
         return substitute(phi, [g0, g1], self)
 
 

@@ -4,7 +4,9 @@ Every ring here is an exact commutative ring containing the rationals:
 plain rationals, univariate polynomials over the rationals, and a
 quadratic extension adjoining mu with mu^2 = q.  Ring elements support
 +, -, *, unary - and ==, and an element is false exactly when it is
-zero; a ring object knows its zero/one and how to embed a rational.
+zero; a ring object knows its zero/one, how to embed a rational and
+how to read an embedded integer back (`integer`, None for any other
+element).
 """
 
 from .rationals import QQ, qq
@@ -33,6 +35,9 @@ class RationalField:
 
     def embed(self, c):
         return QQ(c)
+
+    def integer(self, c):
+        return int(c) if c.denominator == 1 else None
 
 
 class Poly:
@@ -104,6 +109,10 @@ class PolynomialRing:
         c = QQ(c)
         return Poly((c,)) if c != 0 else self.zero
 
+    def integer(self, c):
+        if len(c.coeffs) > 1:
+            return None
+        return RATIONALS.integer(c.coefficient(0))
 
 
 class QuadElt:
@@ -156,6 +165,9 @@ class QuadraticExtension:
 
     def embed(self, c):
         return QuadElt(QQ(c), qq(0), self.q)
+
+    def integer(self, c):
+        return None if c.b else RATIONALS.integer(c.a)
 
 
 RATIONALS = RationalField()

@@ -102,6 +102,29 @@ def test_malformed_series_file_exits_two(capsys, tmp_path, body):
     assert main(["verify", "double-shuffle", "--phi", str(path)]) == 2
 
 
+@pytest.mark.parametrize("names", [("X1", "X0"), ("A", "B"), ("Y1", "Y2"), ("X0", "X1", "X2")])
+def test_series_file_over_another_alphabet_exits_two(capsys, tmp_path, names):
+    path = tmp_path / "other.series"
+    a, b = names[:2]
+    path.write_text(
+        "alphabet: %s\ndegree: 3\n\"1\" 1/1\n\"%s.%s\" 1/2\n\"%s.%s\" -1/2\n"
+        % (" ".join(names), a, b, b, a)
+    )
+    p = str(path)
+    for what in ("main", "gamma", "hexagon", "5cycle", "double-shuffle"):
+        assert main(["verify", what, "--phi", p]) == 2, what
+    assert main(["group-law", "--lhs", p, "--rhs", p]) == 2
+    assert main(["dmr", "bracket", "--lhs", p, "--rhs", p]) == 2
+    assert "not X0 X1" in capsys.readouterr().err
+
+
+def test_negative_solve_degree_exits_two(capsys, tmp_path):
+    path = tmp_path / "f.series"
+    assert main(["solve-pentagon", "--degree", "-1", "-o", str(path)]) == 2
+    assert not path.exists()
+    assert main(["solve-pentagon", "--degree", "0", "-o", str(path)]) == 0
+
+
 def test_threads_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "dims", "--algebra", "a4", "--max-degree", "1"])

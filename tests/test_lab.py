@@ -18,7 +18,7 @@ from assoclab.lab import (
     verify_theorem_gamma,
     verify_theorem_main,
 )
-from assoclab.lie import lie_basis
+from assoclab.lie import lie_basis, lyndon_coordinates
 from assoclab.models import a4_generators, a4_model, pentagon_arguments
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS, Poly
@@ -84,6 +84,12 @@ def test_solver_kernel_dimensions(pentagon5):
 def test_solution_is_group_like(pentagon5):
     assert is_group_like(pentagon5["phi"])
     assert pentagon5["phi"].log() == pentagon5["psi"]
+
+
+def test_solver_returns_the_lyndon_coordinates_of_psi(pentagon5):
+    for result in (pentagon5, solve_pentagon(5, c2=qq(3, 7))):
+        assert result["coordinates"] == lyndon_coordinates(result["psi"])[0]
+        assert result["coordinates"]
 
 
 def test_solution_normalization(phi5):

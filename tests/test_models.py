@@ -3,6 +3,7 @@ import random
 import pytest
 
 from assoclab.lab import solve_pentagon
+from assoclab.lie import lyndon_words, standard_factorization
 from assoclab.models import (
     A4_CLASSES,
     A4_LETTERS,
@@ -119,9 +120,39 @@ def test_bracket_images_are_shared_by_equal_arguments():
     lw = (0, 0, 1)
     first = a4_generators(m)
     again = a4_generators(m)
-    img = m.lie_image(lw, (first["t12"], first["t23"]))
-    assert m.lie_image(lw, (again["t12"], again["t23"])) is img
-    assert m.lie_image(lw, (first["t12"], first["t24"])) is not img
+    img = m.lie_image(lw, (first["t12"], first["t24"]))
+    assert m.lie_image(lw, (again["t12"], again["t24"])) is img
+    assert m.lie_image(lw, (first["t12"], first["t23"])) is not img
+    # a degree-3 image is the same table at every truncation and in every ring
+    for other in (a4_model(5), a4_model(7), a4_model(TRUNC, QuadraticExtension(qq(24, 7)))):
+        g = a4_generators(other)
+        assert other.lie_image(lw, (g["t12"], g["t24"])) is img
+    # the same letters without brackets are another presentation
+    free = PBWModel("a4-without-brackets", A4_LETTERS, A4_CLASSES, {}, TRUNC)
+    g = a4_generators(free)
+    assert img and not free.lie_image(lw, (g["t12"], g["t24"]))
+
+
+def test_non_integral_images_take_the_word_path():
+    rng = random.Random(49)
+    phi = random_group_like(rng, TRUNC)
+    m = a4_model(TRUNC)
+    g = a4_generators(m)
+    ring = QuadraticExtension(qq(24, 7))
+    mq = a4_model(TRUNC, ring)
+    gq = a4_generators(mq)
+    phi_q = lift_series(phi, ring)
+    for model, s, images in (
+        (m, phi, (g["t12"].scale_q(qq(1, 2)), g["t23"])),
+        (mq, phi_q, (gq["t12"].scale(ring.mu), gq["t23"])),
+    ):
+        with pytest.raises(ValueError):
+            model.lie_image((0, 1), images)
+        assert model.evaluate(s, *images) == substitute(s, list(images), model)
+    # integer multiples other than 1 take the bracket path
+    for model, s, gens in ((m, phi, g), (mq, phi_q, gq)):
+        images = [gens["t12"].scale_q(-2), gens["t24"].scale_q(3).add(gens["c"])]
+        assert model.evaluate(s, *images) == substitute(s, images, model)
 
 
 def test_central_element_commutes_in_a4():
@@ -285,6 +316,50 @@ def test_residuals_match_word_path(monkeypatch):
     assert residuals() == by_brackets
     assert not by_brackets[0].is_zero() and not by_brackets[1].is_zero()
     assert not by_brackets[2][0].is_zero()
+
+
+# -- integer bracket images against model commutators ------------------------
+
+BRACKET_TRUNC = 6
+
+
+def assert_images_are_commutators(m, pairs):
+    """Every Lyndon image up to the truncation, embedded in the ring, equals
+    the commutator of model products over the standard factorization."""
+    embed = m.ring.embed
+    for images in pairs:
+        expected = {}
+        for d in range(1, m.trunc + 1):
+            for lw in lyndon_words(2, d):
+                if d == 1:
+                    expected[lw] = images[lw[0]]
+                else:
+                    a, b = (expected[w] for w in standard_factorization(lw))
+                    expected[lw] = m.mul(a, b).sub(m.mul(b, a))
+                table = m.lie_image(lw, images)
+                got = Series(m.alphabet, m.trunc, m.ring, {w: embed(c) for w, c in table.items()})
+                assert got == expected[lw]
+
+
+def test_bracket_images_on_pentagon_pairs():
+    m = a4_model(BRACKET_TRUNC)
+    pairs = [(g0, g1) for g0, g1, _ in pentagon_arguments(a4_generators(m))]
+    assert_images_are_commutators(m, pairs)
+
+
+def test_bracket_images_on_five_cycle_and_embedding_pairs():
+    m = p5_model(BRACKET_TRUNC)
+    g = p5_generators(m)
+    pairs = [(g[a], g[b]) for a, b in FIVE_CYCLE]
+    pairs += [embedding_images(w, m) for w in ("i123", "i451", "i432", "i215")]
+    assert_images_are_commutators(m, pairs)
+
+
+def test_bracket_images_over_the_hexagon_ring():
+    m = a4_model(BRACKET_TRUNC, QuadraticExtension(qq(24, 7)))
+    g = a4_generators(m)
+    t12, t13, t23 = g["t12"], g["t13"], g["t23"]
+    assert_images_are_commutators(m, [(t13, t12), (t13, t23), (t12, t23), (t23, t13), (t12, t13)])
 
 
 # -- mutation: a perturbed solution fails at the perturbed degree -------------
