@@ -1,14 +1,13 @@
 """End-to-end wall times of one checkout, printed as one JSON object.
 
-    python3 scripts/e2e_times.py [--degree 8] [--no-tier1] [--repo DIR]
+    python3 scripts/e2e_times.py [--repo DIR]
 
 Times, each in a fresh interpreter that imports assoclab from `src/` of
 the checkout (the current directory unless --repo is given):
 
-- `assoclab solve-pentagon --degree D -o FILE` (the default c2 = 1);
+- `assoclab solve-pentagon --degree 8 -o FILE` (the default c2 = 1);
 - `assoclab verify main --phi FILE` on that file;
-- the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`,
-  unless --no-tier1.
+- the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds
 and the last line of its output.  The scalar backend, the Python
@@ -23,6 +22,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+DEGREE = 8
 
 
 def timed(argv, cwd, env):
@@ -40,8 +41,6 @@ def timed(argv, cwd, env):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--degree", type=int, default=8)
-    parser.add_argument("--no-tier1", action="store_true")
     parser.add_argument("--repo", default=os.getcwd())
     args = parser.parse_args()
     repo = os.path.abspath(args.repo)
@@ -55,19 +54,18 @@ def main():
         "backend": backend,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "degree": args.degree,
+        "degree": DEGREE,
     }
     cli = ["-m", "assoclab.cli"]
     with tempfile.TemporaryDirectory() as tmp:
         out["solve_pentagon"] = timed(
-            cli + ["solve-pentagon", "--degree", str(args.degree), "-o", "phi.series"], tmp, env
+            cli + ["solve-pentagon", "--degree", str(DEGREE), "-o", "phi.series"], tmp, env
         )
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
-    if not args.no_tier1:
-        out["tier1"] = timed(
-            ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
-            repo, env,
-        )
+    out["tier1"] = timed(
+        ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+        repo, env,
+    )
     print(json.dumps(out, indent=1))
 
 

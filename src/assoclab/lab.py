@@ -16,6 +16,7 @@ from .models import (
     check_5cycle,
     lift_series,
     pentagon_arguments,
+    pentagon_residual,
 )
 from .presented import echelon, solve_pivots
 from .series import (
@@ -90,9 +91,11 @@ def solve_pentagon(trunc, c2=0):
 
     Degree by degree: the residual of exp(psi) is affine in the unknown
     degree-d primitive part, so each degree is one exact linear solve over
-    the Lyndon basis.  When the particular solution is zero and the kernel
-    is not, the first kernel basis vector is added so the output stays
-    away from the trivial solution.  Returns a report dict with the
+    the Lyndon basis.  The residual is evaluated from the Lyndon
+    coordinates solved so far, with no exp and log of psi.  When the
+    particular solution is zero and the kernel is not, the first kernel
+    basis vector is added so the output stays away from the trivial
+    solution.  Returns a report dict with the
     series, its logarithm, the Lyndon coordinates of the logarithm and
     the per-degree kernel dimensions.
     """
@@ -109,7 +112,10 @@ def solve_pentagon(trunc, c2=0):
     for d in range(3, trunc + 1):
         model = a4_model(d, ring)
         gens = a4_generators(model)
-        residual = check_pentagon(psi.truncated(d).exp(), model)
+        residual = pentagon_residual(
+            model,
+            [model.exp_lie(coordinates, g0, g1) for g0, g1, _ in pentagon_arguments(gens)],
+        )
         rhs = {w: -c for w, c in residual.terms.items()}
         basis = lie_basis(X_ALPHABET, d, trunc, ring)
         columns = [

@@ -235,13 +235,6 @@ class PBWModel:
             memo = _LIE_IMAGES[key] = {(i,): t for i, t in enumerate(tables)}
         return memo
 
-    def _image(self, lw, memo):
-        val = memo.get(lw)
-        if val is None:
-            u, v = standard_factorization(lw)
-            val = memo[lw] = self.bracket(self._image(u, memo), self._image(v, memo))
-        return val
-
     def lie_image(self, lw, images):
         """Image of the standard bracketing of the Lyndon word lw, letter i -> images[i].
 
@@ -254,30 +247,43 @@ class PBWModel:
         memo = self._bracket_images(images)
         if memo is None:
             raise ValueError("letter images must be integer combinations of letters")
-        return self._image(lw, memo)
+        val = memo.get(lw)
+        if val is None:
+            u, v = standard_factorization(lw)
+            val = memo[lw] = self.bracket(self.lie_image(u, images), self.lie_image(v, images))
+        return val
+
+    def exp_lie(self, coords, g0, g1):
+        """exp of sum_lw coords[lw] * lie_image(lw, (g0, g1)).
+
+        This is phi(g0, g1) for the group-like phi whose Lie logarithm has
+        the Lyndon coordinates coords; words longer than the truncation
+        drop out.  The ring enters only in the sum.
+        """
+        embed = self.ring.embed
+        terms = {}
+        for lw, c in coords.items():
+            if len(lw) <= self.trunc:
+                img = self.lie_image(lw, (g0, g1)).items()
+                accumulate(terms, ((w, c if m == 1 else c * embed(m)) for w, m in img))
+        return self.exp(Series(self.alphabet, self.trunc, self.ring, terms, _clean=True))
 
     def evaluate(self, phi, g0, g1):
         """phi(g0, g1) for a series phi over X0, X1.
 
         A group-like phi is exp of the Lie series log(phi): when g0 and g1
-        are integer combinations of letters, its Lyndon coordinates
-        multiply the integer bracket images, and the ring enters only in
-        that sum.  Every other phi, a phi truncated below the model and
+        are integer combinations of letters, its Lyndon coordinates go to
+        `exp_lie`.  Every other phi, a phi truncated below the model and
         other images go through the word path.
         """
-        if phi.trunc >= self.trunc and phi.constant_term() == phi.ring.one:
-            memo = self._bracket_images((g0, g1))
-            if memo is not None:
-                coords, rest = lyndon_coordinates(phi.log())
-                if rest.is_zero():
-                    embed = self.ring.embed
-                    terms = {}
-                    for lw, c in coords.items():
-                        if len(lw) <= self.trunc:
-                            img = self._image(lw, memo).items()
-                            accumulate(terms, ((w, c if m == 1 else c * embed(m)) for w, m in img))
-                    lie = Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
-                    return self.exp(lie)
+        if (
+            phi.trunc >= self.trunc
+            and phi.constant_term() == phi.ring.one
+            and self._bracket_images((g0, g1)) is not None
+        ):
+            coords, rest = lyndon_coordinates(phi.log())
+            if rest.is_zero():
+                return self.exp_lie(coords, g0, g1)
         return substitute(phi, [g0, g1], self)
 
 
@@ -387,13 +393,17 @@ def pentagon_arguments(gens):
     return [(total(a), total(b), sign) for a, b, sign in PENTAGON]
 
 
+def pentagon_residual(m, factors):
+    """f1 f2 - f3 f4 f5 for the five pentagon factors, in PENTAGON order."""
+    f1, f2, f3, f4, f5 = factors
+    return m.mul(f1, f2).sub(m.mul(m.mul(f3, f4), f5))
+
+
 def check_pentagon(phi, model=None):
     """LHS - RHS of the pentagon equation in the four-strand model."""
     m = model or a4_model(phi.trunc, phi.ring)
-    f1, f2, f3, f4, f5 = (
-        m.evaluate(phi, g0, g1) for g0, g1, _ in pentagon_arguments(a4_generators(m))
-    )
-    return m.mul(f1, f2).sub(m.mul(m.mul(f3, f4), f5))
+    args = pentagon_arguments(a4_generators(m))
+    return pentagon_residual(m, [m.evaluate(phi, g0, g1) for g0, g1, _ in args])
 
 
 # The factors of the 5-cycle product, as (g0, g1) generator names.
