@@ -92,12 +92,11 @@ def solve_pentagon(trunc, c2=0):
     Degree by degree: the residual of exp(psi) is affine in the unknown
     degree-d primitive part, so each degree is one exact linear solve over
     the Lyndon basis.  The residual is evaluated from the Lyndon
-    coordinates solved so far, with no exp and log of psi.  When the
-    particular solution is zero and the kernel is not, the first kernel
-    basis vector is added so the output stays away from the trivial
-    solution.  Returns a report dict with the
-    series, its logarithm, the Lyndon coordinates of the logarithm and
-    the per-degree kernel dimensions.
+    coordinates solved so far.  When the particular solution is zero and
+    the kernel is not, the first kernel basis vector is added so the
+    output stays away from the trivial solution.  Returns a report dict
+    with the series, its logarithm, the Lyndon coordinates of the
+    logarithm and the per-degree kernel dimensions.
     """
     ring = RATIONALS
     psi = zero(X_ALPHABET, trunc, ring)
