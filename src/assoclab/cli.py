@@ -134,6 +134,12 @@ def _parse_index(text):
     return idx
 
 
+def _check_size(name, value):
+    """A degree or weight bound must not be negative."""
+    if value is not None and value < 0:
+        raise InputError("negative %s %d" % (name, value))
+
+
 def _jsonify(value):
     if isinstance(value, bool) or value is None:
         return value
@@ -160,8 +166,7 @@ def cmd_solve_pentagon(args):
         c2 = qq(0) if args.c2_zero else parse_rational(args.c2)
     except (ValueError, ZeroDivisionError):
         raise InputError("malformed rational %r" % args.c2)
-    if args.degree < 0:
-        raise InputError("negative degree %d" % args.degree)
+    _check_size("degree", args.degree)
     result = solve_pentagon(args.degree, c2=c2)
     if args.output:
         with open(args.output, "w") as fh:
@@ -205,6 +210,7 @@ def cmd_verify(args):
 
 
 def cmd_dims(args):
+    _check_size("degree", args.max_degree)
     extras = {"algebra": args.algebra, "engine": args.engine}
     dims = {}
     if args.engine == "generic":
@@ -229,6 +235,7 @@ def cmd_dmr(args):
     from . import dmr
 
     if args.dmr_command == "dims":
+        _check_size("degree", args.max_degree)
         dims = {
             str(d): len(dmr.solve_dmr0(d)) for d in range(2, args.max_degree + 1)
         }
@@ -248,6 +255,7 @@ def cmd_dmr(args):
             checks["bracket_in_double_shuffle"] = dmr.is_dmr0(out)
         return checks, {"degree": out.trunc}
     # lemma suites over all qualifying inputs up to the requested weight
+    _check_size("degree", args.degree)
     checks = {}
     top = args.degree
     trunc = top + 3
@@ -301,6 +309,7 @@ def cmd_bar(args):
                 checks["l_%s_integrable" % tag] = barcx.check_integrability(e)
         return checks, {"index": list(a)}
     # shuffle
+    _check_size("weight", args.max_weight)
     checks = {}
     if args.max_weight:
         ok = True

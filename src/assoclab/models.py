@@ -9,7 +9,15 @@ rewriting rule moves a base letter right past a fiber letter:
 
 with the central letter commuting with everything.  Straightening is
 memoized per model name and shared across coefficient rings because all
-bracket coefficients are integers.
+bracket coefficients are integers; the memo is keyed by the core of a
+word, what is left between its leading fiber letters and its trailing
+base and central letters, which are already in place.
+
+Products run over the integers (`series.kernel_mul`): the factors are
+split into integer components over one common denominator, each pair
+of components is multiplied as normalize(a.mul(b)), and the coefficient
+ring enters only when the product is joined back.  exp, log and inverse
+are substitutions and run on the same kernel.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
 model of the same kind: fiber X0, base X1 and no bracket, so its normal
@@ -28,20 +36,27 @@ derivations of its letters (`action`).  A group-like series is evaluated
 in a model as exp of its Lie logarithm.  When the two letter images are
 integer combinations of letters, the standard bracketings are integer
 tables memoized by model name and images, shared by every truncation
-and coefficient ring, and the ring enters only in the final sum; other
-series and images go through the word-by-word substitution.
+and coefficient ring, and the Lyndon coordinates are summed against
+them over the integers too; other series and images go through the
+word-by-word substitution.  A check peels log phi once for all of its
+factors.
 """
 
 from .lie import lyndon_coordinates, standard_factorization
 from .rationals import qq
-from .rings import RATIONALS, QuadraticExtension, accumulate
+from .rings import INTEGERS, RATIONALS, QuadraticExtension, accumulate
 from .series import (
     Series,
     exp_coefficient,
     geometric_coefficient,
+    integer_parts,
+    join_series,
+    kernel_mul,
     log_coefficient,
     one,
     power_series,
+    split_series,
+    split_terms,
     substitute,
     zero,
 )
@@ -59,6 +74,8 @@ _MODEL_SPECS = {}
 # Lyndon word -> word -> int.
 _ACTION_TABLES = {}
 _LIE_IMAGES = {}
+# The default of `PBWModel.evaluate`: peel phi there.
+_PEEL = object()
 
 
 class PBWModel:
@@ -80,47 +97,70 @@ class PBWModel:
     # -- straightening --------------------------------------------------
 
     def _straighten(self, word):
-        """Expand a word in the normal basis; integer coefficients."""
-        try:
-            return self._cache[word]
-        except KeyError:
-            pass
+        """Expand a word in the normal basis; integer coefficients.
+
+        Central letters move to the end, a leading run of fiber letters
+        stays in front and a trailing run of base letters stays behind,
+        since each of these is already where the normal form puts it.
+        Only the core in between, from its first base letter to its last
+        fiber letter, is straightened, and the memo is keyed by it.
+        """
         cls = self.classes
-        for i in range(len(word) - 1):
-            u, v = word[i], word[i + 1]
-            if cls[u] <= cls[v]:
-                continue
-            out = {}
-            swapped = word[:i] + (v, u) + word[i + 2 :]
-            for w, m in self._straighten(swapped).items():
-                out[w] = out.get(w, 0) + m
-            if cls[u] == BASE and cls[v] == FIBER:
+        tail = tuple(x for x in word if cls[x] == CENTER)
+        if tail:
+            word = tuple(x for x in word if cls[x] != CENTER)
+        i, j = 0, len(word)
+        while i < j and cls[word[i]] == FIBER:
+            i += 1
+        while j > i and cls[word[j - 1]] == BASE:
+            j -= 1
+        head, core, tail = word[:i], word[i:j], word[j:] + tail
+        table = self._cache.get(core)
+        if table is None:
+            table = self._cache[core] = self._straighten_core(core)
+        if head or tail:
+            return {head + w + tail: m for w, m in table.items()}
+        return table
+
+    def _straighten_core(self, core):
+        """Straighten a word with no central letter at its first base-fiber pair."""
+        cls = self.classes
+        for i in range(len(core) - 1):
+            u, v = core[i], core[i + 1]
+            if cls[u] > cls[v]:
+                out = dict(self._straighten(core[:i] + (v, u) + core[i + 2 :]))
                 for mid, m in self.brackets.get((u, v), {}).items():
-                    rep = word[:i] + mid + word[i + 2 :]
-                    for w, m2 in self._straighten(rep).items():
-                        out[w] = out.get(w, 0) + m * m2
-            out = {w: m for w, m in out.items() if m}
-            self._cache[word] = out
-            return out
-        self._cache[word] = {word: 1}
-        return self._cache[word]
+                    rep = core[:i] + mid + core[i + 2 :]
+                    accumulate(out, ((w, m * m2) for w, m2 in self._straighten(rep).items()))
+                return out
+        return {core: 1}
 
     def is_normal(self, word):
         cls = self.classes
-        return all(cls[word[i]] <= cls[word[i + 1]] for i in range(len(word) - 1))
+        prev = FIBER
+        for x in word:
+            k = cls[x]
+            if k < prev:
+                return False
+            prev = k
+        return True
 
     def normalize(self, s):
-        embed = self.ring.embed
-        out = {}
+        """s in normal form, straightened in the ring of s."""
+        ring = s.ring
+        embed = ring.embed
+        is_normal = self.is_normal
+        straighten = self._straighten
+        pairs = []
         for w, c in s.terms.items():
-            if self.is_normal(w):
-                accumulate(out, ((w, c),))
+            if is_normal(w):
+                pairs.append((w, c))
+            elif ring is INTEGERS:
+                pairs.extend((u, c * m) for u, m in straighten(w).items())
             else:
-                accumulate(
-                    out,
-                    ((u, c if m == 1 else c * embed(m)) for u, m in self._straighten(w).items()),
-                )
-        return Series(self.alphabet, s.trunc, self.ring, out, _clean=True)
+                pairs.extend((u, c * embed(m)) for u, m in straighten(w).items())
+        out = accumulate({}, pairs)
+        return Series(self.alphabet, s.trunc, s.ring, out, _clean=True)
 
     # -- algebra protocol -----------------------------------------------
 
@@ -141,8 +181,16 @@ class PBWModel:
             terms[(self.alphabet.index(name),)] = self.ring.embed(c)
         return Series(self.alphabet, self.trunc, self.ring, terms)
 
-    def mul(self, a, b):
-        return self.normalize(a.mul(b))
+    def mul(self, *factors):
+        """The product of the factors, left to right, on the integer kernel.
+
+        Each factor is split into integer components once, every partial
+        product stays split, and the product is joined once.
+        """
+        x = split_series(self.one())
+        for f in factors:
+            x = kernel_mul(x, split_series(f), self)
+        return join_series(x, self)
 
     def exp(self, s):
         """exp(s) for s with zero constant term."""
@@ -219,15 +267,12 @@ class PBWModel:
     def _bracket_images(self, images):
         """The bracket-image memo of these letter images, or None when one
         of them is not an integer combination of letters."""
-        integer = self.ring.integer
         tables = []
         for g in images:
-            table = {}
-            for w, c in g.terms.items():
-                m = integer(c)
-                if m is None or len(w) != 1:
-                    return None
-                table[w] = m
+            den, parts = split_terms(g.terms, self.ring)
+            table = parts.pop(0, {})
+            if den != 1 or parts or any(len(w) != 1 for w in table):
+                return None
             tables.append(table)
         key = (self.name,) + tuple(frozenset(t.items()) for t in tables)
         memo = _LIE_IMAGES.get(key)
@@ -258,33 +303,49 @@ class PBWModel:
 
         This is phi(g0, g1) for the group-like phi whose Lie logarithm has
         the Lyndon coordinates coords; words longer than the truncation
-        drop out.  The ring enters only in the sum.
+        drop out.  The sum runs over the integers, the coordinates split
+        over one common denominator.
         """
-        embed = self.ring.embed
-        terms = {}
-        for lw, c in coords.items():
-            if len(lw) <= self.trunc:
-                img = self.lie_image(lw, (g0, g1)).items()
-                accumulate(terms, ((w, c if m == 1 else c * embed(m)) for w, m in img))
-        return self.exp(Series(self.alphabet, self.trunc, self.ring, terms, _clean=True))
+        den, tables = split_terms(
+            {lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring
+        )
+        images = (g0, g1)
+        for k, table in tables.items():
+            tables[k] = accumulate(
+                {},
+                (
+                    (w, n * m)
+                    for lw, n in table.items()
+                    for w, m in self.lie_image(lw, images).items()
+                ),
+            )
+        return self.exp(join_series((den, integer_parts(tables, self)), self))
 
-    def evaluate(self, phi, g0, g1):
+    def evaluate(self, phi, g0, g1, coords=_PEEL):
         """phi(g0, g1) for a series phi over X0, X1.
 
         A group-like phi is exp of the Lie series log(phi): when g0 and g1
         are integer combinations of letters, its Lyndon coordinates go to
-        `exp_lie`.  Every other phi, a phi truncated below the model and
-        other images go through the word path.
+        `exp_lie`.  A caller that evaluates one phi several times peels it
+        once and passes coords = lie_coordinates(phi), over the model
+        ring; otherwise phi is peeled here.  Every other phi, a phi
+        truncated below the model and other images go through the word
+        path.
         """
-        if (
-            phi.trunc >= self.trunc
-            and phi.constant_term() == phi.ring.one
-            and self._bracket_images((g0, g1)) is not None
-        ):
-            coords, rest = lyndon_coordinates(phi.log())
-            if rest.is_zero():
+        if phi.trunc >= self.trunc and self._bracket_images((g0, g1)) is not None:
+            if coords is _PEEL:
+                coords = lie_coordinates(phi)
+            if coords is not None:
                 return self.exp_lie(coords, g0, g1)
         return substitute(phi, [g0, g1], self)
+
+
+def lie_coordinates(phi):
+    """The Lyndon coordinates of log(phi) for a group-like phi, else None."""
+    if phi.constant_term() != phi.ring.one:
+        return None
+    coords, rest = lyndon_coordinates(phi.log())
+    return coords if rest.is_zero() else None
 
 
 # -- the four-strand model ---------------------------------------------
@@ -396,14 +457,15 @@ def pentagon_arguments(gens):
 def pentagon_residual(m, factors):
     """f1 f2 - f3 f4 f5 for the five pentagon factors, in PENTAGON order."""
     f1, f2, f3, f4, f5 = factors
-    return m.mul(f1, f2).sub(m.mul(m.mul(f3, f4), f5))
+    return m.mul(f1, f2).sub(m.mul(f3, f4, f5))
 
 
 def check_pentagon(phi, model=None):
     """LHS - RHS of the pentagon equation in the four-strand model."""
     m = model or a4_model(phi.trunc, phi.ring)
     args = pentagon_arguments(a4_generators(m))
-    return pentagon_residual(m, [m.evaluate(phi, g0, g1) for g0, g1, _ in args])
+    coords = lie_coordinates(phi)
+    return pentagon_residual(m, [m.evaluate(phi, g0, g1, coords) for g0, g1, _ in args])
 
 
 # The factors of the 5-cycle product, as (g0, g1) generator names.
@@ -414,38 +476,36 @@ def check_5cycle(phi, model=None):
     """Residual of phi_345 phi_512 phi_234 phi_451 phi_123 - 1."""
     m = model or p5_model(phi.trunc, phi.ring)
     g = p5_generators(m)
-    fs = [m.evaluate(phi, g[a], g[b]) for a, b in FIVE_CYCLE]
-    prod = fs[0]
-    for f in fs[1:]:
-        prod = m.mul(prod, f)
-    return prod.sub(m.one())
+    coords = lie_coordinates(phi)
+    return m.mul(*(m.evaluate(phi, g[a], g[b], coords) for a, b in FIVE_CYCLE)).sub(m.one())
 
 
 def check_hexagons(phi):
-    """Residuals of the two hexagon equations over QQ[mu]/(mu^2 - 24 c_{X0X1})."""
+    """Residuals of the two hexagon equations over QQ[mu]/(mu^2 - 24 c_{X0X1}).
+
+    phi is peeled once over the rationals and its coordinates lifted.
+    """
     ring = QuadraticExtension(phi.coefficient((0, 1)) * 24)
     mu_half = ring.mu * ring.embed(qq(1, 2))
     m = a4_model(phi.trunc, ring)
     g = a4_generators(m)
+    coords = lie_coordinates(phi)
+    if coords is not None:
+        coords = {lw: ring.embed(c) for lw, c in coords.items()}
     phi = lift_series(phi, ring)
+
+    def f(g0, g1):
+        return m.evaluate(phi, g0, g1, coords)
 
     def half_exp(t):
         return m.exp(t.scale(mu_half))
 
     t12, t13, t23 = g["t12"], g["t13"], g["t23"]
-    f123 = m.evaluate(phi, t12, t23)
+    f123 = f(t12, t23)
     lhs1 = half_exp(t13.add(t23))
-    rhs1 = m.evaluate(phi, t13, t12)
-    rhs1 = m.mul(rhs1, half_exp(t13))
-    rhs1 = m.mul(rhs1, m.inverse(m.evaluate(phi, t13, t23)))
-    rhs1 = m.mul(rhs1, half_exp(t23))
-    rhs1 = m.mul(rhs1, f123)
+    rhs1 = m.mul(f(t13, t12), half_exp(t13), m.inverse(f(t13, t23)), half_exp(t23), f123)
     lhs2 = half_exp(t12.add(t13))
-    rhs2 = m.inverse(m.evaluate(phi, t23, t13))
-    rhs2 = m.mul(rhs2, half_exp(t13))
-    rhs2 = m.mul(rhs2, m.evaluate(phi, t12, t13))
-    rhs2 = m.mul(rhs2, half_exp(t12))
-    rhs2 = m.mul(rhs2, m.inverse(f123))
+    rhs2 = m.mul(m.inverse(f(t23, t13)), half_exp(t13), f(t12, t13), half_exp(t12), m.inverse(f123))
     return lhs1.sub(rhs1), lhs2.sub(rhs2)
 
 

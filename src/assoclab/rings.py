@@ -1,12 +1,21 @@
 """Coefficient rings for series coefficients.
 
-Every ring here is an exact commutative ring containing the rationals:
-plain rationals, univariate polynomials over the rationals, and a
-quadratic extension adjoining mu with mu^2 = q.  Ring elements support
-+, -, *, unary - and ==, and an element is false exactly when it is
-zero; a ring object knows its zero/one, how to embed a rational and
-how to read an embedded integer back (`integer`, None for any other
-element).
+The coefficient rings are exact commutative rings containing the
+rationals: plain rationals, univariate polynomials over the rationals,
+and a quadratic extension adjoining mu with mu^2 = q.  Ring elements
+support +, -, *, unary - and ==, and an element is false exactly when
+it is zero; a ring object knows its zero/one and how to embed a
+rational.
+
+Each of them is also a free module over the rationals with an integral
+basis e_0, e_1, ... whose products are integer combinations of the
+basis: `split(c)` gives the rational coordinates of c, `join(coords)`
+the element with these coordinates, and `basis_product(i, j)` the pairs
+(k, m) with e_i e_j = sum m e_k.  The bases are {1} for the rationals,
+{1, nu} with nu = R mu and nu^2 = P R for q = P/R in lowest terms, and
+{T^i} for Q[T].  The integer kernel of `series` multiplies coordinate
+tables over `INTEGERS`, whose elements are Python ints, and enters the
+ring only through these three.
 """
 
 from .rationals import QQ, qq
@@ -26,6 +35,33 @@ def accumulate(out, pairs):
     return out
 
 
+class IntegerRing:
+    """The integers as Python ints: the ring of the integer kernel's tables."""
+
+    zero = 0
+    one = 1
+
+    def embed(self, c):
+        if isinstance(c, int):
+            return c
+        c = QQ(c)
+        if c.denominator != 1:
+            raise ValueError("%s is not an integer" % c)
+        return int(c.numerator)
+
+    def split(self, c):
+        return (QQ(c),)
+
+    def join(self, coords):
+        return self.embed(coords[0]) if coords else 0
+
+    def basis_product(self, i, j):
+        return _UNIT_PRODUCT
+
+
+_UNIT_PRODUCT = ((0, 1),)
+
+
 class RationalField:
     """The field of exact rationals."""
 
@@ -36,8 +72,14 @@ class RationalField:
     def embed(self, c):
         return QQ(c)
 
-    def integer(self, c):
-        return int(c) if c.denominator == 1 else None
+    def split(self, c):
+        return (c,)
+
+    def join(self, coords):
+        return QQ(coords[0]) if coords else self.zero
+
+    def basis_product(self, i, j):
+        return _UNIT_PRODUCT
 
 
 class Poly:
@@ -109,10 +151,14 @@ class PolynomialRing:
         c = QQ(c)
         return Poly((c,)) if c != 0 else self.zero
 
-    def integer(self, c):
-        if len(c.coeffs) > 1:
-            return None
-        return RATIONALS.integer(c.coefficient(0))
+    def split(self, c):
+        return c.coeffs
+
+    def join(self, coords):
+        return Poly([QQ(x) for x in coords])
+
+    def basis_product(self, i, j):
+        return ((i + j, 1),)
 
 
 class QuadElt:
@@ -155,19 +201,37 @@ class QuadElt:
 
 
 class QuadraticExtension:
-    """QQ[mu] / (mu^2 - q) for a fixed rational q."""
+    """QQ[mu] / (mu^2 - q) for a fixed rational q = P/R in lowest terms.
+
+    The integral basis is {1, nu} with nu = R mu, so nu^2 = P R.
+    """
 
     def __init__(self, q):
         self.q = QQ(q)
         self.zero = QuadElt(qq(0), qq(0), self.q)
         self.one = QuadElt(qq(1), qq(0), self.q)
         self.mu = QuadElt(qq(0), qq(1), self.q)
+        self._r = self.q.denominator
+        self._products = (
+            ((0, 1),),
+            ((1, 1),),
+            ((1, 1),),
+            ((0, self.q.numerator * self._r),),
+        )
 
     def embed(self, c):
         return QuadElt(QQ(c), qq(0), self.q)
 
-    def integer(self, c):
-        return None if c.b else RATIONALS.integer(c.a)
+    def split(self, c):
+        return (c.a, c.b / self._r)
+
+    def join(self, coords):
+        a, b = (list(coords) + [0, 0])[:2]
+        return QuadElt(QQ(a), QQ(b) * self._r, self.q)
+
+    def basis_product(self, i, j):
+        return self._products[2 * i + j]
 
 
 RATIONALS = RationalField()
+INTEGERS = IntegerRing()

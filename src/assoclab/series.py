@@ -3,13 +3,22 @@
 The letters of the alphabet are primitive for the coproduct, which makes
 this the shuffle Hopf algebra; the product stored on `Series` itself is
 concatenation (the ambient ring multiplication).
+
+Products inside an algebra (a braid model or the free algebra) run on
+the integer kernel: `split_series` writes a series as integer Series
+(over `INTEGERS`), one per integral basis element of its ring, over one
+common denominator; `kernel_mul` multiplies two split series with one
+`normalize(a.mul(b))` per pair of components and the ring's integer
+structure constants; `join_series` turns the result back into a series
+over the ring.  `substitute`, and with it every power series, and the
+model products run on it.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .rationals import qq, format_rational, parse_rational
-from .rings import RATIONALS, accumulate
+from .rationals import QQ, qq, format_rational, parse_rational
+from .rings import INTEGERS, RATIONALS, accumulate
 from .words import Alphabet, shuffle_words
 
 
@@ -163,10 +172,15 @@ class Series:
         by_degree = [[] for _ in range(self.trunc + 1)]
         for v, b in other.terms.items():
             by_degree[deg(v)].append((v, b))
-        out = {}
-        for u, a in self.terms.items():
-            for d in range(self.trunc - deg(u) + 1):
-                accumulate(out, ((u + v, a * b) for v, b in by_degree[d]))
+        out = accumulate(
+            {},
+            (
+                (u + v, a * b)
+                for u, a in self.terms.items()
+                for d in range(self.trunc - deg(u) + 1)
+                for v, b in by_degree[d]
+            ),
+        )
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def shuffle_mul(self, other):
@@ -306,8 +320,9 @@ class SeriesAlgebra:
     def letter(self, name):
         return letter(self.alphabet, self.trunc, name, self.ring)
 
-    def mul(self, a, b):
-        return a.mul(b)
+    def normalize(self, s):
+        """Every word is normal in the free algebra."""
+        return s
 
 
 # -- Hopf structure ---------------------------------------------------
@@ -414,36 +429,128 @@ def is_lie(s):
     return by_coproduct
 
 
+# -- the integer kernel -------------------------------------------------
+
+
+def integer_parts(tables, like):
+    """Integer Series over the alphabet and truncation of like (a series
+    or an algebra) from the nonempty k -> word -> int tables."""
+    return {
+        k: Series(like.alphabet, like.trunc, INTEGERS, table, _clean=True)
+        for k, table in tables.items()
+        if table
+    }
+
+
+def split_terms(terms, ring):
+    """(D, tables) with terms[key] = (1/D) sum_k e_k tables[k][key].
+
+    The e_k are the integral basis of the ring, each table maps keys to
+    nonzero ints (a table that would be empty is absent) and D is the
+    least common denominator of all the coordinates.
+    """
+    coords = [(key, ring.split(c)) for key, c in terms.items()]
+    den = lcm(*{x.denominator for _, cs in coords for x in cs})
+    tables = {}
+    for key, cs in coords:
+        for k, x in enumerate(cs):
+            if x:
+                tables.setdefault(k, {})[key] = x.numerator * (den // x.denominator)
+    return den, tables
+
+
+def split_series(s):
+    """s as (D, parts) with s = (1/D) sum_k e_k parts[k]: the integer
+    tables of `split_terms` as Series over INTEGERS."""
+    den, tables = split_terms(s.terms, s.ring)
+    return den, integer_parts(tables, s)
+
+
+def join_series(x, algebra):
+    """The series over algebra.ring that the split series x stands for."""
+    den, parts = x
+    if not parts:
+        return algebra.zero()
+    coords = {}
+    rank = max(parts) + 1
+    for k, part in parts.items():
+        for w, m in part.terms.items():
+            cs = coords.get(w)
+            if cs is None:
+                cs = coords[w] = [0] * rank
+            cs[k] = QQ(m, den)
+    join = algebra.ring.join
+    terms = {w: join(cs) for w, cs in coords.items()}
+    return Series(algebra.alphabet, algebra.trunc, algebra.ring, terms, _clean=True)
+
+
+def kernel_mul(x, y, algebra):
+    """The product of the split series x and y in algebra, split.
+
+    Each pair of integer components is multiplied once, as
+    algebra.normalize(a.mul(b)), and lands on the basis elements of
+    e_i e_j with the ring's integer structure constants.
+    """
+    (dx, px), (dy, py) = x, y
+    basis_product = algebra.ring.basis_product
+    normalize = algebra.normalize
+    out = {}
+    for i, a in px.items():
+        for j, b in py.items():
+            ab = normalize(a.mul(b)).terms
+            if not ab:
+                continue
+            for k, m in basis_product(i, j):
+                pairs = ab.items() if m == 1 else ((w, m * c) for w, c in ab.items())
+                if k in out:
+                    accumulate(out[k], pairs)
+                else:
+                    out[k] = dict(pairs)
+    return dx * dy, integer_parts(out, algebra)
+
+
 # -- homomorphisms ----------------------------------------------------
 
 
 def substitute(s, images, algebra):
     """Apply the algebra homomorphism sending letter i to images[i].
 
-    `algebra` provides one() and mul(); the images must have zero constant
-    term so that grading (and hence truncation) is respected.
+    `algebra` provides one(), normalize(), its ring, alphabet and
+    truncation; the images must have zero constant term so that grading
+    (and hence truncation) is respected.  The images are split once, the
+    image of every word is a `kernel_mul` product and the sum over the
+    terms of s is joined once, over the common denominator of the word
+    images.
     """
     if len(images) != len(s.alphabet):
         raise AlgebraError("one image per alphabet letter required")
     for img in images:
         if img.constant_term():
             raise ConstantTermError("letter image must have zero constant term")
-    cache = {(): algebra.one()}
+    letters = [split_series(g) for g in images]
+    cache = {(): split_series(algebra.one())}
 
     def image(word):
         try:
             return cache[word]
         except KeyError:
-            val = algebra.mul(image(word[:-1]), images[word[-1]])
-            cache[word] = val
+            val = cache[word] = kernel_mul(image(word[:-1]), letters[word[-1]], algebra)
             return val
 
+    den, coeffs = split_series(s)
+    words = {w: image(w) for w in s.terms}
+    common = lcm(*{d for d, _ in words.values()})
+    basis_product = algebra.ring.basis_product
     out = {}
-    for w in s.support():
-        c = s.terms[w]
-        accumulate(out, ((v, c * x) for v, x in image(w).terms.items()))
-    unit = cache[()]
-    return Series(unit.alphabet, unit.trunc, unit.ring, out, _clean=True)
+    for k, part in coeffs.items():
+        for w, a in part.terms.items():
+            d, parts = words[w]
+            a *= common // d
+            for l, p in parts.items():
+                for j, m in basis_product(k, l):
+                    am = a * m
+                    accumulate(out.setdefault(j, {}), ((v, am * c) for v, c in p.terms.items()))
+    return join_series((den * common, integer_parts(out, algebra)), algebra)
 
 
 POWER_ALPHABET = Alphabet(("u",))

@@ -11,7 +11,7 @@ from functools import lru_cache
 class Alphabet:
     """A finite ordered alphabet; each letter carries a positive weight."""
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_index", "degree")
 
     def __init__(self, names, weights=None):
         self.names = tuple(names)
@@ -19,6 +19,8 @@ class Alphabet:
         if len(self.weights) != len(self.names):
             raise ValueError("one weight per letter required")
         self._index = {n: i for i, n in enumerate(self.names)}
+        # the degree of a word: its length when every weight is 1
+        self.degree = len if set(self.weights) <= {1} else self._weighted_degree
 
     def __len__(self):
         return len(self.names)
@@ -36,7 +38,7 @@ class Alphabet:
     def index(self, name):
         return self._index[name]
 
-    def degree(self, word):
+    def _weighted_degree(self, word):
         w = self.weights
         return sum(w[i] for i in word)
 

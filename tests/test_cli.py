@@ -125,6 +125,31 @@ def test_negative_solve_degree_exits_two(capsys, tmp_path):
     assert main(["solve-pentagon", "--degree", "0", "-o", str(path)]) == 0
 
 
+def assert_rejected(capsys, argv):
+    """Exit 2 with an error on stderr and no report on stdout."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: negative")
+
+
+@pytest.mark.parametrize("engine", ["model", "generic"])
+def test_negative_dims_degree_exits_two(capsys, engine):
+    assert_rejected(capsys, ["dims", "--algebra", "a4", "--max-degree", "-1", "--engine", engine])
+
+
+def test_negative_dmr_dims_degree_exits_two(capsys):
+    assert_rejected(capsys, ["dmr", "dims", "--max-degree", "-2"])
+
+
+def test_negative_dmr_lemmas_degree_exits_two(capsys):
+    assert_rejected(capsys, ["dmr", "lemmas", "--degree", "-1"])
+
+
+def test_negative_bar_shuffle_weight_exits_two(capsys):
+    assert_rejected(capsys, ["bar", "shuffle", "--max-weight", "-1"])
+
+
 def test_threads_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "dims", "--algebra", "a4", "--max-degree", "1"])

@@ -245,7 +245,8 @@ def test_tau_kills_the_center():
 EQUIV_TRUNC = 5
 
 
-def word_path(m, phi, g0, g1):
+def word_path(m, phi, g0, g1, coords=None):
+    """The word-by-word substitution; takes and ignores evaluate's coords."""
     return substitute(phi, [g0, g1], m)
 
 
