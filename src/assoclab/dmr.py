@@ -10,6 +10,7 @@ companions and the Y-side derivation D^Y_f) together with exact checks
 of the identities that drive the bracket-closure proof.
 """
 
+from functools import partial
 from itertools import combinations
 
 from .rationals import binomial, qq
@@ -18,12 +19,13 @@ from .lie import lie_basis
 from .series import (
     Series,
     SeriesAlgebra,
-    TensorSeries,
     is_lie,
     one,
     primitive_tensor,
     substitute,
     tensor,
+    tensor_alphabet,
+    tensor_pairs,
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
@@ -130,8 +132,8 @@ def solve_dmr0(degree):
             col[("c",)] = c2
         star = psi_star(e)
         diff = delta_star(star).sub(primitive_tensor(star))
-        for p, c in diff.terms.items():
-            col[("t",) + p] = c
+        for (u, v), c in tensor_pairs(diff):
+            col[("t", u, v)] = c
         columns.append(col)
     solved = _solve_affine(columns, {}, len(basis))
     _, kernel = solved
@@ -198,6 +200,17 @@ def f_pair(p, comps, i, j, trunc):
 # -- the three operator identities --------------------------------------
 
 
+def _on_each_factor(op, t):
+    """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map op."""
+    ya, trunc, ring = y_alphabet(t.trunc), t.trunc, t.ring
+    out = zero(t.alphabet, trunc, ring)
+    for (u, v), c in tensor_pairs(t):
+        us = Series(ya, trunc, ring, {u: ring.one})
+        vs = Series(ya, trunc, ring, {v: ring.one})
+        out = out.add(tensor(op(us).scale(c), vs)).add(tensor(us, op(vs).scale(c)))
+    return out
+
+
 def lemma_derivation_check(f, n):
     """D^Y_f(Y_n) = X0^{n-1} f X1 - f X0^{n-1} X1 = sum_i f_{i,i+n}.
 
@@ -242,14 +255,8 @@ def lemma_coproduct_check(g, n):
         raise ValueError("hypothesis S_X(sec g) = -sec g fails")
     p, comps = x_decomposition(f)
     yn = _y_letter(n, trunc, ring)
-    lhs = delta_star(big_d_y(f, yn))
-    for (u, v), c in delta_star(yn).terms.items():
-        us = Series(y_alphabet(trunc), trunc, ring, {u: ring.one})
-        vs = Series(y_alphabet(trunc), trunc, ring, {v: ring.one})
-        left = big_d_y(f, us).scale(c)
-        right = big_d_y(f, vs).scale(c)
-        lhs = lhs.sub(tensor(left, vs)).sub(tensor(us, right))
-    rhs = TensorSeries(y_alphabet(trunc), trunc, ring)
+    lhs = delta_star(big_d_y(f, yn)).sub(_on_each_factor(partial(big_d_y, f), delta_star(yn)))
+    rhs = zero(tensor_alphabet(y_alphabet(trunc)), trunc, ring)
     for k in range(p + 1):
         part = zero(y_alphabet(trunc), trunc, ring)
         for i in range(k, p + 1):
@@ -315,14 +322,7 @@ def coderivation_check(psi, max_weight=None):
     for wgt in range(0, top + 1):
         for w in ya.words_of_degree(wgt):
             ws = Series(ya, trunc, ring, {w: ring.one})
-            lhs = delta_star(s_f_y(f, ws))
-            rhs = TensorSeries(ya, trunc, ring)
-            for (u, v), c in delta_star(ws).terms.items():
-                us = Series(ya, trunc, ring, {u: ring.one})
-                vs = Series(ya, trunc, ring, {v: ring.one})
-                rhs = rhs.add(tensor(s_f_y(f, us).scale(c), vs))
-                rhs = rhs.add(tensor(us, s_f_y(f, vs).scale(c)))
-            if lhs != rhs:
+            if delta_star(s_f_y(f, ws)) != _on_each_factor(partial(s_f_y, f), delta_star(ws)):
                 return False
     return True
 

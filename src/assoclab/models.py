@@ -58,6 +58,7 @@ from .series import (
     split_series,
     split_terms,
     substitute,
+    tensor_alphabet,
     zero,
 )
 from .words import Alphabet, X_ALPHABET
@@ -81,14 +82,14 @@ _PEEL = object()
 class PBWModel:
     """Quotient algebra with a straightening normal form."""
 
-    def __init__(self, name, letter_names, classes, brackets, trunc, ring=RATIONALS):
+    def __init__(self, name, alphabet, classes, brackets, trunc, ring=RATIONALS):
         self.name = name
-        self.alphabet = Alphabet(tuple(letter_names))
+        self.alphabet = alphabet
         self.classes = tuple(classes)
         self.brackets = brackets
         self.trunc = trunc
         self.ring = ring
-        spec = (self.alphabet.names, self.classes, brackets)
+        spec = (alphabet, self.classes, brackets)
         if _MODEL_SPECS.setdefault(name, spec) != spec:
             raise ValueError("model name %r is in use for another presentation" % name)
         self._cache = _STRAIGHTEN_CACHES.setdefault(name, {})
@@ -365,7 +366,7 @@ A4_BRACKETS = {
 
 
 def a4_model(trunc, ring=RATIONALS):
-    return PBWModel("a4", A4_LETTERS, A4_CLASSES, A4_BRACKETS, trunc, ring)
+    return PBWModel("a4", Alphabet(A4_LETTERS), A4_CLASSES, A4_BRACKETS, trunc, ring)
 
 
 def a4_generators(model):
@@ -382,7 +383,16 @@ def a4_generators(model):
 
 def ab_model(trunc, ring=RATIONALS):
     """QQ[[x0, x1]]: letters X0, X1 with no bracket, normal words X0^i X1^j."""
-    return PBWModel("ab", X_ALPHABET.names, (FIBER, BASE), {}, trunc, ring)
+    return PBWModel("ab", X_ALPHABET, (FIBER, BASE), {}, trunc, ring)
+
+
+def tensor_model(alphabet, trunc, ring=RATIONALS):
+    """The tensor square of the free algebra on alphabet: unprimed letters
+    fiber, primed letters base and no bracket, so the normal words u.v' of
+    tensor_alphabet(alphabet) are the tensors u (x) v."""
+    n = len(alphabet)
+    name = "tensor %s %s" % (alphabet.names, alphabet.weights)
+    return PBWModel(name, tensor_alphabet(alphabet), (FIBER,) * n + (BASE,) * n, {}, trunc, ring)
 
 
 # -- the five-strand model ---------------------------------------------
@@ -402,7 +412,7 @@ P5_BRACKETS = {
 
 
 def p5_model(trunc, ring=RATIONALS):
-    return PBWModel("p5", P5_LETTERS, P5_CLASSES, P5_BRACKETS, trunc, ring)
+    return PBWModel("p5", Alphabet(P5_LETTERS), P5_CLASSES, P5_BRACKETS, trunc, ring)
 
 
 def p5_generators(model):

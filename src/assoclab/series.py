@@ -2,7 +2,9 @@
 
 The letters of the alphabet are primitive for the coproduct, which makes
 this the shuffle Hopf algebra; the product stored on `Series` itself is
-concatenation (the ambient ring multiplication).
+concatenation (the ambient ring multiplication).  Tensors are series
+too: u (x) v is the word u.v' over `tensor_alphabet`, the letters and
+their primed copies, so the coproduct and the tensor squares are Series.
 
 Products inside an algebra (a braid model or the free algebra) run on
 the integer kernel: `split_series` writes a series as integer Series
@@ -14,6 +16,7 @@ over the ring.  `substitute`, and with it every power series, and the
 model products run on it.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -215,74 +218,6 @@ class Series:
         return power_series(geometric_coefficient, u, self._algebra())
 
 
-class TensorSeries:
-    """Sparse table (word, word) -> coefficient with combined degree bound."""
-
-    __slots__ = ("alphabet", "trunc", "ring", "terms")
-
-    def __init__(self, alphabet, trunc, ring, terms=None, _clean=False):
-        self.alphabet = alphabet
-        self.trunc = trunc
-        self.ring = ring
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            deg = alphabet.degree
-            self.terms = {
-                p: c
-                for p, c in terms.items()
-                if deg(p[0]) + deg(p[1]) <= trunc and c
-            }
-
-    def coefficient(self, u, v):
-        return self.terms.get((u, v), self.ring.zero)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSeries)
-            and self.alphabet == other.alphabet
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
-
-    def add(self, other):
-        out = accumulate(dict(self.terms), other.terms.items())
-        return TensorSeries(self.alphabet, self.trunc, self.ring, out, _clean=True)
-
-    def sub(self, other):
-        return self.add(other.scale(-self.ring.one))
-
-    def scale(self, c):
-        if not c:
-            return TensorSeries(self.alphabet, self.trunc, self.ring)
-        return TensorSeries(
-            self.alphabet,
-            self.trunc,
-            self.ring,
-            {p: c * x for p, x in self.terms.items()},
-        )
-
-    def mul(self, other):
-        deg = self.alphabet.degree
-        out = {}
-        for (u1, u2), a in self.terms.items():
-            room = self.trunc - deg(u1) - deg(u2)
-            accumulate(
-                out,
-                (
-                    ((u1 + v1, u2 + v2), a * b)
-                    for (v1, v2), b in other.terms.items()
-                    if deg(v1) + deg(v2) <= room
-                ),
-            )
-        return TensorSeries(self.alphabet, self.trunc, self.ring, out, _clean=True)
-
-
 # -- constructors -----------------------------------------------------
 
 
@@ -299,8 +234,8 @@ def letter(alphabet, trunc, name, ring=RATIONALS):
     return Series(alphabet, trunc, ring, {(i,): ring.one}, _clean=True)
 
 
-def from_word(alphabet, trunc, word, ring=RATIONALS, coeff=None):
-    return Series(alphabet, trunc, ring, {tuple(word): coeff or ring.one})
+def from_word(alphabet, trunc, word, ring=RATIONALS):
+    return Series(alphabet, trunc, ring, {tuple(word): ring.one})
 
 
 class SeriesAlgebra:
@@ -329,43 +264,88 @@ class SeriesAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _word_coproduct(word):
-    """Coproduct of a single word, all letters primitive; word -> pair table."""
-    if not word:
-        return {((), ()): 1}
-    i = word[-1]
+def tensor_alphabet(alphabet):
+    """The letters of alphabet and their primed copies ~j = -1-j, with the
+    same weights: the word u.v' is u (x) v.  The primed letters are laid
+    out in reverse, so negative indices resolve to them in names, weights
+    and model classes, and a tensor word does not depend on the alphabet size."""
+    primed = tuple(name + "'" for name in reversed(alphabet.names))
+    return Alphabet(alphabet.names + primed, alphabet.weights + alphabet.weights[::-1])
+
+
+def primed(word):
+    return tuple(~j for j in word)
+
+
+def tensor_split(p):
+    """The length of u in the tensor word p = u.v': its first negative letter."""
+    return bisect_left(p, True, key=(0).__gt__)
+
+
+def tensor_pairs(t):
+    """The terms of a tensor series t as ((u, v), c) for u (x) v."""
+    for p, c in t.terms.items():
+        k = tensor_split(p)
+        yield (p[:k], primed(p[k:])), c
+
+
+def extend_tensor_table(table, parts):
+    """The tensor-word table of w.x from the table of w, where x maps to
+    the sum of a (x) b over the tensor words a.b' in parts: each u.v'
+    becomes u.a.v'.b'."""
     out = {}
-    for (u, v), m in _word_coproduct(word[:-1]).items():
-        for p in ((u + (i,), v), (u, v + (i,))):
-            out[p] = out.get(p, 0) + m
+    for p, m in table.items():
+        k = tensor_split(p)
+        u, v = p[:k], p[k:]
+        for a, b in parts:
+            q = u + a + v + b
+            out[q] = out.get(q, 0) + m
     return out
 
 
+@lru_cache(maxsize=None)
+def _word_coproduct(word):
+    """Coproduct of a single word, all letters primitive; tensor word -> int."""
+    if not word:
+        return {(): 1}
+    x = word[-1]
+    return extend_tensor_table(_word_coproduct(word[:-1]), (((x,), ()), ((), (~x,))))
+
+
+def tensor_image(s, word_table):
+    """The linear extension of word -> word_table(word), a tensor-word -> int
+    table, applied to s: a series over tensor_alphabet(s.alphabet), summed
+    over the integers on the kernel's split of s."""
+    target = SeriesAlgebra(tensor_alphabet(s.alphabet), s.trunc, s.ring)
+    den, tables = split_terms(s.terms, s.ring)
+    for k, table in tables.items():
+        pairs = ((p, a * m) for w, a in table.items() for p, m in word_table(w).items())
+        tables[k] = accumulate({}, pairs)
+    return join_series((den, integer_parts(tables, target)), target)
+
+
 def coproduct(s):
-    """Algebra-map extension of letter primitivity, as a TensorSeries."""
-    ring = s.ring
-    out = {}
-    for w, c in s.terms.items():
-        accumulate(out, ((p, c * ring.embed(m)) for p, m in _word_coproduct(w).items()))
-    return TensorSeries(s.alphabet, s.trunc, ring, out, _clean=True)
+    """Algebra-map extension of letter primitivity, as a tensor series."""
+    return tensor_image(s, _word_coproduct)
 
 
 def tensor(a, b):
-    """a (x) b as a TensorSeries, truncated at the degree of a."""
+    """a (x) b as a tensor series, truncated at the degree of a."""
     deg = a.alphabet.degree
+    right = [(primed(v), deg(v), y) for v, y in b.terms.items()]
     out = {}
     for u, x in a.terms.items():
         room = a.trunc - deg(u)
-        for v, y in b.terms.items():
-            if deg(v) <= room:
+        for v, d, y in right:
+            if d <= room:
                 c = x * y
                 if c:
-                    out[(u, v)] = c
-    return TensorSeries(a.alphabet, a.trunc, a.ring, out, _clean=True)
+                    out[u + v] = c
+    return Series(tensor_alphabet(a.alphabet), a.trunc, a.ring, out, _clean=True)
 
 
 def tensor_square(s):
-    """s (x) s as a TensorSeries."""
+    """s (x) s as a tensor series."""
     return tensor(s, s)
 
 
@@ -405,9 +385,9 @@ def primitive_tensor(s):
     terms = {}
     for w, c in s.terms.items():
         if w:
-            terms[((), w)] = c
-            terms[(w, ())] = c
-    return TensorSeries(s.alphabet, s.trunc, s.ring, terms)
+            terms[primed(w)] = c
+            terms[w] = c
+    return Series(tensor_alphabet(s.alphabet), s.trunc, s.ring, terms)
 
 
 def is_lie(s):
@@ -601,8 +581,9 @@ def to_text(s):
 
 
 def from_text(text, weights=None):
-    """Parse the series text format; a repeated word, a term above the
-    declared degree or a zero denominator raises AlgebraError."""
+    """Parse the series text format; a negative degree, a repeated word, a
+    term above the declared degree or a zero denominator raises
+    AlgebraError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("alphabet:") or not lines[1].startswith("degree:"):
         raise AlgebraError("malformed series file: missing header")
@@ -611,6 +592,8 @@ def from_text(text, weights=None):
         weights = tuple(int(n[1:]) for n in names)
     alphabet = Alphabet(names, weights)
     trunc = int(lines[1].split(":", 1)[1])
+    if trunc < 0:
+        raise AlgebraError("negative degree %d" % trunc)
     terms = {}
     for ln in lines[2:]:
         if not ln.startswith('"'):

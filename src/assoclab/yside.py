@@ -1,7 +1,8 @@
 """The quasi-shuffle (harmonic) side of the double shuffle relations.
 
 Series over the alphabet Y1, Y2, ... (letter Yn has weight n) carry the
-coproduct Delta_* with Delta_*(Yn) = sum_{i+j=n} Yi (x) Yj, Y0 = 1.  The
+coproduct Delta_* with Delta_*(Yn) = sum_{i+j=n} Yi (x) Yj, Y0 = 1, whose
+values are tensor series as in `series` (u (x) v is the word u.v').  The
 projection pi_Y and the correction term turn a group-like series over
 X0, X1 into its star-regularization, whose group-likeness for Delta_* is
 the generalized double shuffle relation.
@@ -11,7 +12,14 @@ from functools import lru_cache
 
 from .rationals import qq
 from .rings import accumulate
-from .series import Series, TensorSeries, one, primitive_tensor, tensor_square
+from .series import (
+    Series,
+    extend_tensor_table,
+    one,
+    primitive_tensor,
+    tensor_image,
+    tensor_square,
+)
 from .words import y_alphabet
 
 
@@ -57,28 +65,18 @@ def embed_y(s, x_alphabet=None):
 
 @lru_cache(maxsize=None)
 def _y_word_delta(word):
-    """Delta_* of a Y-word (letter indices), as a pair-of-words -> int table."""
+    """Delta_* of a Y-word (letter indices), as a tensor word -> int table."""
     if not word:
-        return {((), ()): 1}
-    head = word[:-1]
+        return {(): 1}
     n = word[-1] + 1
-    out = {}
-    for (u, v), m in _y_word_delta(head).items():
-        for i in range(n + 1):
-            left = u if i == 0 else u + (i - 1,)
-            right = v if i == n else v + (n - i - 1,)
-            p = (left, right)
-            out[p] = out.get(p, 0) + m
-    return out
+    # the terms Yi (x) Y_{n-i} of Delta_*(Yn), with Y0 = 1
+    parts = [((i - 1,) if i else (), (~(n - i - 1),) if i < n else ()) for i in range(n + 1)]
+    return extend_tensor_table(_y_word_delta(word[:-1]), parts)
 
 
 def delta_star(s):
     """Delta_*(Yn) = sum_{i=0}^n Yi (x) Y_{n-i}, extended as an algebra map."""
-    ring = s.ring
-    out = {}
-    for w, c in s.terms.items():
-        accumulate(out, ((p, c * ring.embed(m)) for p, m in _y_word_delta(w).items()))
-    return TensorSeries(s.alphabet, s.trunc, ring, out, _clean=True)
+    return tensor_image(s, _y_word_delta)
 
 
 # -- star regularization ----------------------------------------------

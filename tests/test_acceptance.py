@@ -33,6 +33,7 @@ from assoclab.series import (
     is_group_like,
     is_lie,
     one,
+    tensor_pairs,
     tensor_square,
 )
 from assoclab.words import X_ALPHABET, y_alphabet
@@ -201,7 +202,7 @@ def test_criterion_8_hopf_sanity_suites():
     for case in range(100):
         w = rng.choice(words)
         d = yside.delta_star(Series(ya, 5, RATIONALS, {w: qq(1)}))
-        for (u, v), c in d.terms.items():
+        for (u, v), c in tensor_pairs(d):
             wu = tuple(i + 1 for i in u)
             wv = tuple(i + 1 for i in v)
             ww = tuple(i + 1 for i in w)

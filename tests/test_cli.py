@@ -91,15 +91,41 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+HEADER = 'alphabet: X0 X1\ndegree: 2\n"1" 1/1\n'
+
+
 @pytest.mark.parametrize(
-    "body",
-    ['"X0.X1" 1/0\n', '"X0.X1" 1/2\n"X0.X1" 1/3\n', '"X0.X0.X1" 5/1\n'],
-    ids=["zero-denominator", "repeated-word", "above-degree"],
+    "text",
+    [
+        HEADER + '"X0.X1" 1/0\n',
+        HEADER + '"X0.X1" 1/2\n"X0.X1" 1/3\n',
+        HEADER + '"X0.X0.X1" 5/1\n',
+        "alphabet: X0 X1\ndegree: -1\n",
+    ],
+    ids=["zero-denominator", "repeated-word", "above-degree", "negative-degree"],
 )
-def test_malformed_series_file_exits_two(capsys, tmp_path, body):
+def test_malformed_series_file_exits_two(capsys, tmp_path, text):
     path = tmp_path / "bad.series"
-    path.write_text('alphabet: X0 X1\ndegree: 2\n"1" 1/1\n' + body)
-    assert main(["verify", "double-shuffle", "--phi", str(path)]) == 2
+    path.write_text(text)
+    p = str(path)
+    for what in ("main", "gamma", "hexagon", "5cycle", "double-shuffle"):
+        assert main(["verify", what, "--phi", p]) == 2, what
+    assert main(["group-law", "--lhs", p, "--rhs", p]) == 2
+    assert main(["dmr", "bracket", "--lhs", p, "--rhs", p, "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: malformed series file") == 7
+
+
+def test_constant_term_other_than_one(capsys, tmp_path):
+    # no hexagon holds for such a series, and no composition with it exists
+    path = tmp_path / "half.series"
+    path.write_text('alphabet: X0 X1\ndegree: 4\n"X0" 1/2\n')
+    code, out = run(capsys, ["verify", "hexagon", "--phi", str(path), "--report", "json"])
+    assert code == 1
+    assert json.loads(out)["checks"] == {"hexagon_one_zero": False, "hexagon_two_zero": False}
+    assert main(["group-law", "--lhs", str(DATA / "phi4.series"), "--rhs", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "constant term" in err
 
 
 @pytest.mark.parametrize("names", [("X1", "X0"), ("A", "B"), ("Y1", "Y2"), ("X0", "X1", "X2")])
@@ -266,6 +292,32 @@ def test_json_reports_are_deterministic(capsys):
         capsys, ["dmr", "dims", "--max-degree", "4", "--report", "json"]
     )
     assert out1 == out2
+
+
+def test_fraction_backend_reproduces_recorded_bytes(tmp_path):
+    # the recorded outputs hold for the fractions.Fraction fallback too, even
+    # where gmpy2 is installed: None in sys.modules makes its import fail
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "import sys; sys.modules['gmpy2'] = None\n"
+        "import fractions\n"
+        "from assoclab import rationals\n"
+        "from assoclab.cli import main\n"
+        "if rationals.QQ is not fractions.Fraction: sys.exit(3)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, check=True
+        ).stdout
+
+    path = tmp_path / "phi4.series"
+    cli("solve-pentagon", "--degree", "4", "--c2-zero", "-o", str(path))
+    assert path.read_bytes() == (DATA / "phi4.series").read_bytes()
+    out = cli("verify", "main", "--phi", str(DATA / "phi4.series"), "--report", "json")
+    assert out == (DATA / "verify_main_phi4.json").read_bytes()
 
 
 def test_cli_import_loads_only_its_own_modules():

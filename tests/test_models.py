@@ -28,7 +28,7 @@ from assoclab.models import (
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS, QuadraticExtension
 from assoclab.series import ConstantTermError, Series, one, substitute
-from assoclab.words import X_ALPHABET
+from assoclab.words import Alphabet, X_ALPHABET
 
 from support import random_group_like, random_lie_mixed, random_series
 
@@ -108,10 +108,10 @@ def test_model_log_inverts_exp():
 def test_model_name_names_one_presentation():
     m = a4_model(3)
     with pytest.raises(ValueError):
-        PBWModel("a4", A4_LETTERS, A4_CLASSES, {}, 3)
+        PBWModel("a4", Alphabet(A4_LETTERS), A4_CLASSES, {}, 3)
     t12_t14 = m.mul(m.letter("t12"), m.letter("t14"))
     assert len(t12_t14.terms) == 3
-    free = PBWModel("a4-without-brackets", A4_LETTERS, A4_CLASSES, {}, 3)
+    free = PBWModel("a4-without-brackets", Alphabet(A4_LETTERS), A4_CLASSES, {}, 3)
     assert len(free.mul(free.letter("t12"), free.letter("t14")).terms) == 1
 
 
@@ -128,7 +128,7 @@ def test_bracket_images_are_shared_by_equal_arguments():
         g = a4_generators(other)
         assert other.lie_image(lw, (g["t12"], g["t24"])) is img
     # the same letters without brackets are another presentation
-    free = PBWModel("a4-without-brackets", A4_LETTERS, A4_CLASSES, {}, TRUNC)
+    free = PBWModel("a4-without-brackets", Alphabet(A4_LETTERS), A4_CLASSES, {}, TRUNC)
     g = a4_generators(free)
     assert img and not free.lie_image(lw, (g["t12"], g["t24"]))
 
