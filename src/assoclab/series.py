@@ -269,8 +269,8 @@ def tensor_alphabet(alphabet):
     same weights: the word u.v' is u (x) v.  The primed letters are laid
     out in reverse, so negative indices resolve to them in names, weights
     and model classes, and a tensor word does not depend on the alphabet size."""
-    primed = tuple(name + "'" for name in reversed(alphabet.names))
-    return Alphabet(alphabet.names + primed, alphabet.weights + alphabet.weights[::-1])
+    names = tuple(name + "'" for name in reversed(alphabet.names))
+    return Alphabet(alphabet.names + names, alphabet.weights + alphabet.weights[::-1])
 
 
 def primed(word):
@@ -278,7 +278,8 @@ def primed(word):
 
 
 def tensor_split(p):
-    """The length of u in the tensor word p = u.v': its first negative letter."""
+    """The length of u in the tensor word p = u.v', the index of its first
+    primed (negative) letter."""
     return bisect_left(p, True, key=(0).__gt__)
 
 
@@ -291,8 +292,9 @@ def tensor_pairs(t):
 
 def extend_tensor_table(table, parts):
     """The tensor-word table of w.x from the table of w, where x maps to
-    the sum of a (x) b over the tensor words a.b' in parts: each u.v'
+    the sum of a (x) b over the pairs of words (a, b) in parts: each u.v'
     becomes u.a.v'.b'."""
+    parts = [(a, primed(b)) for a, b in parts]
     out = {}
     for p, m in table.items():
         k = tensor_split(p)
@@ -309,7 +311,7 @@ def _word_coproduct(word):
     if not word:
         return {(): 1}
     x = word[-1]
-    return extend_tensor_table(_word_coproduct(word[:-1]), (((x,), ()), ((), (~x,))))
+    return extend_tensor_table(_word_coproduct(word[:-1]), (((x,), ()), ((), (x,))))
 
 
 def tensor_image(s, word_table):

@@ -70,7 +70,7 @@ def _y_word_delta(word):
         return {(): 1}
     n = word[-1] + 1
     # the terms Yi (x) Y_{n-i} of Delta_*(Yn), with Y0 = 1
-    parts = [((i - 1,) if i else (), (~(n - i - 1),) if i < n else ()) for i in range(n + 1)]
+    parts = [((i - 1,) if i else (), (n - i - 1,) if i < n else ()) for i in range(n + 1)]
     return extend_tensor_table(_y_word_delta(word[:-1]), parts)
 
 
