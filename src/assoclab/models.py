@@ -21,7 +21,8 @@ are substitutions and run on the same kernel.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
 model of the same kind: fiber X0, base X1 and no bracket, so its normal
-words are X0^i X1^j.
+words are X0^i X1^j.  So is the tensor square of a free algebra: fiber
+letters, primed base letters and no bracket, normal words u.v'.
 
 The four-strand model uses fiber t14, t24, t34, base t12, t23 and the
 central sum c of all six generators.  The five-strand model uses fiber
@@ -387,9 +388,8 @@ def ab_model(trunc, ring=RATIONALS):
 
 
 def tensor_model(alphabet, trunc, ring=RATIONALS):
-    """The tensor square of the free algebra on alphabet: unprimed letters
-    fiber, primed letters base and no bracket, so the normal words u.v' of
-    tensor_alphabet(alphabet) are the tensors u (x) v."""
+    """The tensor square of the free algebra on alphabet; its normal words
+    u.v' over tensor_alphabet(alphabet) are the tensors u (x) v."""
     n = len(alphabet)
     name = "tensor %s %s" % (alphabet.names, alphabet.weights)
     return PBWModel(name, tensor_alphabet(alphabet), (FIBER,) * n + (BASE,) * n, {}, trunc, ring)

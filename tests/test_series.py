@@ -16,8 +16,8 @@ from assoclab.series import (
     is_lie,
     letter,
     one,
-    substitute,
     primed,
+    substitute,
     tensor,
     tensor_alphabet,
     tensor_pairs,
