@@ -201,7 +201,7 @@ def cmd_verify(args):
         checks["binomial_sums_on_lie_generators"] = ok
     elif args.what == "hexagon":
         ok = [False, False]
-        # the left sides have constant term 1, the right sides only when phi does
+        # the two sides' constant terms agree only when phi's is 1 (at 0 it has no inverse)
         if phi.constant_term() == 1:
             ok = [r.is_zero() for r in check_hexagons(phi)]
         checks = {"hexagon_one_zero": ok[0], "hexagon_two_zero": ok[1]}
