@@ -1,4 +1,4 @@
-"""End-to-end wall times of one checkout, printed as one JSON object.
+"""End-to-end wall times and peak memory of one checkout, printed as one JSON object.
 
     python3 scripts/e2e_times.py [--repo DIR]
 
@@ -9,9 +9,10 @@ the checkout (the current directory unless --repo is given):
 - `assoclab verify main --phi FILE` on that file;
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
-Each entry holds the command, its exit code, its wall time in seconds
-and the last line of its output.  The scalar backend, the Python
-version and the CPU count are recorded beside them.
+Each entry holds the command, its exit code, its wall time in seconds,
+its peak resident set size in MB (`ru_maxrss` from `os.wait4`) and the
+last line of its output.  The scalar backend, the Python version and
+the CPU count are recorded beside them.
 """
 
 import argparse
@@ -27,14 +28,23 @@ DEGREE = 8
 
 
 def timed(argv, cwd, env):
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable] + argv, cwd=cwd, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    lines = (proc.stdout + proc.stderr).strip().splitlines()
+    """Run one command; its output goes to a file, so that os.wait4 can
+    reap the process and read its peak resident set size."""
+    with tempfile.TemporaryFile("w+") as log:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable] + argv, cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        lines = log.read().strip().splitlines()
     return {
         "command": " ".join(argv),
         "exit": proc.returncode,
         "wall_s": round(wall, 2),
+        "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
         "last_line": lines[-1] if lines else "",
     }
 

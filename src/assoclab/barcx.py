@@ -8,7 +8,8 @@ right, [w_{i_m}|...|w_{i_1}], matching the left-to-right order of the
 dual monomials.
 
 Every 1-form is represented exactly as a pair of polynomial numerators
-(P, Q) with form = (P dx + Q dy)/D over the common denominator
+(P, Q), series of the commutative quotient `models.ab_model`, with
+form = (P dx + Q dy)/D over the common denominator
 D = xy(1-x)(1-y)(1-xy), so wedge products and the integrability
 condition reduce to polynomial identities.
 
@@ -20,6 +21,7 @@ connection form Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y
 is derived from the coordinate expressions at import time.
 """
 
+from .models import ab_model
 from .rationals import ONE as Q_ONE, qq
 from .rings import accumulate
 from .words import shuffle_words
@@ -38,68 +40,25 @@ class BarError(ValueError):
 
 # -- exact two-variable polynomials ------------------------------------
 
-
-class Poly2:
-    """Sparse polynomial in x, y with rational coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {k: v for k, v in (c or {}).items() if v}
-
-    def add(self, other):
-        return Poly2(accumulate(dict(self.c), other.c.items()))
-
-    def neg(self):
-        return Poly2({k: -v for k, v in self.c.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def mul(self, other):
-        pairs = (
-            ((i + p, j + q), v * w)
-            for (i, j), v in self.c.items()
-            for (p, q), w in other.c.items()
-        )
-        return Poly2(accumulate({}, pairs))
-
-    def scale(self, s):
-        return Poly2({k: s * v for k, v in self.c.items()})
-
-    def is_zero(self):
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-
-def _poly_prod(*ps):
-    out = Poly2({(0, 0): 1})
-    for p in ps:
-        out = out.mul(p)
-    return out
-
-
-_PX = Poly2({(1, 0): 1})
-_PY = Poly2({(0, 1): 1})
-_P1 = Poly2({(0, 0): 1})
-_OMX = _P1.sub(_PX)
-_OMY = _P1.sub(_PY)
-_OMXY = _P1.sub(_PX.mul(_PY))
+# x^i y^j is the word X0^i X1^j of the commutative quotient; the
+# numerators have degree at most 5, so their wedges have degree at most 10.
+_AB = ab_model(10)
+_PX = _AB.letter("X0")
+_PY = _AB.letter("X1")
+_P0 = _AB.zero()
+_OMX = _AB.one().sub(_PX)
+_OMY = _AB.one().sub(_PY)
+_OMXY = _AB.one().sub(_AB.mul(_PX, _PY))
 
 # (P, Q) numerators of each letter over D = xy(1-x)(1-y)(1-xy).
 FORM_NUMERATORS = {
-    A0: (_poly_prod(_PY, _OMX, _OMY, _OMXY), Poly2()),
-    A1: (_poly_prod(_PX, _PY, _OMY, _OMXY), Poly2()),
-    B0: (Poly2(), _poly_prod(_PX, _OMX, _OMY, _OMXY)),
-    B1: (Poly2(), _poly_prod(_PX, _PY, _OMX, _OMXY)),
+    A0: (_AB.mul(_PY, _OMX, _OMY, _OMXY), _P0),
+    A1: (_AB.mul(_PX, _PY, _OMY, _OMXY), _P0),
+    B0: (_P0, _AB.mul(_PX, _OMX, _OMY, _OMXY)),
+    B1: (_P0, _AB.mul(_PX, _PY, _OMX, _OMXY)),
     G: (
-        _poly_prod(_PX, _PY, _PY, _OMX, _OMY),
-        _poly_prod(_PX, _PX, _PY, _OMX, _OMY),
+        _AB.mul(_PX, _PY, _PY, _OMX, _OMY),
+        _AB.mul(_PX, _PX, _PY, _OMX, _OMY),
     ),
 }
 
@@ -108,7 +67,7 @@ def wedge(i, j):
     """Numerator of form_i ^ form_j over D^2, as a multiple of dx^dy."""
     pi, qi = FORM_NUMERATORS[i]
     pj, qj = FORM_NUMERATORS[j]
-    return pi.mul(qj).sub(qi.mul(pj))
+    return _AB.mul(pi, qj).sub(_AB.mul(qi, pj))
 
 
 WEDGE = {(i, j): wedge(i, j) for i in range(5) for j in range(5)}
@@ -124,14 +83,14 @@ def _derive_dual_table():
     """
     # Coefficient forms in model letter order: index -> (P, Q) over D.
     omega = {
-        0: (Poly2(), _poly_prod(_PX, _PY, _OMX, _OMXY).neg()),  # X34: dy/(y-1)
-        1: (Poly2(), _poly_prod(_PX, _OMX, _OMY, _OMXY)),  # X45: dy/y
+        0: (_P0, _AB.mul(_PX, _PY, _OMX, _OMXY).neg()),  # X34: dy/(y-1)
+        1: (_P0, _AB.mul(_PX, _OMX, _OMY, _OMXY)),  # X45: dy/y
         2: (  # X24: (y dx + x dy)/(xy-1)
-            _poly_prod(_PX, _PY, _PY, _OMX, _OMY).neg(),
-            _poly_prod(_PX, _PX, _PY, _OMX, _OMY).neg(),
+            _AB.mul(_PX, _PY, _PY, _OMX, _OMY).neg(),
+            _AB.mul(_PX, _PX, _PY, _OMX, _OMY).neg(),
         ),
-        3: (_poly_prod(_PY, _OMX, _OMY, _OMXY), Poly2()),  # X12: dx/x
-        4: (_poly_prod(_PX, _PY, _OMY, _OMXY).neg(), Poly2()),  # X23: dx/(x-1)
+        3: (_AB.mul(_PY, _OMX, _OMY, _OMXY), _P0),  # X12: dx/x
+        4: (_AB.mul(_PX, _PY, _OMY, _OMXY).neg(), _P0),  # X23: dx/(x-1)
     }
     table = {}
     for letter in range(5):
@@ -268,10 +227,9 @@ def check_integrability(e):
     acc = {}
     for w, c in e.terms.items():
         for pos in range(len(w) - 1):
-            key = (pos, w[:pos], w[pos + 2 :])
-            cur = acc.get(key, Poly2())
-            acc[key] = cur.add(WEDGE[(w[pos], w[pos + 1])].scale(c))
-    return all(p.is_zero() for p in acc.values())
+            table = acc.setdefault((pos, w[:pos], w[pos + 2 :]), {})
+            accumulate(table, ((m, c * v) for m, v in WEDGE[(w[pos], w[pos + 1])].terms.items()))
+    return not any(acc.values())
 
 
 # -- l-elements from the differential equations -------------------------

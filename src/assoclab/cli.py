@@ -199,6 +199,9 @@ def cmd_verify(args):
             for psi in dmr.solve_dmr0(d):
                 ok = ok and dmr.check_binomial_sums(psi)
         checks["binomial_sums_on_lie_generators"] = ok
+        # meta_abelian supplies the constant 1 itself, so no check above reads phi's
+        if phi.constant_term() != 1:
+            checks = dict.fromkeys(checks, False)
     elif args.what == "hexagon":
         ok = [False, False]
         # the two sides' constant terms agree only when phi's is 1 (at 0 it has no inverse)
@@ -244,8 +247,13 @@ def cmd_dmr(args):
         }
         return {"dims_computed": True}, {"dims": dims}
     if args.dmr_command == "bracket":
+        from .series import is_lie
+
         lhs = _load_series(args.lhs)
         rhs = _load_series(args.rhs)
+        for path, s in ((args.lhs, lhs), (args.rhs, rhs)):
+            if not is_lie(s):
+                raise InputError("%s is not a Lie series" % path)
         total = lhs.trunc + rhs.trunc
         lhs = _widen(lhs, total)
         rhs = _widen(rhs, total)
@@ -338,6 +346,10 @@ def cmd_group_law(args):
 
     lhs = _load_series(args.lhs)
     rhs = _load_series(args.rhs)
+    if lhs.trunc != rhs.trunc:
+        raise InputError(
+            "%s has degree %d but %s has degree %d" % (args.lhs, lhs.trunc, args.rhs, rhs.trunc)
+        )
     if rhs.constant_term() != 1:
         raise InputError("%s has no inverse: its constant term is not 1" % args.rhs)
     out = group_law(lhs, rhs)

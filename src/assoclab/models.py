@@ -1,13 +1,17 @@
 """PBW models of the two braid enveloping algebras and of QQ[[x0, x1]].
 
 Both algebras split as (free fiber Lie algebra) acted on by a free base
-Lie algebra, plus (for the four-strand algebra) a central element.  The
-normal-form basis is fiber-word . base-word . center-power and the only
-rewriting rule moves a base letter right past a fiber letter:
+Lie algebra, plus (for the four-strand algebra) a central element, so
+their enveloping algebras are Hopf smash products U(fiber) # U(base)
+(Molnar, J. Algebra 47, 1977).  The normal-form basis is
+fiber-word . base-word . center-power, and a base word b moves right
+past a fiber word f as
 
-    u.v -> v.u + [u, v]        ([u, v] lands in the fiber)
+    b.f = sum (b' |> f) . b''        (b' |> f lands in the fiber)
 
-with the central letter commuting with everything.  Straightening is
+over the shuffle coproduct b' (x) b'' of b, where |> is the action of
+base words on fiber words (`action`), the one place the brackets enter.
+The central letter commutes with everything.  Straightening is
 memoized per model name and shared across coefficient rings because all
 bracket coefficients are integers; the memo is keyed by the core of a
 word, what is left between its leading fiber letters and its trailing
@@ -105,7 +109,8 @@ class PBWModel:
         stays in front and a trailing run of base letters stays behind,
         since each of these is already where the normal form puts it.
         Only the core in between, from its first base letter to its last
-        fiber letter, is straightened, and the memo is keyed by it.
+        fiber letter, is straightened, by the smash product, and the memo
+        is keyed by it.
         """
         cls = self.classes
         tail = tuple(x for x in word if cls[x] == CENTER)
@@ -125,17 +130,29 @@ class PBWModel:
         return table
 
     def _straighten_core(self, core):
-        """Straighten a word with no central letter at its first base-fiber pair."""
+        """Straighten a core b.f.rest, b its leading base run and f the fiber
+        run after it, by the smash product
+
+            b.f.rest = sum (b' |> f) . normal(b''.rest)
+
+        over the splits of b's positions into two subsequences b', b''.
+        """
         cls = self.classes
-        for i in range(len(core) - 1):
-            u, v = core[i], core[i + 1]
-            if cls[u] > cls[v]:
-                out = dict(self._straighten(core[:i] + (v, u) + core[i + 2 :]))
-                for mid, m in self.brackets.get((u, v), {}).items():
-                    rep = core[:i] + mid + core[i + 2 :]
-                    accumulate(out, ((w, m * m2) for w, m2 in self._straighten(rep).items()))
-                return out
-        return {core: 1}
+        i = 0
+        while i < len(core) and cls[core[i]] == BASE:
+            i += 1
+        j = i
+        while j < len(core) and cls[core[j]] == FIBER:
+            j += 1
+        b, f, rest = core[:i], core[i:j], core[j:]
+        out = {}
+        for mask in range(1 << len(b)):
+            b1 = tuple(x for p, x in enumerate(b) if mask >> p & 1)
+            b2 = tuple(x for p, x in enumerate(b) if not mask >> p & 1)
+            acted = self.action(b1, f) if b1 else {f: 1}
+            after = self._straighten(b2 + rest) if rest else {b2: 1}
+            accumulate(out, ((u + w, m * n) for u, m in acted.items() for w, n in after.items()))
+        return out
 
     def is_normal(self, word):
         cls = self.classes

@@ -12,7 +12,6 @@ from assoclab.barcx import (
     BarElement,
     BarError,
     M05_DUAL,
-    Poly2,
     WEDGE,
     bar_one,
     build_l,
@@ -64,14 +63,6 @@ def paired(phi5):
 
 
 # -- polynomials and the dual table ----------------------------------------
-
-
-def test_poly2_arithmetic():
-    x = Poly2({(1, 0): 1})
-    one = Poly2({(0, 0): 1})
-    p = one.sub(x).mul(one.add(x))
-    assert p == one.sub(x.mul(x))
-    assert p.mul(Poly2({})) == Poly2({})
 
 
 def test_wedge_antisymmetry():

@@ -123,9 +123,38 @@ def test_constant_term_other_than_one(capsys, tmp_path):
     code, out = run(capsys, ["verify", "hexagon", "--phi", str(path), "--report", "json"])
     assert code == 1
     assert json.loads(out)["checks"] == {"hexagon_one_zero": False, "hexagon_two_zero": False}
+    # the gamma checks read phi through its meta-abelian part, whose constant is always 1
+    code, out = run(capsys, ["verify", "gamma", "--phi", str(path), "--report", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 4 and not any(checks.values())
     assert main(["group-law", "--lhs", str(DATA / "phi4.series"), "--rhs", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "constant term" in err
+
+
+def test_group_law_rejects_two_truncations(capsys, tmp_path):
+    phi4 = from_text((DATA / "phi4.series").read_text())
+    path = tmp_path / "phi4-at-5.series"
+    path.write_text(to_text(widen(phi4, 5)))
+    assert main(["group-law", "--lhs", str(DATA / "phi4.series"), "--rhs", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "degree 4" in err and "degree 5" in err
+
+
+def test_dmr_bracket_rejects_non_lie_input(capsys, tmp_path):
+    word = 'alphabet: X0 X1\ndegree: 2\n"X0.X1" 1/1\n'
+    pairs = [(word, word + '"X1" 1/1\n')]
+    phi4 = from_text((DATA / "phi4.series").read_text())
+    pairs.append((to_text(phi4), to_text(widen(phi4, 5))))
+    for lhs, rhs in pairs:
+        lhs_path, rhs_path = tmp_path / "lhs.series", tmp_path / "rhs.series"
+        lhs_path.write_text(lhs)
+        rhs_path.write_text(rhs)
+        argv = ["dmr", "bracket", "--lhs", str(lhs_path), "--rhs", str(rhs_path), "--check"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "not a Lie series" in err
 
 
 @pytest.mark.parametrize("names", [("X1", "X0"), ("A", "B"), ("Y1", "Y2"), ("X0", "X1", "X2")])

@@ -5,6 +5,7 @@ import pytest
 from assoclab.lab import solve_pentagon
 from assoclab.lie import lyndon_words, standard_factorization
 from assoclab.models import (
+    A4_BRACKETS,
     A4_CLASSES,
     A4_LETTERS,
     FIVE_CYCLE,
@@ -25,9 +26,10 @@ from assoclab.models import (
     pentagon_arguments,
     tau_images,
 )
+from assoclab.presented import Presentation
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS, QuadraticExtension
-from assoclab.series import ConstantTermError, Series, one, substitute
+from assoclab.series import ConstantTermError, Series, SeriesAlgebra, one, substitute
 from assoclab.words import Alphabet, X_ALPHABET
 
 from support import random_group_like, random_lie_mixed, random_series
@@ -238,6 +240,57 @@ def test_tau_kills_the_center():
     assert apply_tau(g["c"], m5).is_zero()
     images = tau_images(m5)
     assert len(images) == len(m4.alphabet)
+
+
+# -- products against the presented algebras --------------------------------
+
+
+def normal_products(model):
+    """The words u.v for normal words u, v of total degree at most model.trunc."""
+    normal = [
+        w
+        for d in range(model.trunc + 1)
+        for w in model.alphabet.words_of_degree(d)
+        if model.is_normal(w)
+    ]
+    return {u + v for u in normal for v in normal if len(u) + len(v) <= model.trunc}
+
+
+def presented_disagreements(model, name):
+    """The products u.v whose word and whose model normal form differ in the
+    builtin presentation `name`, which shares no code with the models.
+
+    A model letter maps to the generator of its name; the central c of the
+    four-strand model maps to the sum of the six generators.
+    """
+    pres = Presentation.builtin(name)
+    target = SeriesAlgebra(pres.full_alphabet, model.trunc)
+    total = target.zero()
+    for g in pres.generator_names:
+        total = total.add(target.letter(g))
+    images = [total if x == "c" else target.letter(x) for x in model.alphabet.names]
+    bad = []
+    for w in normal_products(model):
+        word = Series(model.alphabet, model.trunc, RATIONALS, {w: qq(1)})
+        lhs = pres.normal_form(substitute(word, images, target))
+        if lhs != pres.normal_form(substitute(model.normalize(word), images, target)):
+            bad.append(w)
+    return bad
+
+
+def test_a4_products_agree_with_the_presentation():
+    assert presented_disagreements(a4_model(4), "a4") == []
+
+
+def test_p5_products_agree_with_the_presentation():
+    assert presented_disagreements(p5_model(5), "p5") == []
+
+
+def test_presentation_catches_a_wrong_bracket():
+    brackets = dict(A4_BRACKETS)
+    brackets[(3, 0)] = {w: -m for w, m in brackets[(3, 0)].items()}
+    m = PBWModel("a4, [t12, t14] negated", Alphabet(A4_LETTERS), A4_CLASSES, brackets, 3)
+    assert presented_disagreements(m, "a4")
 
 
 # -- bracket evaluation against the word path --------------------------------
