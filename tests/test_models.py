@@ -278,12 +278,9 @@ def presented_disagreements(model, name):
     return bad
 
 
-def test_a4_products_agree_with_the_presentation():
-    assert presented_disagreements(a4_model(4), "a4") == []
-
-
-def test_p5_products_agree_with_the_presentation():
-    assert presented_disagreements(p5_model(5), "p5") == []
+@pytest.mark.parametrize("model", [a4_model(4), p5_model(5)], ids=["a4", "p5"])
+def test_products_agree_with_the_presentation(model):
+    assert presented_disagreements(model, model.name) == []
 
 
 def test_presentation_catches_a_wrong_bracket():
