@@ -3,9 +3,10 @@
 Bar elements are linear combinations of tensor words in logarithmic
 1-forms: a0 = dx/x, a1 = dx/(1-x), b0 = dy/y, b1 = dy/(1-y) and
 g = (y dx + x dy)/(1-xy) on the two-variable space, or w0 = dz/z and
-w1 = dz/(z-1) on the one-variable space.  Words are stored left to
-right, [w_{i_m}|...|w_{i_1}], matching the left-to-right order of the
-dual monomials.
+w1 = dz/(z-1) on the one-variable space.  They are Series over these
+letters, and their product is the shuffle product.  Words are stored
+left to right, [w_{i_m}|...|w_{i_1}], matching the left-to-right order
+of the dual monomials.
 
 Every 1-form is represented exactly as a pair of polynomial numerators
 (P, Q), series of the commutative quotient `models.ab_model`, with
@@ -23,8 +24,9 @@ is derived from the coordinate expressions at import time.
 
 from .models import ab_model
 from .rationals import ONE as Q_ONE, qq
-from .rings import accumulate
-from .words import shuffle_words
+from .rings import RATIONALS, accumulate
+from .series import Series
+from .words import Alphabet
 from .yside import stuffle_terms, x_word
 
 A0, A1, B0, B1, G = range(5)
@@ -112,103 +114,31 @@ M05_DUAL = _derive_dual_table()
 
 # -- bar elements -------------------------------------------------------
 
+M05 = Alphabet(M05_NAMES)
+M04 = Alphabet(M04_NAMES)
+_SPACES = {"m05": M05, "m04": M04}
 
-class BarElement:
-    """Linear combination of tensor words in logarithmic 1-forms."""
 
-    __slots__ = ("space", "terms")
+class BarElement(Series):
+    """A bar element of the space "m05" or "m04": a rational Series over
+    its 1-forms, truncated at its weight.  Every letter is a 1-form, so
+    the weight is the length of the longest word and no term is dropped."""
 
-    def __init__(self, space, terms=None, _clean=False):
-        if space not in ("m04", "m05"):
+    __slots__ = ()
+
+    def __init__(self, space, terms):
+        if space not in _SPACES:
             raise BarError("unknown space %r" % space)
-        self.space = space
-        if _clean:
-            self.terms = terms
-        else:
-            self.terms = {w: c for w, c in (terms or {}).items() if c}
-
-    def add(self, other):
-        if self.space != other.space:
-            raise BarError("space mismatch")
-        out = accumulate(dict(self.terms), other.terms.items())
-        return BarElement(self.space, out, _clean=True)
-
-    def neg(self):
-        return BarElement(
-            self.space, {w: -c for w, c in self.terms.items()}, _clean=True
-        )
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, s):
-        if s == 0:
-            return BarElement(self.space, {}, _clean=True)
-        return BarElement(
-            self.space, {w: s * c for w, c in self.terms.items()}, _clean=True
-        )
+        terms = {w: c for w, c in terms.items() if c}
+        trunc = max(map(len, terms), default=0)
+        super().__init__(_SPACES[space], trunc, RATIONALS, terms, _clean=True)
 
     def shuffle(self, other):
-        """Product dual to deconcatenation: shuffle of the tensor words."""
-        if self.space != other.space:
-            raise BarError("space mismatch")
-        out = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                c = cu * cv
-                accumulate(out, ((w, c * m) for w, m in shuffle_words(u, v).items()))
-        return BarElement(self.space, out, _clean=True)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BarElement)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return "BarElement(%r, %d terms)" % (self.space, len(self.terms))
-
-
-def bar_zero(space="m05"):
-    return BarElement(space, {}, _clean=True)
-
-
-def bar_one(space="m05"):
-    return BarElement(space, {(): Q_ONE}, _clean=True)
-
-
-def format_bar(e):
-    """One line per term: `coeff [letter|letter|...]`, deterministic order."""
-    names = M05_NAMES if e.space == "m05" else M04_NAMES
-    lines = []
-    for w in sorted(e.terms, key=lambda w: (len(w), w)):
-        body = "|".join(names[i] for i in w)
-        lines.append("%s [%s]" % (e.terms[w], body))
-    return "\n".join(lines)
-
-
-def parse_bar(text, space="m05"):
-    from .rationals import parse_rational
-
-    names = M05_NAMES if space == "m05" else M04_NAMES
-    index = {n: i for i, n in enumerate(names)}
-    terms = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        ctext, wtext = ln.split(None, 1)
-        wtext = wtext.strip()
-        if not (wtext.startswith("[") and wtext.endswith("]")):
-            raise BarError("malformed bar term %r" % ln)
-        body = wtext[1:-1]
-        w = tuple(index[n] for n in body.split("|")) if body else ()
-        terms[w] = terms.get(w, 0) + parse_rational(ctext)
-    return BarElement(space, terms)
+        """Product dual to deconcatenation: the shuffle product, at the sum
+        of the two weights."""
+        n = self.trunc + other.trunc
+        a, b = (Series(e.alphabet, n, e.ring, e.terms, _clean=True) for e in (self, other))
+        return a.shuffle_mul(b)
 
 
 # -- integrability ------------------------------------------------------
@@ -222,7 +152,7 @@ def check_integrability(e):
     the wedge numerators summed exactly.  The one-variable space has no
     nonzero 2-forms, so every element there is integrable.
     """
-    if e.space == "m04":
+    if e.alphabet == M04:
         return True
     acc = {}
     for w, c in e.terms.items():
@@ -261,20 +191,19 @@ def build_l(a, tag):
             for letter in sub[ch]:
                 nxt[w + (letter,)] = c
         words = nxt
-    return BarElement("m05", words, _clean=True)
+    return BarElement("m05", words)
 
 
 def build_l_m04(a):
     """Bar element of l_a on the one-variable space, with the (-1)^{dp} sign."""
     a = tuple(a)
     sign = qq(-1 if len(a) % 2 else 1)
-    return BarElement("m04", {x_word(a): sign}, _clean=True)
+    return BarElement("m04", {x_word(a): sign})
 
 
-def _prepend(heads, e):
-    """Sum of sign * [letter| e ] over (letter, sign) pairs."""
-    pairs = (((letter,) + w, sign * c) for letter, sign in heads for w, c in e.terms.items())
-    return BarElement("m05", accumulate({}, pairs), _clean=True)
+def _prepend(out, heads, e):
+    """Add sign * [letter| e ] into the terms out, over (letter, sign) pairs."""
+    accumulate(out, (((letter,) + w, sign * c) for letter, sign in heads for w, c in e.terms.items()))
 
 
 _L2_CACHE = {}
@@ -296,23 +225,24 @@ def build_l2(a, b):
     except KeyError:
         pass
     k, l = len(a), len(b)
-    e = bar_zero()
+    terms = {}
     # terms with dx: d/dx Li_{a,b}
     if a[-1] != 1:
-        e = e.add(_prepend(((A0, 1),), build_l2(a[:-1] + (a[-1] - 1,), b)))
+        _prepend(terms, ((A0, 1),), build_l2(a[:-1] + (a[-1] - 1,), b))
     else:
         first = build_l2(a[:-1], b) if k > 1 else build_l(b, "y")
-        e = e.add(_prepend(((A1, 1),), first))
+        _prepend(terms, ((A1, 1),), first)
         merged = a[:-1] + (b[0],)
         second = build_l2(merged, b[1:]) if l > 1 else build_l(merged, "xy")
-        e = e.add(_prepend(((A0, -1), (A1, -1)), second))
+        _prepend(terms, ((A0, -1), (A1, -1)), second)
     # terms with dy: d/dy Li_{a,b}
     if b[-1] != 1:
-        e = e.add(_prepend(((B0, 1),), build_l2(a, b[:-1] + (b[-1] - 1,))))
+        _prepend(terms, ((B0, 1),), build_l2(a, b[:-1] + (b[-1] - 1,)))
     elif l > 1:
-        e = e.add(_prepend(((B1, 1),), build_l2(a, b[:-1])))
+        _prepend(terms, ((B1, 1),), build_l2(a, b[:-1]))
     else:
-        e = e.add(_prepend(((B1, 1),), build_l(a, "xy")))
+        _prepend(terms, ((B1, 1),), build_l(a, "xy"))
+    e = BarElement("m05", terms)
     if not check_integrability(e):
         raise BarError("two-variable element failed integrability: %r" % (key,))
     _L2_CACHE[key] = e
@@ -324,13 +254,9 @@ _SWAP = {A0: B0, A1: B1, B0: A0, B1: A1, G: G}
 
 def swap_xy(e):
     """Exchange the roles of the two coordinates: a-letters <-> b-letters."""
-    if e.space != "m05":
+    if e.alphabet != M05:
         raise BarError("swap_xy acts on the two-variable space")
-    return BarElement(
-        "m05",
-        {tuple(_SWAP[i] for i in w): c for w, c in e.terms.items()},
-        _clean=True,
-    )
+    return BarElement("m05", {tuple(_SWAP[i] for i in w): c for w, c in e.terms.items()})
 
 
 def build_l2_yx(a, b):
@@ -343,15 +269,16 @@ def build_l2_yx(a, b):
 
 def series_shuffle_rhs(a, b):
     """Right-hand side of the series shuffle formula for l^x_a . l^y_b."""
-    rhs = bar_zero()
+    terms = {}
     for (pair, tag, full) in stuffle_terms(a, b):
         if tag == "xy":
-            rhs = rhs.add(build_l(full, "xy"))
+            e = build_l(full, "xy")
         elif tag == "x,y":
-            rhs = rhs.add(build_l2(pair[0], pair[1]))
+            e = build_l2(pair[0], pair[1])
         else:
-            rhs = rhs.add(build_l2_yx(pair[0], pair[1]))
-    return rhs
+            e = build_l2_yx(pair[0], pair[1])
+        accumulate(terms, e.terms.items())
+    return BarElement("m05", terms)
 
 
 def check_series_shuffle_bar(a, b):
@@ -372,7 +299,7 @@ def pair_p5(e, g):
     the connection form.  Integrability of e makes the value independent
     of the lift.
     """
-    if e.space != "m05":
+    if e.alphabet != M05:
         raise BarError("pair_p5 expects a two-variable element")
     ring = g.ring
     total = ring.zero
@@ -390,7 +317,7 @@ def pair_p5(e, g):
 
 def pair_m04(e, g):
     """Pair a one-variable bar element with a series over X0, X1."""
-    if e.space != "m04":
+    if e.alphabet != M04:
         raise BarError("pair_m04 expects a one-variable element")
     ring = g.ring
     total = ring.zero

@@ -404,9 +404,22 @@ def emit(args, checks, extras):
     return 0 if passed else 1
 
 
+def _attach_c2(argv):
+    """argv with "--c2 -2/5" joined into "--c2=-2/5".  argparse takes a
+    token that starts with "-" and is not a plain negative number for an
+    option, which would leave --c2 without its value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--c2" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = "--c2=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_c2(sys.argv[1:] if argv is None else argv))
     for name, default in (("report", "text"), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, default)

@@ -18,11 +18,9 @@ from .rings import RATIONALS, accumulate
 from .lie import lie_basis
 from .series import (
     Series,
-    SeriesAlgebra,
     is_lie,
     one,
     primitive_tensor,
-    substitute,
     tensor,
     tensor_alphabet,
     tensor_pairs,
@@ -171,16 +169,6 @@ def x_decomposition(f):
         xs = Series(f.alphabet, f.trunc, f.ring, part, _clean=True)
         comps.append(pi_y(xs))
     return p, comps
-
-
-def _recompose(p, comps, trunc, ring=RATIONALS):
-    x0 = Series(X_ALPHABET, trunc, ring, {(0,): ring.one})
-    out = zero(X_ALPHABET, trunc, ring)
-    power = one(X_ALPHABET, trunc, ring)
-    for i in range(p + 1):
-        out = out.add(embed_y(comps[i]).mul(power))
-        power = power.mul(x0)
-    return out
 
 
 def _y_letter(n, trunc, ring=RATIONALS):
@@ -353,23 +341,6 @@ def u_generators(trunc, ring=RATIONALS):
     )
     logarithm = one(ya, trunc, ring).add(total).log()
     return [logarithm.degree_part(i) for i in range(1, trunc + 1)]
-
-
-def partial_u(i, w):
-    """Coefficient of the single generator U_i in the expansion of w.
-
-    The Y-letters are rewritten through 1 + sum Y_n = exp(sum U_n) and
-    the coefficient of the length-one word U_i is read off.
-    """
-    trunc = w.trunc
-    ring = w.ring
-    ya = y_alphabet(trunc)
-    expo = Series(ya, trunc, ring, {(j,): ring.one for j in range(len(ya))})
-    expanded = expo.exp()
-    images = [expanded.degree_part(n) for n in range(1, trunc + 1)]
-    target = SeriesAlgebra(ya, trunc, ring)
-    rewritten = substitute(w, images, target)
-    return rewritten.coefficient((i - 1,))
 
 
 def _weighted_lyndon(weight):

@@ -125,14 +125,6 @@ def check_double_shuffle(phi):
 # -- indices ----------------------------------------------------------
 
 
-def index_weight(a):
-    return sum(a)
-
-
-def index_depth(a):
-    return len(a)
-
-
 def is_admissible(a):
     return bool(a) and a[-1] > 1
 

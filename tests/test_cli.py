@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from assoclab.cli import main
+from assoclab.rationals import qq
 from assoclab.series import from_text, is_group_like, to_text
 
 from support import random_group_like, widen
@@ -67,6 +68,25 @@ def test_verify_hexagon_with_c2(capsys, tmp_path):
     path = tmp_path / "phi_c2.series"
     assert main(["solve-pentagon", "--degree", "4", "--c2", "1", "-o", str(path)]) == 0
     assert main(["verify", "hexagon", "--phi", str(path)]) == 0
+
+
+def test_negative_c2_as_its_own_argument(capsys, tmp_path):
+    # "--c2 -2/5" is the same request as "--c2=-2/5"
+    outputs = []
+    for i, c2 in enumerate((["--c2", "-2/5"], ["--c2=-2/5"])):
+        path = tmp_path / ("phi%d.series" % i)
+        argv = ["solve-pentagon", "--degree", "3", *c2, "-o", str(path), "--report", "json"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        outputs.append((out, path.read_text()))
+    assert outputs[0] == outputs[1]
+    assert from_text(outputs[0][1]).coefficient((0, 1)) == qq(-2, 5)
+    # a missing or malformed value is still rejected by the parser
+    for c2 in (["--c2", "--degree", "3"], ["--c2", "-x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-pentagon", *c2])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_failing_check_exits_one(capsys, tmp_path):

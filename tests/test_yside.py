@@ -4,6 +4,8 @@ from functools import lru_cache
 import pytest
 
 from assoclab import yside
+from assoclab.lab import solve_pentagon
+from assoclab.lie import lie_basis
 from assoclab.models import tensor_model
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
@@ -219,14 +221,35 @@ def test_check_double_shuffle_fails_generically(phi5):
     assert not yside.check_double_shuffle(generic)
 
 
+# -- mutation: a group-like perturbation breaks double shuffle ---------------
+
+
+@pytest.fixture(scope="module")
+def phi4():
+    return solve_pentagon(4)["phi"]
+
+
+LIE_BASIS_4 = lie_basis(X_ALPHABET, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "lie", [e for _, e in LIE_BASIS_4], ids=[X_ALPHABET.format_word(lw) for lw, _ in LIE_BASIS_4]
+)
+def test_perturbed_solution_fails_double_shuffle(phi4, lie):
+    # dim dmr_0 = 0 in degree 4, so phi4 exp(L/3) stays group-like for the
+    # shuffle coproduct but fails Delta_* for every Lyndon element L
+    assert yside.check_double_shuffle(phi4)
+    phi = phi4.mul(lie.scale(qq(1, 3)).exp())
+    assert is_group_like(phi)
+    assert not yside.check_double_shuffle(phi)
+
+
 # -- indices and coefficient functionals ----------------------------------
 
 
 def test_index_word_roundtrip():
     for a in all_indices(5):
         assert yside.word_to_index(yside.index_to_word(a)) == a
-        assert yside.index_weight(a) == sum(a)
-        assert yside.index_depth(a) == len(a)
     assert yside.is_admissible((1, 2))
     assert not yside.is_admissible((2, 1))
 
