@@ -7,6 +7,8 @@ the checkout (the current directory unless --repo is given):
 
 - `assoclab solve-pentagon --degree 8 -o FILE` (the default c2 = 1);
 - `assoclab verify main --phi FILE` on that file;
+- `assoclab dmr dims --max-degree 9`, the Lie-level path that spends its
+  time in the exact echelon;
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds,
@@ -25,6 +27,7 @@ import tempfile
 import time
 
 DEGREE = 8
+DMR_DEGREE = 9
 
 
 def timed(argv, cwd, env):
@@ -72,6 +75,7 @@ def main():
             cli + ["solve-pentagon", "--degree", str(DEGREE), "-o", "phi.series"], tmp, env
         )
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
+        out["dmr_dims"] = timed(cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE)], tmp, env)
     out["tier1"] = timed(
         ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
         repo, env,

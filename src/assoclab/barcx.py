@@ -22,10 +22,12 @@ connection form Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y
 is derived from the coordinate expressions at import time.
 """
 
+from math import lcm
+
 from .models import ab_model
 from .rationals import ONE as Q_ONE, qq
 from .rings import RATIONALS, accumulate
-from .series import Series
+from .series import Series, split_terms
 from .words import Alphabet
 from .yside import stuffle_terms, x_word
 
@@ -144,21 +146,35 @@ class BarElement(Series):
 # -- integrability ------------------------------------------------------
 
 
+def _split_wedges():
+    """WEDGE as integer tables over one common denominator, split once."""
+    split = {key: split_terms(p.terms, RATIONALS) for key, p in WEDGE.items()}
+    common = lcm(*(den for den, _ in split.values()))
+    return {
+        key: [(m, v * (common // den)) for m, v in tables.get(0, {}).items()]
+        for key, (den, tables) in split.items()
+    }
+
+
+_WEDGE_INT = _split_wedges()
+
+
 def check_integrability(e):
     """Slot-wise vanishing of the adjacent wedge contractions.
 
     For each slot j the sum of c_I [..|w_{i_{j+1}} ^ w_{i_j}|..] must be
     zero; terms are grouped by slot position and surrounding word and
-    the wedge numerators summed exactly.  The one-variable space has no
-    nonzero 2-forms, so every element there is integrable.
+    the wedge numerators summed over the integers, on the split of e and
+    of the wedges.  The one-variable space has no nonzero 2-forms, so
+    every element there is integrable.
     """
     if e.alphabet == M04:
         return True
     acc = {}
-    for w, c in e.terms.items():
+    for w, c in split_terms(e.terms, e.ring)[1].get(0, {}).items():
         for pos in range(len(w) - 1):
             table = acc.setdefault((pos, w[:pos], w[pos + 2 :]), {})
-            accumulate(table, ((m, c * v) for m, v in WEDGE[(w[pos], w[pos + 1])].terms.items()))
+            accumulate(table, ((m, c * v) for m, v in _WEDGE_INT[(w[pos], w[pos + 1])]))
     return not any(acc.values())
 
 

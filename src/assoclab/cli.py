@@ -2,7 +2,8 @@
 
 Subcommands orchestrate the solvers and verifier suites and emit
 deterministic reports.  Exit code 0 means every requested check passed
-exactly, 1 means some check failed, 2 means malformed input.
+exactly, 1 means some check failed, 2 means malformed input, 3 means
+the run ran out of memory.
 """
 
 import argparse
@@ -428,6 +429,9 @@ def main(argv=None):
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     return emit(args, checks, extras)
 
 

@@ -9,9 +9,11 @@ complete for homogeneous ideals because every two-sided ideal element
 u.r.v lies in letters.I_{d-1} once u is nonempty.
 """
 
+from math import gcd
+
 from .rationals import ONE, QQ, qq, parse_rational
 from .rings import RATIONALS, accumulate
-from .series import Series
+from .series import Series, split_terms
 from .words import Alphabet
 
 
@@ -19,39 +21,69 @@ class PresentationError(ValueError):
     pass
 
 
-def echelon(rows):
-    """Insertion echelon over the rationals; returns pivot -> monic row.
+def _primitive(row):
+    """row divided by the gcd of its entries: a primitive integer row."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
-    Rows are sparse coordinate -> coeff tables.  Coordinates are compared
-    by their natural order; the pivot set is the leading-coordinate set of
-    the row space, hence canonical.
+
+def _eliminate(row, k, pivot):
+    """a.row - b.pivot, with a : b = pivot[k] : row[k] in lowest terms, so
+    coordinate k cancels; made primitive."""
+    a, b = pivot[k], row[k]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        x = row.get(j, 0) - b * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]  # b * v is nonzero, so a zero sum means j was in row
+    return _primitive(row) if row else row
+
+
+def echelon(rows):
+    """Insertion echelon over the integers; returns pivot -> primitive row.
+
+    Rows are sparse coordinate -> rational coeff tables.  Each is scaled
+    once to a primitive integer row (by the least common denominator of
+    its entries, then the gcd of the numerators), and a lead coordinate
+    that is already a pivot is eliminated by cross-multiplication, so no
+    rational is built.  Coordinates are compared by their natural order;
+    the pivot set is the leading-coordinate set of the row space, hence
+    canonical.
     """
     pivots = {}
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
+        row = split_terms(row, RATIONALS)[1].get(0)
         while row:
             lead = min(row)
             if lead not in pivots:
+                pivots[lead] = _primitive(row)
                 break
-            c = -row.pop(lead)
-            accumulate(row, ((k, c * v) for k, v in pivots[lead].items() if k != lead))
-        if row:
-            lead = min(row)
-            c = ONE / row[lead]
-            pivots[lead] = {k: c * v for k, v in row.items()}
+            row = _eliminate(row, lead, pivots[lead])
     return pivots
 
 
 def solve_pivots(pivots):
-    """Fully back-substitute so each pivot row mentions no other pivot coord."""
+    """Fully back-substitute over the integers, so each pivot row mentions
+    no other pivot coord, then make each row monic: pivot -> rational row.
+
+    The result is the reduced row echelon form of the row space, which is
+    unique, so it does not depend on the scaling of the integer rows.
+    """
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for k in sorted(row):
-            if k == lead or k not in pivots:
-                continue
-            c = -row.pop(k)
-            # pivots[k] has k > lead, so it is already fully solved
-            accumulate(row, ((k2, c * v) for k2, v in pivots[k].items() if k2 != k))
+            if k != lead and k in pivots:
+                # pivots[k] has k > lead, so it is already fully solved
+                row = _eliminate(row, k, pivots[k])
+        pivots[lead] = row
+    for lead, row in pivots.items():
+        c = row[lead]
+        pivots[lead] = {k: QQ(v, c) for k, v in row.items()}
     return pivots
 
 

@@ -18,6 +18,7 @@ model products run on it.
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import product
 from math import factorial, lcm
 
 from .rationals import QQ, qq, format_rational, parse_rational
@@ -56,11 +57,7 @@ class Series:
             self.terms = terms
         else:
             deg = alphabet.degree
-            self.terms = {
-                w: c
-                for w, c in terms.items()
-                if deg(w) <= trunc and c
-            }
+            self.terms = {w: c for w, c in terms.items() if deg(w) <= trunc and c}
 
     # -- basic queries ------------------------------------------------
 
@@ -75,26 +72,16 @@ class Series:
 
     def degree_part(self, d):
         deg = self.alphabet.degree
-        return Series(
-            self.alphabet,
-            self.trunc,
-            self.ring,
-            {w: c for w, c in self.terms.items() if deg(w) == d},
-            _clean=True,
-        )
+        terms = {w: c for w, c in self.terms.items() if deg(w) == d}
+        return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
 
     def truncated(self, n):
         """The same series re-truncated at n <= current truncation."""
         if n > self.trunc:
             raise TruncationMismatch("cannot raise truncation degree")
         deg = self.alphabet.degree
-        return Series(
-            self.alphabet,
-            n,
-            self.ring,
-            {w: c for w, c in self.terms.items() if deg(w) <= n},
-            _clean=True,
-        )
+        terms = {w: c for w, c in self.terms.items() if deg(w) <= n}
+        return Series(self.alphabet, n, self.ring, terms, _clean=True)
 
     def is_zero(self):
         return not self.terms
@@ -130,13 +117,8 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def neg(self):
-        return Series(
-            self.alphabet,
-            self.trunc,
-            self.ring,
-            {w: -c for w, c in self.terms.items()},
-            _clean=True,
-        )
+        terms = {w: -c for w, c in self.terms.items()}
+        return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -187,18 +169,20 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def shuffle_mul(self, other):
-        """Shuffle product (sum over interleavings), truncated."""
+        """Shuffle product (sum over interleavings), truncated, summed over
+        the integers on the kernel's split of both factors."""
         self._check_compatible(other)
-        ring = self.ring
         deg = self.alphabet.degree
+        (dx, px), (dy, py) = (split_terms(f.terms, self.ring) for f in (self, other))
         out = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                if deg(u) + deg(v) > self.trunc:
-                    continue
-                ab = a * b
-                accumulate(out, ((w, ab * ring.embed(m)) for w, m in shuffle_words(u, v).items()))
-        return Series(self.alphabet, self.trunc, ring, out, _clean=True)
+        for (i, a), (j, b) in product(px.items(), py.items()):
+            for k, m in self.ring.basis_product(i, j):
+                table = out.setdefault(k, {})
+                for (u, x), (v, y) in product(a.items(), b.items()):
+                    if deg(u) + deg(v) <= self.trunc:
+                        xy = m * x * y
+                        accumulate(table, ((w, xy * n) for w, n in shuffle_words(u, v).items()))
+        return join_series((dx * dy, integer_parts(out, self)), self._algebra())
 
     # -- exp / log / inverse ------------------------------------------
 
@@ -351,30 +335,43 @@ def tensor_square(s):
     return tensor(s, s)
 
 
-def _nonempty_word_pairs(alphabet, trunc):
-    for d1 in range(1, trunc):
-        for u in alphabet.words_of_degree(d1):
-            for d2 in range(1, trunc - d1 + 1):
-                for v in alphabet.words_of_degree(d2):
-                    yield u, v
+def _shuffle_sums(s, tables):
+    """(u, v, sums) for each unordered pair {u, v} of nonempty words with
+    deg u + deg v <= s.trunc (u ш v = v ш u, so (v, u) gives no new
+    equation): sums[k] is sum m A_k(w) over the terms m.w of u ш v, on
+    the split integer tables A_k of s, nonzero sums only."""
+    deg = s.alphabet.degree
+    words = [w for d in range(1, s.trunc) for w in s.alphabet.words_of_degree(d)]
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            if deg(u) + deg(v) > s.trunc:
+                break
+            shuffle = shuffle_words(u, v).items()
+            sums = ((k, sum(m * a.get(w, 0) for w, m in shuffle)) for k, a in tables.items())
+            yield u, v, {k: c for k, c in sums if c}
 
 
 def is_group_like(s):
     """Delta(phi) == phi (x) phi with constant term 1.
 
     Both the coproduct test and the equivalent shuffle coefficient test
-    are evaluated; disagreement is a bug and raises.
+    are evaluated; disagreement is a bug and raises.  On the split
+    tables of s over one denominator D, c(u) c(v) = sum m c(w) over u ш v
+    reads sum_ij A_i(u) A_j(v) e_i e_j = D sum_k e_k sum m A_k(w).
     """
     ring = s.ring
     by_coproduct = s.constant_term() == ring.one and coproduct(s) == tensor_square(s)
     by_shuffle = s.constant_term() == ring.one
     if by_shuffle:
-        for u, v in _nonempty_word_pairs(s.alphabet, s.trunc):
-            lhs = s.coefficient(u) * s.coefficient(v)
-            rhs = ring.zero
-            for w, m in shuffle_words(u, v).items():
-                rhs = rhs + s.coefficient(w) * ring.embed(m)
-            if lhs != rhs:
+        den, tables = split_terms(s.terms, ring)
+        for u, v, sums in _shuffle_sums(s, tables):
+            lhs = accumulate({}, (
+                (k, a[u] * b[v] * m)
+                for i, a in tables.items() if u in a
+                for j, b in tables.items() if v in b
+                for k, m in ring.basis_product(i, j)
+            ))
+            if lhs != {k: den * c for k, c in sums.items()}:
                 by_shuffle = False
                 break
     if by_coproduct != by_shuffle:
@@ -393,19 +390,13 @@ def primitive_tensor(s):
 
 
 def is_lie(s):
-    """Primitivity up to the truncation degree, with the Friedrichs cross-check."""
-    ring = s.ring
+    """Primitivity up to the truncation degree, with the Friedrichs
+    cross-check on the split tables of s, over unordered pairs of words."""
     if s.constant_term():
         return False
     by_coproduct = coproduct(s) == primitive_tensor(s)
-    by_friedrichs = True
-    for u, v in _nonempty_word_pairs(s.alphabet, s.trunc):
-        c = ring.zero
-        for w, m in shuffle_words(u, v).items():
-            c = c + s.coefficient(w) * ring.embed(m)
-        if c:
-            by_friedrichs = False
-            break
+    tables = split_terms(s.terms, s.ring)[1]
+    by_friedrichs = not any(sums for _, _, sums in _shuffle_sums(s, tables))
     if by_coproduct != by_friedrichs:
         raise AssertionError("primitivity tests disagree")
     return by_coproduct

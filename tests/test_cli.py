@@ -225,6 +225,20 @@ def test_negative_bar_shuffle_weight_exits_two(capsys):
     assert_rejected(capsys, ["bar", "shuffle", "--max-weight", "-1"])
 
 
+def test_out_of_memory_exits_three(capsys, monkeypatch):
+    # a failing check exits 1; running out of memory is reported apart
+    from assoclab import dmr
+
+    def exhausted(degree):
+        raise MemoryError
+
+    monkeypatch.setattr(dmr, "solve_dmr0", exhausted)
+    capsys.readouterr()
+    assert main(["dmr", "dims", "--max-degree", "3", "--report", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
 def test_threads_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "dims", "--algebra", "a4", "--max-degree", "1"])

@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from assoclab.lab import _solve_affine
 from assoclab.models import a4_model, p5_model
-from assoclab.presented import Presentation, PresentationError
+from assoclab.presented import Presentation, PresentationError, echelon, solve_pivots
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
 from assoclab.series import Series
@@ -118,3 +122,126 @@ def test_parse_roundtrip_and_errors():
         Presentation.parse("generators: a b\nrelation: a.nosuch\n")
     with pytest.raises(PresentationError):
         Presentation.parse("generators: a b\nrelation: a.b.a\n")
+
+
+# -- the integer echelon against a plain Fraction Gauss-Jordan oracle ----
+
+
+def gauss_jordan(rows):
+    """Reduced row echelon form by dense Fraction elimination: pivot -> monic row."""
+    coords = sorted({k for row in rows for k in row})
+    matrix = [[Fraction(row.get(k, 0)) for k in coords] for row in rows]
+    top = 0
+    for col in range(len(coords)):
+        hit = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
+        if hit is None:
+            continue
+        matrix[top], matrix[hit] = matrix[hit], matrix[top]
+        lead = matrix[top][col]
+        matrix[top] = [x / lead for x in matrix[top]]
+        for i, row in enumerate(matrix):
+            if i != top and row[col]:
+                f = row[col]
+                matrix[i] = [x - f * y for x, y in zip(row, matrix[top])]
+        top += 1
+    out = {}
+    for row in matrix[:top]:
+        nonzero = {coords[j]: x for j, x in enumerate(row) if x}
+        out[min(nonzero)] = nonzero
+    return out
+
+
+BIG_DENOMINATORS = (10**12 + 39, 10**12 + 37)
+
+
+def random_system(rng, n_rows, n_coords, density=0.4):
+    """Sparse rational rows with zero rows, repeated rows, combinations of
+    earlier rows and entries over large coprime denominators."""
+    rows = []
+    for _ in range(n_rows):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append({})
+        elif pick < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif pick < 0.35 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            p, q = qq(rng.randint(-3, 3), rng.randint(1, 5)), rng.choice(BIG_DENOMINATORS)
+            keys = set(a) | set(b)
+            combo = {k: p * a.get(k, 0) + qq(1, q) * b.get(k, 0) for k in keys}
+            rows.append({k: c for k, c in combo.items() if c})
+        else:
+            row = {}
+            for k in range(n_coords):
+                if rng.random() < density:
+                    den = rng.choice((1, 2, 3, 7) + BIG_DENOMINATORS)
+                    c = qq(rng.randint(-9, 9) * rng.choice((1, 10**9 + 7)), den)
+                    if c:
+                        row[k] = c
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_pivots_matches_gauss_jordan(seed):
+    rng = random.Random(1200 + seed)
+    n_coords = rng.randint(3, 9)
+    rows = random_system(rng, rng.randint(2, 14), n_coords)
+    expected = gauss_jordan(rows)
+    pivots = echelon(rows)
+    assert set(pivots) == set(expected)
+    assert solve_pivots(pivots) == expected
+
+
+def test_solve_pivots_on_tuple_coordinates():
+    rng = random.Random(1299)
+    words = [(a, b) for a in range(3) for b in range(3)]
+    rows = [{words[k]: c for k, c in row.items()} for row in random_system(rng, 12, 9)]
+    assert solve_pivots(echelon(rows)) == gauss_jordan(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_affine_matches_gauss_jordan(seed):
+    # columns over large coprime denominators; the right-hand side is a
+    # combination of the columns (consistent) or moves off it (inconsistent)
+    rng = random.Random(1300 + seed)
+    n = rng.randint(2, 6)
+    words = ["w%d" % i for i in range(n + 3)]
+    columns = [{words[k]: c for k, c in r.items()} for r in random_system(rng, n, len(words))]
+    x = [qq(rng.randint(-4, 4), rng.choice(BIG_DENOMINATORS)) for _ in range(n)]
+    rhs = {}
+    for xi, col in zip(x, columns):
+        for w, c in col.items():
+            rhs[w] = rhs.get(w, 0) + xi * c
+    rhs = {w: c for w, c in rhs.items() if c}
+    if seed % 2:
+        w = rng.choice(words)
+        rhs[w] = rhs.get(w, 0) + qq(1, BIG_DENOMINATORS[0])
+    rows = {}
+    for i, col in enumerate(columns):
+        for w, c in col.items():
+            rows.setdefault(w, {})[i] = c
+    for w, c in rhs.items():
+        rows.setdefault(w, {})[n] = c
+    expected = gauss_jordan([rows[w] for w in sorted(rows)])
+    solved = _solve_affine(columns, rhs, n)
+    if n in expected:
+        assert solved is None
+        return
+    particular, kernel = solved
+    assert particular == [expected[p].get(n, 0) if p in expected else 0 for p in range(n)]
+    assert len(kernel) == n - len(expected)
+    for vec in kernel:
+        for col_w in rows:
+            assert sum(v * rows[col_w].get(i, 0) for i, v in enumerate(vec)) == 0
+
+
+def test_solve_affine_inconsistent_over_large_denominators():
+    p, q = BIG_DENOMINATORS
+    columns = [{"a": qq(1, p), "b": qq(1, q)}, {"a": qq(1, q), "b": qq(1, p)}, {"c": qq(2, p)}]
+    rhs = {"a": qq(1), "b": qq(1), "c": qq(3, q)}
+    assert _solve_affine(columns, rhs, 3) is not None
+    # with two equal columns, rows a and b read x0 + x1 = p and x0 + x1 = q + 1
+    columns[1] = dict(columns[0])
+    rhs["b"] = qq(1) + qq(1, q)
+    assert _solve_affine(columns, rhs, 3) is None

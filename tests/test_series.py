@@ -3,6 +3,7 @@ import random
 import pytest
 
 from assoclab import series, yside
+from assoclab.lie import lie_basis
 from assoclab.models import ab_model, tensor_model
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS, PolynomialRing, QuadraticExtension, accumulate
@@ -27,7 +28,7 @@ from assoclab.series import (
 )
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import random_group_like, random_lie_mixed, random_series
+from support import random_group_like, random_lie_mixed, random_rational, random_series
 
 TRUNC = 5
 
@@ -206,3 +207,37 @@ def test_coproduct_caches_are_keyed_by_word_alone():
     size = yside._y_word_delta.cache_info().currsize
     yside.delta_star(Series(y_alphabet(4), 4, RATIONALS, dict(g.terms)))
     assert yside._y_word_delta.cache_info().currsize == size
+
+
+# -- the shuffle cross-checks over a ring with two basis elements ----------
+
+QUAD = QuadraticExtension(qq(-2, 5))
+
+
+def quad_lie(seed, trunc=TRUNC):
+    """A Lie series over Q(mu), mu^2 = -2/5, with a + b mu coordinates."""
+    rng = random.Random(seed)
+    s = zero(X_ALPHABET, trunc, QUAD)
+    for d in range(1, trunc + 1):
+        for _, e in lie_basis(X_ALPHABET, d, trunc, QUAD):
+            c = QUAD.embed(random_rational(rng, 3)) + QUAD.mu * QUAD.embed(random_rational(rng, 3))
+            s = s.add(e.scale(c))
+    return s
+
+
+def test_cross_checks_accept_exp_and_log_over_quadratic_extension():
+    lie = quad_lie(31)
+    assert any(c.b for c in lie.terms.values())
+    g = lie.exp()
+    assert is_group_like(g)
+    assert is_lie(g.log())
+
+
+@pytest.mark.parametrize("word", [(0, 1), (1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 0, 1)])
+def test_cross_checks_reject_one_perturbed_mu_coordinate(word):
+    # only the nu = 5 mu coordinate of one word moves; a degree-5 word is
+    # reached only by the pairs whose degrees sum to the truncation
+    lie = quad_lie(32)
+    bump = Series(X_ALPHABET, TRUNC, QUAD, {word: QUAD.mu * QUAD.embed(qq(1, 7))})
+    assert not is_group_like(lie.exp().add(bump))
+    assert not is_lie(lie.add(bump))
