@@ -65,9 +65,8 @@ _UNIT_PRODUCT = ((0, 1),)
 class RationalField:
     """The field of exact rationals."""
 
-    def __init__(self):
-        self.zero = qq(0)
-        self.one = qq(1)
+    zero = qq(0)
+    one = qq(1)
 
     def embed(self, c):
         return QQ(c)
@@ -76,7 +75,8 @@ class RationalField:
         return (c,)
 
     def join(self, coords):
-        return QQ(coords[0]) if coords else self.zero
+        c = coords[0] if coords else self.zero
+        return c if type(c) is QQ else QQ(c)
 
     def basis_product(self, i, j):
         return _UNIT_PRODUCT
