@@ -9,6 +9,8 @@ the checkout (the current directory unless --repo is given):
 - `assoclab verify main --phi FILE` on that file;
 - `assoclab dmr dims --max-degree 9`, the Lie-level path that spends its
   time in the exact echelon;
+- `assoclab dmr lemmas --degree 6`, the operator identities on the
+  qualifying inputs (`dmr.qualifying_basis`);
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds,
@@ -28,6 +30,7 @@ import time
 
 DEGREE = 8
 DMR_DEGREE = 9
+LEMMAS_DEGREE = 6
 
 
 def timed(argv, cwd, env):
@@ -76,6 +79,7 @@ def main():
         )
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
         out["dmr_dims"] = timed(cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE)], tmp, env)
+        out["dmr_lemmas"] = timed(cli + ["dmr", "lemmas", "--degree", str(LEMMAS_DEGREE)], tmp, env)
     out["tier1"] = timed(
         ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
         repo, env,

@@ -9,7 +9,7 @@ left to right, [w_{i_m}|...|w_{i_1}], matching the left-to-right order
 of the dual monomials.
 
 Every 1-form is represented exactly as a pair of polynomial numerators
-(P, Q), series of the commutative quotient `models.ab_model`, with
+(P, Q), integer series of the commutative quotient `models.ab_model`, with
 form = (P dx + Q dy)/D over the common denominator
 D = xy(1-x)(1-y)(1-xy), so wedge products and the integrability
 condition reduce to polynomial identities.
@@ -22,11 +22,9 @@ connection form Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y
 is derived from the coordinate expressions at import time.
 """
 
-from math import lcm
-
 from .models import ab_model
 from .rationals import ONE as Q_ONE, qq
-from .rings import RATIONALS, accumulate
+from .rings import INTEGERS, RATIONALS, accumulate
 from .series import Series, split_terms
 from .words import Alphabet
 from .yside import stuffle_terms, x_word
@@ -44,9 +42,10 @@ class BarError(ValueError):
 
 # -- exact two-variable polynomials ------------------------------------
 
-# x^i y^j is the word X0^i X1^j of the commutative quotient; the
-# numerators have degree at most 5, so their wedges have degree at most 10.
-_AB = ab_model(10)
+# x^i y^j is the word X0^i X1^j of the commutative quotient over the
+# integers; the numerators have degree at most 5, so their wedges have
+# degree at most 10.
+_AB = ab_model(10, INTEGERS)
 _PX = _AB.letter("X0")
 _PY = _AB.letter("X1")
 _P0 = _AB.zero()
@@ -146,26 +145,13 @@ class BarElement(Series):
 # -- integrability ------------------------------------------------------
 
 
-def _split_wedges():
-    """WEDGE as integer tables over one common denominator, split once."""
-    split = {key: split_terms(p.terms, RATIONALS) for key, p in WEDGE.items()}
-    common = lcm(*(den for den, _ in split.values()))
-    return {
-        key: [(m, v * (common // den)) for m, v in tables.get(0, {}).items()]
-        for key, (den, tables) in split.items()
-    }
-
-
-_WEDGE_INT = _split_wedges()
-
-
 def check_integrability(e):
     """Slot-wise vanishing of the adjacent wedge contractions.
 
     For each slot j the sum of c_I [..|w_{i_{j+1}} ^ w_{i_j}|..] must be
     zero; terms are grouped by slot position and surrounding word and
-    the wedge numerators summed over the integers, on the split of e and
-    of the wedges.  The one-variable space has no nonzero 2-forms, so
+    the integer wedge numerators summed over the integers, on the split
+    of e.  The one-variable space has no nonzero 2-forms, so
     every element there is integrable.
     """
     if e.alphabet == M04:
@@ -174,7 +160,7 @@ def check_integrability(e):
     for w, c in split_terms(e.terms, e.ring)[1].get(0, {}).items():
         for pos in range(len(w) - 1):
             table = acc.setdefault((pos, w[:pos], w[pos + 2 :]), {})
-            accumulate(table, ((m, c * v) for m, v in _WEDGE_INT[(w[pos], w[pos + 1])]))
+            accumulate(table, ((m, c * v) for m, v in WEDGE[(w[pos], w[pos + 1])].terms.items()))
     return not any(acc.values())
 
 

@@ -14,10 +14,11 @@ from functools import partial
 from itertools import combinations
 
 from .rationals import binomial, qq
-from .rings import RATIONALS, accumulate
+from .rings import RATIONALS
 from .lie import lie_basis
 from .series import (
     Series,
+    derivation,
     is_lie,
     one,
     primitive_tensor,
@@ -27,7 +28,7 @@ from .series import (
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
-from .lab import _solve_affine, abelian_x1_part, gamma_shape
+from .lab import _solve_affine, abelian_x1_part, combination, gamma_shape
 from . import yside
 from .yside import (
     delta_star,
@@ -41,43 +42,17 @@ from .yside import (
 # -- derivations and the Ihara bracket ----------------------------------
 
 
-def _leibniz(v, images):
-    """Extend letter -> series assignments as a derivation and apply to v.
-
-    Letters absent from the table map to zero.
-    """
-    out = {}
-    for w, c in v.terms.items():
-        for i, ch in enumerate(w):
-            img = images.get(ch)
-            if img is None:
-                continue
-            room = v.trunc - len(w) + 1
-            accumulate(
-                out,
-                (
-                    (w[:i] + u + w[i + 1 :], c * cu)
-                    for u, cu in img.terms.items()
-                    if len(u) <= room
-                ),
-            )
-    return Series(v.alphabet, v.trunc, v.ring, out, _clean=True)
-
-
 def d_psi(psi, v):
     """The derivation with X0 -> 0 and X1 -> [X1, psi], applied to v."""
     x1 = Series(psi.alphabet, psi.trunc, psi.ring, {(1,): psi.ring.one})
     bracket = x1.mul(psi).sub(psi.mul(x1))
-    return _leibniz(v, {1: bracket})
+    return derivation(v, {1: bracket})
 
 
 def ihara_bracket(psi1, psi2):
     """{psi1, psi2} = d_{psi2}(psi1) - d_{psi1}(psi2) - [psi1, psi2]."""
     comm = psi1.mul(psi2).sub(psi2.mul(psi1))
-    out = d_psi(psi2, psi1).sub(d_psi(psi1, psi2)).sub(comm)
-    if not is_lie(out):
-        raise AssertionError("Ihara bracket left the Lie algebra")
-    return out
+    return d_psi(psi2, psi1).sub(d_psi(psi1, psi2)).sub(comm)
 
 
 def s_f(f, v):
@@ -104,45 +79,43 @@ def big_d_y(f, w):
 # -- membership and the solver ------------------------------------------
 
 
+def _kernel(defect, basis):
+    """The kernel of a linear defect map on the span of basis, as Series.
+
+    defect sends a series to a sparse key -> coefficient table that is
+    empty exactly when the series meets its condition; each key is one
+    equation of `_solve_affine`.
+    """
+    _, kernel = _solve_affine([defect(e) for e in basis], {}, len(basis))
+    return [combination(vec, basis) for vec in kernel]
+
+
+def dmr0_defect(psi):
+    """The linear conditions of dmr_0 on psi, as a sparse table: c_{X0X1}(psi)
+    under ("c",) and the non-primitive part of Delta_*(psi_*) under
+    ("t", u, v) for u (x) v.  Empty exactly when a Lie series psi with
+    c_{X0} = c_{X1} = 0 lies in dmr_0."""
+    out = {}
+    c2 = psi.coefficient((0, 1))
+    if c2:
+        out[("c",)] = c2
+    star = psi_star(psi)
+    diff = delta_star(star).sub(primitive_tensor(star))
+    out.update((("t", u, v), c) for (u, v), c in tensor_pairs(diff))
+    return out
+
+
 def is_dmr0(psi):
-    """Lie series with vanishing depth-one start whose star part is primitive."""
-    if not is_lie(psi):
-        return False
-    for w in ((0,), (1,), (0, 1)):
-        if psi.coefficient(w):
-            return False
-    return yside.is_primitive_star(psi_star(psi))
+    """Lie series with c_{X0} = c_{X1} = 0 and an empty `dmr0_defect`."""
+    depth_one = psi.coefficient((0,)) or psi.coefficient((1,))
+    return is_lie(psi) and not depth_one and not dmr0_defect(psi)
 
 
 def solve_dmr0(degree):
-    """Basis of the homogeneous membership solutions at the given degree.
-
-    The constraints are linear in psi: c_{X0X1}(psi) = 0 plus the
-    non-primitive part of Delta_*(psi_*).  Returns a list of Lie series
-    (the nullspace in Lyndon coordinates, free variables set to one).
-    """
-    basis = lie_basis(X_ALPHABET, degree, degree, RATIONALS)
-    columns = []
-    for _, e in basis:
-        col = {}
-        c2 = e.coefficient((0, 1))
-        if c2 != 0:
-            col[("c",)] = c2
-        star = psi_star(e)
-        diff = delta_star(star).sub(primitive_tensor(star))
-        for (u, v), c in tensor_pairs(diff):
-            col[("t", u, v)] = c
-        columns.append(col)
-    solved = _solve_affine(columns, {}, len(basis))
-    _, kernel = solved
-    out = []
-    for vec in kernel:
-        s = zero(X_ALPHABET, degree, RATIONALS)
-        for coeff, (_, e) in zip(vec, basis):
-            if coeff != 0:
-                s = s.add(e.scale(coeff))
-        out.append(s)
-    return out
+    """Basis of dmr_0 in the given degree: the kernel of `dmr0_defect` on
+    the Lyndon basis, as Lie series (free variables set to one)."""
+    basis = [e for _, e in lie_basis(X_ALPHABET, degree, degree, RATIONALS)]
+    return _kernel(dmr0_defect, basis)
 
 
 # -- the X0-power decomposition -----------------------------------------
@@ -222,6 +195,14 @@ def lemma_derivation_check(f, n):
     return embed_y(lhs) == x_side and lhs == total
 
 
+def _qualifying_section(g):
+    """sec g for a g that meets both hypotheses of the pairing identities."""
+    f = yside.sec(g)
+    if not yside.is_primitive_star(g) or yside.antipode_x(f) != f.neg():
+        raise ValueError("hypotheses: g primitive for Delta_*, S_X(sec g) = -sec g")
+    return f
+
+
 def lemma_coproduct_check(g, n):
     """The coboundary of D^Y_f on Y_n for f = sec(g), g in the Y Lie algebra.
 
@@ -236,11 +217,7 @@ def lemma_coproduct_check(g, n):
     """
     trunc = g.trunc
     ring = g.ring
-    if not yside.is_primitive_star(g):
-        raise ValueError("hypothesis: g must be primitive for the coproduct")
-    f = yside.sec(g)
-    if yside.antipode_x(f) != f.neg():
-        raise ValueError("hypothesis S_X(sec g) = -sec g fails")
+    f = _qualifying_section(g)
     p, comps = x_decomposition(f)
     yn = _y_letter(n, trunc, ring)
     lhs = delta_star(big_d_y(f, yn)).sub(_on_each_factor(partial(big_d_y, f), delta_star(yn)))
@@ -264,12 +241,7 @@ def lemma_telescoping_check(g, k):
     """
     trunc = g.trunc
     ring = g.ring
-    if not yside.is_primitive_star(g):
-        raise ValueError("hypothesis: g must be primitive for the coproduct")
-    f = yside.sec(g)
-    if yside.antipode_x(f) != f.neg():
-        raise ValueError("hypothesis S_X(f) = -f fails")
-    p, comps = x_decomposition(f)
+    p, comps = x_decomposition(_qualifying_section(g))
     total = zero(y_alphabet(trunc), trunc, ring)
     for i in range(k, p + 1):
         total = total.add(f_pair(p, comps, i, i - k, trunc))
@@ -384,27 +356,21 @@ def lie_y_basis(weight, trunc, ring=RATIONALS):
     return out
 
 
+def qualifying_defect(g):
+    """S_X(f) + f for f = sec g, as X-word -> coefficient: empty exactly
+    when g meets the hypothesis S_X(sec g) = -sec g of the pairing
+    identities."""
+    f = yside.sec(g)
+    return yside.antipode_x(f).add(f).terms
+
+
 def qualifying_basis(weight, trunc, ring=RATIONALS):
     """Primitive Y-series g of the given weight with S_X(sec g) = -sec g.
 
     These are exactly the inputs meeting the hypotheses of the pairing
-    identities; the subspace is cut out of lie_y_basis by one linear
-    condition per X-word.
+    identities: the kernel of `qualifying_defect` on lie_y_basis.
     """
-    basis = lie_y_basis(weight, trunc, ring)
-    columns = []
-    for g in basis:
-        f = yside.sec(g)
-        columns.append(dict(yside.antipode_x(f).add(f).terms))
-    _, kernel = _solve_affine(columns, {}, len(basis))
-    out = []
-    for vec in kernel:
-        s = zero(y_alphabet(trunc), trunc, ring)
-        for c, g in zip(vec, basis):
-            if c != 0:
-                s = s.add(g.scale(ring.embed(c)))
-        out.append(s)
-    return out
+    return _kernel(qualifying_defect, lie_y_basis(weight, trunc, ring))
 
 
 # -- depth-graded sums and the meta-abelian image ------------------------

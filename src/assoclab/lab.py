@@ -66,6 +66,16 @@ def _solve_affine(columns, rhs, n_unknowns):
     return particular, kernel
 
 
+def combination(coeffs, basis):
+    """sum_i coeffs[i] basis[i] for rational coeffs and a nonempty list of
+    Series over one alphabet, truncation and ring, in one accumulate call:
+    a solution vector of `_solve_affine` as a series."""
+    first = basis[0]
+    embed = first.ring.embed
+    pairs = ((w, embed(c) * x) for c, e in zip(coeffs, basis) if c for w, x in e.terms.items())
+    return Series(first.alphabet, first.trunc, first.ring, accumulate({}, pairs), _clean=True)
+
+
 def pentagon_linear_map(basis, model, gens):
     """The linearized pentagon residual on each Lyndon word of basis.
 
@@ -127,10 +137,8 @@ def solve_pentagon(trunc, c2=0):
         kernel_dims[d] = len(kernel)
         if all(v == 0 for v in x) and kernel:
             x = kernel[0]
-        for coeff, (lw, e) in zip(x, basis):
-            if coeff != 0:
-                psi = psi.add(e.scale(coeff))
-                coordinates[lw] = coeff
+        psi = psi.add(combination(x, [e for _, e in basis]))
+        coordinates.update((lw, c) for c, (lw, _) in zip(x, basis) if c)
     phi = psi.exp()
     return {"phi": phi, "psi": psi, "coordinates": coordinates, "kernel_dims": kernel_dims}
 

@@ -487,9 +487,9 @@ def pentagon_residual(m, factors):
     return m.mul(f1, f2).sub(m.mul(f3, f4, f5))
 
 
-def check_pentagon(phi, model=None):
+def check_pentagon(phi):
     """LHS - RHS of the pentagon equation in the four-strand model."""
-    m = model or a4_model(phi.trunc, phi.ring)
+    m = a4_model(phi.trunc, phi.ring)
     args = pentagon_arguments(a4_generators(m))
     coords = lie_coordinates(phi)
     return pentagon_residual(m, [m.evaluate(phi, g0, g1, coords) for g0, g1, _ in args])
@@ -499,9 +499,9 @@ def check_pentagon(phi, model=None):
 FIVE_CYCLE = (("X34", "X45"), ("X51", "X12"), ("X23", "X34"), ("X45", "X51"), ("X12", "X23"))
 
 
-def check_5cycle(phi, model=None):
+def check_5cycle(phi):
     """Residual of phi_345 phi_512 phi_234 phi_451 phi_123 - 1."""
-    m = model or p5_model(phi.trunc, phi.ring)
+    m = p5_model(phi.trunc, phi.ring)
     g = p5_generators(m)
     coords = lie_coordinates(phi)
     return m.mul(*(m.evaluate(phi, g[a], g[b], coords) for a, b in FIVE_CYCLE)).sub(m.one())
@@ -555,7 +555,7 @@ def projection_images(which, trunc, ring=RATIONALS):
     raise ValueError("unknown projection %r" % which)
 
 
-def apply_projection(which, e, ring=RATIONALS):
+def apply_projection(which, e):
     """Push a five-strand model series down to a series over X0, X1."""
     from .series import SeriesAlgebra
 

@@ -136,18 +136,6 @@ class Series:
     def scale_q(self, q):
         return self.scale(self.ring.embed(q))
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        return self.mul(other)
-
     # -- products -----------------------------------------------------
 
     def mul(self, other):
@@ -524,6 +512,23 @@ def substitute(s, images, algebra):
                     am = a * m
                     accumulate(out.setdefault(j, {}), ((v, am * c) for v, c in p.terms.items()))
     return join_series((den * common, integer_parts(out, algebra)), algebra)
+
+
+def derivation(s, images):
+    """Apply to s the derivation sending letter i to images[i] and every
+    letter absent from images to zero: each occurrence of a letter in a
+    word is replaced by its image in turn, truncated, in one accumulate
+    call."""
+    deg, weights = s.alphabet.degree, s.alphabet.weights
+    pairs = (
+        (w[:i] + u + w[i + 1 :], c * cu)
+        for w, c in s.terms.items()
+        for i, ch in enumerate(w)
+        if ch in images
+        for u, cu in images[ch].terms.items()
+        if deg(u) - weights[ch] <= s.trunc - deg(w)
+    )
+    return Series(s.alphabet, s.trunc, s.ring, accumulate({}, pairs), _clean=True)
 
 
 POWER_ALPHABET = Alphabet(("u",))

@@ -11,16 +11,16 @@ the generalized double shuffle relation.
 from functools import lru_cache
 
 from .rationals import qq
-from .rings import accumulate
 from .series import (
     Series,
+    derivation,
     extend_tensor_table,
     one,
     primitive_tensor,
     tensor_image,
     tensor_square,
 )
-from .words import y_alphabet
+from .words import X_ALPHABET, y_alphabet
 
 
 # -- projection and embedding -----------------------------------------
@@ -47,17 +47,14 @@ def pi_y(s):
     return Series(ya, s.trunc, ring, out, _clean=True)
 
 
-def embed_y(s, x_alphabet=None):
+def embed_y(s):
     """Algebra map Yn -> -X0^{n-1}X1, inverse to pi_y on its image."""
-    from .words import X_ALPHABET
-
-    xa = x_alphabet or X_ALPHABET
     ring = s.ring
     out = {
         x_word(word_to_index(w)): ring.embed(-1 if len(w) % 2 else 1) * c
         for w, c in s.terms.items()
     }
-    return Series(xa, s.trunc, ring, out, _clean=True)
+    return Series(X_ALPHABET, s.trunc, ring, out, _clean=True)
 
 
 # -- the quasi-shuffle coproduct --------------------------------------
@@ -257,13 +254,7 @@ def stuffle(a, b):
 
 def partial0(s):
     """Derivation of the X-series algebra with X0 -> 1, X1 -> 0."""
-    pairs = (
-        (w[:i] + w[i + 1 :], c)
-        for w, c in s.terms.items()
-        for i, ch in enumerate(w)
-        if ch == 0
-    )
-    return Series(s.alphabet, s.trunc, s.ring, accumulate({}, pairs), _clean=True)
+    return derivation(s, {0: one(s.alphabet, s.trunc, s.ring)})
 
 
 def antipode_x(s):

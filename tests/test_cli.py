@@ -299,6 +299,21 @@ def test_dmr_bracket_and_check(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_dmr_bracket_reports_a_non_lie_bracket(capsys, monkeypatch, tmp_path, psi3, check):
+    # bracket_is_lie is read off the bracket, with or without --check
+    from assoclab import dmr
+
+    not_lie = from_text('alphabet: X0 X1\ndegree: 6\n"X0.X1" 1/1\n')
+    monkeypatch.setattr(dmr, "ihara_bracket", lambda lhs, rhs: not_lie)
+    path = tmp_path / "psi3.series"
+    path.write_text(to_text(psi3))
+    argv = ["dmr", "bracket", "--lhs", str(path), "--rhs", str(path)]
+    code, out = run(capsys, argv + (["--check"] if check else []))
+    assert code == 1
+    assert ("bracket_is_lie", "FAIL") in [tuple(line.split()) for line in out.splitlines()]
+
+
 def test_dmr_bracket_widens_equal_truncations(capsys, tmp_path, psi3, psi5):
     # psi3 saved at degree 5 has the same truncation as psi5; the bracket
     # must still be taken at degree 10, not cut off at 5

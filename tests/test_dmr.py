@@ -11,7 +11,7 @@ from assoclab.rings import RATIONALS
 from assoclab.series import Series, from_word, is_group_like, is_lie, zero
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import random_lie, random_series, widen
+from support import random_lie, random_lie_mixed, random_series, widen
 
 TRUNC = 7
 
@@ -45,6 +45,25 @@ def test_depth_one_normalization_is_enforced(psi3):
     assert not dmr.is_dmr0(bad)
 
 
+DMR_DIMS = {3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1}
+
+
+@pytest.mark.parametrize("degree", sorted(DMR_DIMS))
+def test_solver_and_membership_read_one_defect(degree):
+    # the solved vectors have an empty defect and are members; adding the
+    # last Lyndon basis element leaves dmr_0 in both readings
+    last = lie_basis(X_ALPHABET, degree, degree)[-1][1]
+    assert dmr.dmr0_defect(last)
+    solved = dmr.solve_dmr0(degree)
+    assert len(solved) == DMR_DIMS[degree]
+    for psi in solved:
+        assert dmr.dmr0_defect(psi) == {}
+        assert dmr.is_dmr0(psi)
+        bad = psi.add(last)
+        assert dmr.dmr0_defect(bad)
+        assert not dmr.is_dmr0(bad)
+
+
 # -- the Ihara bracket ---------------------------------------------------------
 
 
@@ -67,6 +86,16 @@ def test_bracket_jacobi():
         .add(dmr.ihara_bracket(c, dmr.ihara_bracket(a, b)))
     )
     assert jac.is_zero()
+
+
+def test_bracket_of_lie_series_is_lie():
+    rng = random.Random(80)
+    for d1, d2 in ((1, 2), (2, 3), (2, 4), (3, 3)):
+        a = random_lie(rng, d1, d1 + d2)
+        b = random_lie(rng, d2, d1 + d2)
+        assert is_lie(dmr.ihara_bracket(a, b))
+    a, b = random_lie_mixed(rng, 5), random_lie_mixed(rng, 5)
+    assert is_lie(dmr.ihara_bracket(a, b))
 
 
 def test_bracket_closure(psi3):
@@ -189,6 +218,14 @@ def test_coproduct_identity_needs_the_antipode_hypothesis():
         dmr.lemma_coproduct_check(u2, 1)
     with pytest.raises(ValueError):
         dmr.lemma_telescoping_check(u2, 0)
+
+
+def test_qualifying_basis_has_empty_defect():
+    for w in range(1, 6):
+        for g in dmr.qualifying_basis(w, w + 2):
+            assert dmr.qualifying_defect(g) == {}
+    # U2 is primitive but fails the hypothesis, as the lemma checks say
+    assert dmr.qualifying_defect(dmr.u_generators(4)[1])
 
 
 def test_qualifying_space_dimensions():
