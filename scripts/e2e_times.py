@@ -11,6 +11,11 @@ the checkout (the current directory unless --repo is given):
   time in the exact echelon;
 - `assoclab dmr lemmas --degree 6`, the operator identities on the
   qualifying inputs (`dmr.qualifying_basis`);
+- `assoclab dmr bracket --lhs psi3.series --rhs psi7.series --check`, the
+  degree-10 Ihara bracket of the dmr_0 generators of degrees 3 and 7 and
+  its membership test, where the coproducts `series.coproduct` and
+  `yside.delta_star` set the peak memory (the two inputs are written by
+  `dmr.solve_dmr0` beforehand, untimed);
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds,
@@ -31,6 +36,16 @@ import time
 DEGREE = 8
 DMR_DEGREE = 9
 LEMMAS_DEGREE = 6
+BRACKET_DEGREES = (3, 7)
+WRITE_PSI = """
+import sys
+from assoclab import dmr
+from assoclab.series import to_text
+for d in map(int, sys.argv[1:]):
+    (psi,) = dmr.solve_dmr0(d)
+    with open("psi%d.series" % d, "w") as fh:
+        fh.write(to_text(psi))
+"""
 
 
 def timed(argv, cwd, env):
@@ -80,6 +95,14 @@ def main():
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
         out["dmr_dims"] = timed(cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE)], tmp, env)
         out["dmr_lemmas"] = timed(cli + ["dmr", "lemmas", "--degree", str(LEMMAS_DEGREE)], tmp, env)
+        lhs, rhs = ("psi%d.series" % d for d in BRACKET_DEGREES)
+        subprocess.run(
+            [sys.executable, "-c", WRITE_PSI, *map(str, BRACKET_DEGREES)],
+            cwd=tmp, env=env, check=True,
+        )
+        out["dmr_bracket"] = timed(
+            cli + ["dmr", "bracket", "--lhs", lhs, "--rhs", rhs, "--check"], tmp, env
+        )
     out["tier1"] = timed(
         ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
         repo, env,

@@ -278,10 +278,11 @@ def cmd_dmr(args):
     ok9 = ok8 = True
     for w in range(1, top + 1):
         for g in dmr.qualifying_basis(w, trunc):
+            section = dmr.qualifying_section(g)
             for n in range(1, trunc - w + 1):
-                ok9 = ok9 and dmr.lemma_coproduct_check(g, n)
+                ok9 = ok9 and dmr.lemma_coproduct_check(section, n)
             for k in range(w + 1):
-                ok8 = ok8 and dmr.lemma_telescoping_check(g, k)
+                ok8 = ok8 and dmr.lemma_telescoping_check(section, k)
     checks["coproduct_identity"] = ok9
     checks["telescoping_identity"] = ok8
     return checks, {"degree": top}

@@ -10,7 +10,7 @@ companions and the Y-side derivation D^Y_f) together with exact checks
 of the identities that drive the bracket-closure proof.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .rationals import binomial, qq
@@ -195,16 +195,19 @@ def lemma_derivation_check(f, n):
     return embed_y(lhs) == x_side and lhs == total
 
 
-def _qualifying_section(g):
-    """sec g for a g that meets both hypotheses of the pairing identities."""
+def qualifying_section(g):
+    """(g, sec g) for a Y-series g that meets both hypotheses of the pairing
+    identities, g primitive for Delta_* and S_X(sec g) = -sec g; a g that
+    fails them raises ValueError.  The two pairing checks take this pair,
+    so g is checked once however many n and k they run over."""
     f = yside.sec(g)
     if not yside.is_primitive_star(g) or yside.antipode_x(f) != f.neg():
         raise ValueError("hypotheses: g primitive for Delta_*, S_X(sec g) = -sec g")
-    return f
+    return g, f
 
 
-def lemma_coproduct_check(g, n):
-    """The coboundary of D^Y_f on Y_n for f = sec(g), g in the Y Lie algebra.
+def lemma_coproduct_check(section, n):
+    """The coboundary of D^Y_f on Y_n for (g, f) = qualifying_section(g).
 
     Delta_*(D^Y_f(Y_n)) - (id (x) D^Y_f + D^Y_f (x) id)(Delta_*(Y_n))
     equals sum_{k=0}^p sum_{i=k}^p (f_{i,i-k} (x) Y_{n+k}
@@ -215,9 +218,9 @@ def lemma_coproduct_check(g, n):
     without it the identity fails (g = Y_2 - Y_1^2/2, n = 1 is a
     counterexample).
     """
+    g, f = section
     trunc = g.trunc
     ring = g.ring
-    f = _qualifying_section(g)
     p, comps = x_decomposition(f)
     yn = _y_letter(n, trunc, ring)
     lhs = delta_star(big_d_y(f, yn)).sub(_on_each_factor(partial(big_d_y, f), delta_star(yn)))
@@ -231,17 +234,19 @@ def lemma_coproduct_check(g, n):
     return lhs == rhs
 
 
-def lemma_telescoping_check(g, k):
+def lemma_telescoping_check(section, k):
     """The k-th diagonal sum of the pairings collapses to a single letter.
 
-    For g in the Y Lie algebra with f = sec(g) satisfying S_X(f) = -f:
+    For (g, f) = qualifying_section(g), g in the Y Lie algebra with
+    f = sec(g) satisfying S_X(f) = -f:
     sum_{i=k}^p f_{i,i-k} equals
     (-1)^{p-k-1} C(p-1, k) (1 + (-1)^p) c_{X0^{p-1}X1}(g) Y_{p-k}
     for k <= p-1, and 0 for k = p.
     """
+    g, f = section
     trunc = g.trunc
     ring = g.ring
-    p, comps = x_decomposition(_qualifying_section(g))
+    p, comps = x_decomposition(f)
     total = zero(y_alphabet(trunc), trunc, ring)
     for i in range(k, p + 1):
         total = total.add(f_pair(p, comps, i, i - k, trunc))
@@ -305,14 +310,16 @@ def exp_dmr(psi):
 # -- change of generators ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def u_generators(trunc, ring=RATIONALS):
-    """U_1, ..., U_trunc: the graded parts of log(1 + Y1 + Y2 + ...)."""
+    """U_1, ..., U_trunc: the graded parts of log(1 + Y1 + Y2 + ...), a
+    tuple computed once per truncation and ring."""
     ya = y_alphabet(trunc)
     total = Series(
         ya, trunc, ring, {(i,): ring.one for i in range(len(ya))}
     )
     logarithm = one(ya, trunc, ring).add(total).log()
-    return [logarithm.degree_part(i) for i in range(1, trunc + 1)]
+    return tuple(logarithm.degree_part(i) for i in range(1, trunc + 1))
 
 
 def _weighted_lyndon(weight):

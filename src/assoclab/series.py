@@ -249,58 +249,57 @@ def primed(word):
     return tuple(~j for j in word)
 
 
-def tensor_split(p):
-    """The length of u in the tensor word p = u.v', the index of its first
-    primed (negative) letter."""
-    return bisect_left(p, True, key=(0).__gt__)
-
-
 def tensor_pairs(t):
-    """The terms of a tensor series t as ((u, v), c) for u (x) v."""
+    """The terms of a tensor series t as ((u, v), c) for u (x) v: u ends at
+    the first primed (negative) letter of the tensor word u.v'."""
     for p, c in t.terms.items():
-        k = tensor_split(p)
+        k = bisect_left(p, True, key=(0).__gt__)
         yield (p[:k], primed(p[k:])), c
 
 
-def extend_tensor_table(table, parts):
-    """The tensor-word table of w.x from the table of w, where x maps to
-    the sum of a (x) b over the pairs of words (a, b) in parts: each u.v'
-    becomes u.a.v'.b'."""
-    parts = [(a, primed(b)) for a, b in parts]
-    out = {}
-    for p, m in table.items():
-        k = tensor_split(p)
-        u, v = p[:k], p[k:]
-        for a, b in parts:
-            q = u + a + v + b
-            out[q] = out.get(q, 0) + m
-    return out
+def tensor_image(s, letter_parts):
+    """The algebra map sending letter x to the sum of a (x) b over the pairs
+    of words (a, b) in letter_parts[x], applied to s: a series over
+    tensor_alphabet(s.alphabet), summed over the integers on the kernel's
+    split of s.
 
+    With s = c_() + sum_x s_x.x, where s_x sums c_w v over the words
+    w = v.x, image(s) = c_() (1 (x) 1) + sum_x image(s_x).image(x).  The
+    words are grouped by their last letter and the groups recurse, so each
+    shared suffix is expanded once per call and no table outlives it.
+    Inside, an image is a table u -> v' -> int, joined to u.v' at the end.
+    """
+    parts = [[(a, primed(b)) for a, b in pairs] for pairs in letter_parts]
 
-@lru_cache(maxsize=None)
-def _word_coproduct(word):
-    """Coproduct of a single word, all letters primitive; tensor word -> int."""
-    if not word:
-        return {(): 1}
-    x = word[-1]
-    return extend_tensor_table(_word_coproduct(word[:-1]), (((x,), ()), ((), (x,))))
+    def image(table):
+        out, by_last = {}, {}
+        for w, c in table.items():
+            if w:
+                by_last.setdefault(w[-1], {})[w[:-1]] = c
+            else:
+                out[()] = {(): c}
+        for x, prefixes in by_last.items():
+            child = image(prefixes)
+            for a, b in parts[x]:
+                for u, right in child.items():
+                    ua = u + a
+                    row = out.get(ua)
+                    if row is None:
+                        out[ua] = {v + b: m for v, m in right.items()} if b else dict(right)
+                    else:
+                        accumulate(row, ((v + b, m) for v, m in right.items()))
+        return out
 
-
-def tensor_image(s, word_table):
-    """The linear extension of word -> word_table(word), a tensor-word -> int
-    table, applied to s: a series over tensor_alphabet(s.alphabet), summed
-    over the integers on the kernel's split of s."""
     target = SeriesAlgebra(tensor_alphabet(s.alphabet), s.trunc, s.ring)
     den, tables = split_terms(s.terms, s.ring)
     for k, table in tables.items():
-        pairs = ((p, a * m) for w, a in table.items() for p, m in word_table(w).items())
-        tables[k] = accumulate({}, pairs)
+        tables[k] = {u + v: m for u, right in image(table).items() for v, m in right.items()}
     return join_series((den, integer_parts(tables, target)), target)
 
 
 def coproduct(s):
     """Algebra-map extension of letter primitivity, as a tensor series."""
-    return tensor_image(s, _word_coproduct)
+    return tensor_image(s, [(((x,), ()), ((), (x,))) for x in range(len(s.alphabet))])
 
 
 def tensor(a, b):

@@ -14,7 +14,6 @@ from .rationals import qq
 from .series import (
     Series,
     derivation,
-    extend_tensor_table,
     one,
     primitive_tensor,
     tensor_image,
@@ -60,20 +59,14 @@ def embed_y(s):
 # -- the quasi-shuffle coproduct --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _y_word_delta(word):
-    """Delta_* of a Y-word (letter indices), as a tensor word -> int table."""
-    if not word:
-        return {(): 1}
-    n = word[-1] + 1
-    # the terms Yi (x) Y_{n-i} of Delta_*(Yn), with Y0 = 1
-    parts = [((i - 1,) if i else (), (n - i - 1,) if i < n else ()) for i in range(n + 1)]
-    return extend_tensor_table(_y_word_delta(word[:-1]), parts)
-
-
 def delta_star(s):
     """Delta_*(Yn) = sum_{i=0}^n Yi (x) Y_{n-i}, extended as an algebra map."""
-    return tensor_image(s, _y_word_delta)
+    # letter index n - 1 is Yn; Y0 = 1 is the empty word
+    letters = [
+        [((i - 1,) if i else (), (n - i - 1,) if i < n else ()) for i in range(n + 1)]
+        for n in range(1, len(s.alphabet) + 1)
+    ]
+    return tensor_image(s, letters)
 
 
 # -- star regularization ----------------------------------------------

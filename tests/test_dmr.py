@@ -198,26 +198,27 @@ def test_derivation_identity_requires_antipode_hypothesis():
 def test_coproduct_identity_on_qualifying_inputs():
     for w in (1, 3):
         for g in dmr.qualifying_basis(w, 6):
+            section = dmr.qualifying_section(g)
             for n in range(1, 6 - w + 1):
-                assert dmr.lemma_coproduct_check(g, n)
+                assert dmr.lemma_coproduct_check(section, n)
 
 
 def test_telescoping_identity_on_qualifying_inputs():
     for w in (1, 3):
         for g in dmr.qualifying_basis(w, 6):
+            section = dmr.qualifying_section(g)
             for k in range(w + 1):
-                assert dmr.lemma_telescoping_check(g, k)
+                assert dmr.lemma_telescoping_check(section, k)
 
 
 def test_coproduct_identity_needs_the_antipode_hypothesis():
     # U2 = Y2 - Y1^2/2 is primitive but sec(U2) is not antipode-odd;
-    # the identity genuinely fails there, so the check refuses the input
+    # the identity genuinely fails there, so no section of it reaches the
+    # coproduct and telescoping checks
     u2 = dmr.u_generators(4)[1]
     assert yside.is_primitive_star(u2)
     with pytest.raises(ValueError):
-        dmr.lemma_coproduct_check(u2, 1)
-    with pytest.raises(ValueError):
-        dmr.lemma_telescoping_check(u2, 0)
+        dmr.qualifying_section(u2)
 
 
 def test_qualifying_basis_has_empty_defect():

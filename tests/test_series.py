@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from assoclab import series, yside
+from assoclab import yside
 from assoclab.lie import lie_basis
 from assoclab.models import ab_model, tensor_model
 from assoclab.rationals import qq
@@ -193,22 +193,6 @@ def test_zero_divisor_products_store_no_term():
     assert poly.gen and not poly.zero and not poly.gen - poly.gen
 
 
-def test_coproduct_caches_are_keyed_by_word_alone():
-    rng = random.Random(23)
-    s = random_series(rng, X_ALPHABET, 3)
-    series._word_coproduct.cache_clear()
-    coproduct(s)
-    size = series._word_coproduct.cache_info().currsize
-    coproduct(Series(X_ALPHABET, 4, RATIONALS, dict(s.terms)))
-    assert series._word_coproduct.cache_info().currsize == size
-    g = random_series(rng, y_alphabet(3), 3)
-    yside._y_word_delta.cache_clear()
-    yside.delta_star(g)
-    size = yside._y_word_delta.cache_info().currsize
-    yside.delta_star(Series(y_alphabet(4), 4, RATIONALS, dict(g.terms)))
-    assert yside._y_word_delta.cache_info().currsize == size
-
-
 # -- the shuffle cross-checks over a ring with two basis elements ----------
 
 QUAD = QuadraticExtension(qq(-2, 5))
@@ -241,3 +225,69 @@ def test_cross_checks_reject_one_perturbed_mu_coordinate(word):
     bump = Series(X_ALPHABET, TRUNC, QUAD, {word: QUAD.mu * QUAD.embed(qq(1, 7))})
     assert not is_group_like(lie.exp().add(bump))
     assert not is_lie(lie.add(bump))
+
+
+# -- the coproducts against brute-force oracles ----------------------------
+
+
+def dense_series(rng, alphabet, trunc, ring, unit):
+    """Every word up to trunc, with coefficient a + b unit for random a, b."""
+    terms = {}
+    for d in range(trunc + 1):
+        for w in alphabet.words_of_degree(d):
+            terms[w] = ring.embed(random_rational(rng)) + unit * ring.embed(random_rational(rng))
+    return Series(alphabet, trunc, ring, terms)
+
+
+def subset_coproduct(s):
+    """Delta(w) = sum over the subsets S of the positions of w of w|S (x) w|not S."""
+    out = {}
+    for w, c in s.terms.items():
+        for mask in range(2 ** len(w)):
+            u = tuple(x for i, x in enumerate(w) if mask >> i & 1)
+            v = tuple(x for i, x in enumerate(w) if not mask >> i & 1)
+            out[u, v] = out.get((u, v), s.ring.zero) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("ring, unit", [(RATIONALS, qq(1)), (QUAD, QUAD.mu)], ids=["q", "quad"])
+def test_coproduct_matches_subset_expansion(ring, unit):
+    s = dense_series(random.Random(41), X_ALPHABET, 6, ring, unit)
+    expected = subset_coproduct(s)
+    assert dict(tensor_pairs(coproduct(s))) == expected
+    bump = Series(X_ALPHABET, 6, ring, {(1, 0, 0, 1, 1, 0): unit * ring.embed(qq(1, 7))})
+    assert dict(tensor_pairs(coproduct(s.add(bump)))) != expected
+
+
+def product_of_letter_images(s):
+    """Delta_*(s) as sum_w c_w prod_i Delta_*(Y_{n_i}) over the letters of
+    each word w, the letter images sum_j Yj (x) Y_{n-j} (Y0 = 1) written
+    out and multiplied in the tensor square."""
+    trunc, ya = s.trunc, s.alphabet
+    model = tensor_model(ya, trunc)
+    y = [one(ya, trunc)] + [Series(ya, trunc, RATIONALS, {(i,): qq(1)}) for i in range(trunc)]
+    images = []
+    for n in range(1, trunc + 1):
+        image = zero(tensor_alphabet(ya), trunc)
+        for j in range(n + 1):
+            image = image.add(tensor(y[j], y[n - j]))
+        images.append(image)
+    total = zero(tensor_alphabet(ya), trunc)
+    for w, c in s.terms.items():
+        image = one(tensor_alphabet(ya), trunc)
+        for x in w:
+            image = model.mul(image, images[x])
+        total = total.add(image.scale(c))
+    return total
+
+
+def test_delta_star_matches_product_of_letter_images():
+    # every word of weight 3 to 6 with two letters or more, weights mixed
+    rng = random.Random(42)
+    ya = y_alphabet(6)
+    words = [w for d in range(3, 7) for w in ya.words_of_degree(d) if len(w) > 1]
+    s = Series(ya, 6, RATIONALS, {w: random_rational(rng) or qq(1) for w in words})
+    expected = product_of_letter_images(s)
+    assert yside.delta_star(s) == expected
+    bump = Series(ya, 6, RATIONALS, {(1, 0, 2): qq(1, 7)})
+    assert yside.delta_star(s.add(bump)) != expected
