@@ -13,9 +13,9 @@ the checkout (the current directory unless --repo is given):
   qualifying inputs (`dmr.qualifying_basis`);
 - `assoclab dmr bracket --lhs psi3.series --rhs psi7.series --check`, the
   degree-10 Ihara bracket of the dmr_0 generators of degrees 3 and 7 and
-  its membership test, where the coproducts `series.coproduct` and
-  `yside.delta_star` set the peak memory (the two inputs are written by
-  `dmr.solve_dmr0` beforehand, untimed);
+  its membership test, which run both coproducts (`series.coproduct` and
+  `yside.delta_star`) at degree 10; `dmr.solve_dmr0` writes the two
+  inputs beforehand, untimed;
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds,
