@@ -8,7 +8,10 @@ the checkout (the current directory unless --repo is given):
 - `assoclab solve-pentagon --degree 8 -o FILE` (the default c2 = 1);
 - `assoclab verify main --phi FILE` on that file;
 - `assoclab dmr dims --max-degree 9`, the Lie-level path that spends its
-  time in the exact echelon;
+  time in the exact echelon, and the same to degree 11, where the dmr_0
+  rows and the echelon set the peak memory;
+- `assoclab dims --engine generic --algebra p5 --max-degree 7`, the
+  degreewise presentation engine (`presented.Presentation`);
 - `assoclab dmr lemmas --degree 6`, the operator identities on the
   qualifying inputs (`dmr.qualifying_basis`);
 - `assoclab dmr bracket --lhs psi3.series --rhs psi7.series --check`, the
@@ -35,6 +38,8 @@ import time
 
 DEGREE = 8
 DMR_DEGREE = 9
+DMR_DEGREE_LARGE = 11
+P5_DEGREE = 7
 LEMMAS_DEGREE = 6
 BRACKET_DEGREES = (3, 7)
 WRITE_PSI = """
@@ -94,6 +99,13 @@ def main():
         )
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
         out["dmr_dims"] = timed(cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE)], tmp, env)
+        out["dmr_dims_large"] = timed(
+            cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE_LARGE)], tmp, env
+        )
+        out["dims_p5"] = timed(
+            cli + ["dims", "--engine", "generic", "--algebra", "p5", "--max-degree", str(P5_DEGREE)],
+            tmp, env,
+        )
         out["dmr_lemmas"] = timed(cli + ["dmr", "lemmas", "--degree", str(LEMMAS_DEGREE)], tmp, env)
         lhs, rhs = ("psi%d.series" % d for d in BRACKET_DEGREES)
         subprocess.run(

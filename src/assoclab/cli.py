@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import __version__
-from .rationals import format_rational, qq
-from .series import AlgebraError, from_text, to_text
+from .rationals import format_rational, parse_rational, qq
+from .series import AlgebraError, Series, from_text, is_lie, to_text
 from .words import X_ALPHABET
 
 
@@ -155,7 +155,6 @@ def _jsonify(value):
 
 def cmd_solve_pentagon(args):
     from .lab import solve_pentagon
-    from .rationals import parse_rational
 
     try:
         c2 = qq(0) if args.c2_zero else parse_rational(args.c2)
@@ -175,16 +174,15 @@ def cmd_solve_pentagon(args):
 
 
 def cmd_verify(args):
-    from . import yside
-    from .lab import verify_theorem_gamma, verify_theorem_main
-    from .models import check_5cycle, check_hexagons
-
     phi = _load_series(args.phi)
     extras = {"degree": phi.trunc}
     if args.what == "main":
+        from .lab import verify_theorem_main
+
         checks = verify_theorem_main(phi)
     elif args.what == "gamma":
         from . import dmr
+        from .lab import verify_theorem_gamma
 
         checks = dict(verify_theorem_gamma(phi))
         ok = True
@@ -198,15 +196,21 @@ def cmd_verify(args):
         if phi.constant_term() != 1:
             checks = dict.fromkeys(checks, False)
     elif args.what == "hexagon":
+        from .models import check_hexagons
+
         ok = [False, False]
         # the two sides' constant terms agree only when phi's is 1 (at 0 it has no inverse)
         if phi.constant_term() == 1:
             ok = [r.is_zero() for r in check_hexagons(phi)]
         checks = {"hexagon_one_zero": ok[0], "hexagon_two_zero": ok[1]}
     elif args.what == "5cycle":
+        from .models import check_5cycle
+
         checks = {"five_cycle_zero": check_5cycle(phi).is_zero()}
     else:
-        checks = {"double_shuffle": yside.check_double_shuffle(phi)}
+        from .yside import check_double_shuffle
+
+        checks = {"double_shuffle": check_double_shuffle(phi)}
     return checks, extras
 
 
@@ -242,8 +246,6 @@ def cmd_dmr(args):
         }
         return {"dims_computed": True}, {"dims": dims}
     if args.dmr_command == "bracket":
-        from .series import is_lie
-
         lhs = _load_series(args.lhs)
         rhs = _load_series(args.rhs)
         for path, s in ((args.lhs, lhs), (args.rhs, rhs)):
@@ -267,7 +269,6 @@ def cmd_dmr(args):
     top = args.degree
     trunc = top + 3
     from .lie import lie_basis
-    from .words import X_ALPHABET
 
     ok = True
     for d in range(2, top + 1):
@@ -289,8 +290,6 @@ def cmd_dmr(args):
 
 
 def _widen(s, trunc):
-    from .series import Series
-
     return Series(s.alphabet, trunc, s.ring, dict(s.terms))
 
 

@@ -42,11 +42,15 @@ from .yside import (
 # -- derivations and the Ihara bracket ----------------------------------
 
 
+def _x1_images(psi):
+    """The letter images of d_psi: X1 -> [X1, psi], and X0 -> 0 by omission."""
+    x1 = Series(psi.alphabet, psi.trunc, psi.ring, {(1,): psi.ring.one})
+    return {1: x1.mul(psi).sub(psi.mul(x1))}
+
+
 def d_psi(psi, v):
     """The derivation with X0 -> 0 and X1 -> [X1, psi], applied to v."""
-    x1 = Series(psi.alphabet, psi.trunc, psi.ring, {(1,): psi.ring.one})
-    bracket = x1.mul(psi).sub(psi.mul(x1))
-    return derivation(v, {1: bracket})
+    return derivation(v, _x1_images(psi))
 
 
 def ihara_bracket(psi1, psi2):
@@ -71,9 +75,23 @@ def s_f_y(f, w):
     return pi_y(s_f(f, embed_y(w)))
 
 
+def big_d_y_map(f):
+    """w -> D^Y_f(w) = s^Y_f(w) - w pi_Y(f), a derivation of the Y-algebra,
+    with [X1, f] and pi_Y(f) computed once for every w."""
+    if f.constant_term():
+        raise ValueError("s_f requires zero constant term")
+    images, f_y = _x1_images(f), pi_y(f)
+
+    def apply(w):
+        v = embed_y(w)
+        return pi_y(f.mul(v).add(derivation(v, images))).sub(w.mul(f_y))
+
+    return apply
+
+
 def big_d_y(f, w):
     """D^Y_f(w) = s^Y_f(w) - w pi_Y(f), a derivation of the Y-algebra."""
-    return s_f_y(f, w).sub(w.mul(pi_y(f)))
+    return big_d_y_map(f)(w)
 
 
 # -- membership and the solver ------------------------------------------
@@ -93,15 +111,20 @@ def _kernel(defect, basis):
 def dmr0_defect(psi):
     """The linear conditions of dmr_0 on psi, as a sparse table: c_{X0X1}(psi)
     under ("c",) and the non-primitive part of Delta_*(psi_*) under
-    ("t", u, v) for u (x) v.  Empty exactly when a Lie series psi with
-    c_{X0} = c_{X1} = 0 lies in dmr_0."""
+    ("t", u, v) for u (x) v with u <= v.  Empty exactly when a Lie series
+    psi with c_{X0} = c_{X1} = 0 lies in dmr_0.
+
+    Delta_* is an algebra map whose letter images sum_i Y_i (x) Y_{n-i}
+    are unchanged by the flip u (x) v -> v (x) u, so the coefficient on
+    v (x) u equals the one on u (x) v and the rows with u > v repeat kept
+    ones: the row space, and so the kernel, is the same."""
     out = {}
     c2 = psi.coefficient((0, 1))
     if c2:
         out[("c",)] = c2
     star = psi_star(psi)
     diff = delta_star(star).sub(primitive_tensor(star))
-    out.update((("t", u, v), c) for (u, v), c in tensor_pairs(diff))
+    out.update((("t", u, v), c) for (u, v), c in tensor_pairs(diff) if u <= v)
     return out
 
 
@@ -161,14 +184,27 @@ def f_pair(p, comps, i, j, trunc):
 # -- the three operator identities --------------------------------------
 
 
+def _on_words(op, trunc, ring):
+    """u -> op(u) on Y-words u, for a map op on Y-series; each word's image
+    is computed once."""
+    ya = y_alphabet(trunc)
+
+    @lru_cache(maxsize=None)
+    def on_word(u):
+        return op(Series(ya, trunc, ring, {u: ring.one}))
+
+    return on_word
+
+
 def _on_each_factor(op, t):
-    """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map op."""
+    """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map
+    op given on Y-words, as `_on_words` makes it."""
     ya, trunc, ring = y_alphabet(t.trunc), t.trunc, t.ring
     out = zero(t.alphabet, trunc, ring)
     for (u, v), c in tensor_pairs(t):
         us = Series(ya, trunc, ring, {u: ring.one})
         vs = Series(ya, trunc, ring, {v: ring.one})
-        out = out.add(tensor(op(us).scale(c), vs)).add(tensor(us, op(vs).scale(c)))
+        out = out.add(tensor(op(u).scale(c), vs)).add(tensor(us, op(v).scale(c)))
     return out
 
 
@@ -196,18 +232,20 @@ def lemma_derivation_check(f, n):
 
 
 def qualifying_section(g):
-    """(g, sec g) for a Y-series g that meets both hypotheses of the pairing
-    identities, g primitive for Delta_* and S_X(sec g) = -sec g; a g that
-    fails them raises ValueError.  The two pairing checks take this pair,
-    so g is checked once however many n and k they run over."""
+    """(g, f, D) with f = sec g, for a Y-series g that meets both hypotheses
+    of the pairing identities, g primitive for Delta_* and S_X(f) = -f; a g
+    that fails them raises ValueError.  D is D^Y_f on Y-words, as
+    `_on_words` makes it.  The two pairing checks take this triple, so g
+    is checked, and each D^Y_f(Y_m) computed, once however many n and k
+    they run over."""
     f = yside.sec(g)
     if not yside.is_primitive_star(g) or yside.antipode_x(f) != f.neg():
         raise ValueError("hypotheses: g primitive for Delta_*, S_X(sec g) = -sec g")
-    return g, f
+    return g, f, _on_words(big_d_y_map(f), g.trunc, g.ring)
 
 
 def lemma_coproduct_check(section, n):
-    """The coboundary of D^Y_f on Y_n for (g, f) = qualifying_section(g).
+    """The coboundary of D^Y_f on Y_n for (g, f, D) = qualifying_section(g).
 
     Delta_*(D^Y_f(Y_n)) - (id (x) D^Y_f + D^Y_f (x) id)(Delta_*(Y_n))
     equals sum_{k=0}^p sum_{i=k}^p (f_{i,i-k} (x) Y_{n+k}
@@ -218,12 +256,12 @@ def lemma_coproduct_check(section, n):
     without it the identity fails (g = Y_2 - Y_1^2/2, n = 1 is a
     counterexample).
     """
-    g, f = section
+    g, f, d_y = section
     trunc = g.trunc
     ring = g.ring
     p, comps = x_decomposition(f)
     yn = _y_letter(n, trunc, ring)
-    lhs = delta_star(big_d_y(f, yn)).sub(_on_each_factor(partial(big_d_y, f), delta_star(yn)))
+    lhs = delta_star(d_y((n - 1,))).sub(_on_each_factor(d_y, delta_star(yn)))
     rhs = zero(tensor_alphabet(y_alphabet(trunc)), trunc, ring)
     for k in range(p + 1):
         part = zero(y_alphabet(trunc), trunc, ring)
@@ -237,13 +275,13 @@ def lemma_coproduct_check(section, n):
 def lemma_telescoping_check(section, k):
     """The k-th diagonal sum of the pairings collapses to a single letter.
 
-    For (g, f) = qualifying_section(g), g in the Y Lie algebra with
+    For (g, f, D) = qualifying_section(g), g in the Y Lie algebra with
     f = sec(g) satisfying S_X(f) = -f:
     sum_{i=k}^p f_{i,i-k} equals
     (-1)^{p-k-1} C(p-1, k) (1 + (-1)^p) c_{X0^{p-1}X1}(g) Y_{p-k}
     for k <= p-1, and 0 for k = p.
     """
-    g, f = section
+    g, f, _ = section
     trunc = g.trunc
     ring = g.ring
     p, comps = x_decomposition(f)
@@ -284,10 +322,11 @@ def coderivation_check(psi, max_weight=None):
     dmin = degs[0] if degs else trunc
     top = max_weight if max_weight is not None else trunc - dmin
     ya = y_alphabet(trunc)
+    s_y = _on_words(partial(s_f_y, f), trunc, ring)
     for wgt in range(0, top + 1):
         for w in ya.words_of_degree(wgt):
             ws = Series(ya, trunc, ring, {w: ring.one})
-            if delta_star(s_f_y(f, ws)) != _on_each_factor(partial(s_f_y, f), delta_star(ws)):
+            if delta_star(s_y(w)) != _on_each_factor(s_y, delta_star(ws)):
                 return False
     return True
 

@@ -308,13 +308,21 @@ class PBWModel:
         memoized by model name and the integer letter images, so one table
         serves every truncation and every coefficient ring.
         """
+        return self._lie_image(lw, self._lie_memo(images))
+
+    def _lie_memo(self, images):
+        """`_bracket_images`, raising ValueError where it gives None."""
         memo = self._bracket_images(images)
         if memo is None:
             raise ValueError("letter images must be integer combinations of letters")
+        return memo
+
+    def _lie_image(self, lw, memo):
+        """`lie_image` on the memo `_lie_memo` resolved once per top-level call."""
         val = memo.get(lw)
         if val is None:
             u, v = standard_factorization(lw)
-            val = memo[lw] = self.bracket(self.lie_image(u, images), self.lie_image(v, images))
+            val = memo[lw] = self.bracket(self._lie_image(u, memo), self._lie_image(v, memo))
         return val
 
     def exp_lie(self, coords, g0, g1):
@@ -328,14 +336,14 @@ class PBWModel:
         den, tables = split_terms(
             {lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring
         )
-        images = (g0, g1)
+        memo = self._lie_memo((g0, g1))
         for k, table in tables.items():
             tables[k] = accumulate(
                 {},
                 (
                     (w, n * m)
                     for lw, n in table.items()
-                    for w, m in self.lie_image(lw, images).items()
+                    for w, m in self._lie_image(lw, memo).items()
                 ),
             )
         return self.exp(join_series((den, integer_parts(tables, self)), self))

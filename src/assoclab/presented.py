@@ -47,8 +47,8 @@ def _eliminate(row, k, pivot):
 def echelon(rows):
     """Insertion echelon over the integers; returns pivot -> primitive row.
 
-    Rows are sparse coordinate -> rational coeff tables.  Each is scaled
-    once to a primitive integer row (by the least common denominator of
+    Rows are sparse coordinate -> rational (or int) coeff tables.  Each is
+    scaled once to a primitive integer row (by the least common denominator of
     its entries, then the gcd of the numerators), and a lead coordinate
     that is already a pivot is eliminated by cross-multiplication, so no
     rational is built.  Coordinates are compared by their natural order;
@@ -153,25 +153,27 @@ class Presentation:
     def _build_degree(self, d):
         letters = range(len(self.letters))
         prev = self.basis[d - 1]
+        # one tuple per word of letters (x) B_{d-1}, shared by every row
+        words = {u: [(i,) + u for i in letters] for u in prev}
         rows = []
         for r in self.quadratic:
             for v in self.basis[d - 2]:
                 row = accumulate(
                     {},
                     (
-                        ((a,) + u, c * c2)
+                        (words[u][a], c * c2)
                         for (a, b), c in r.items()
                         for u, c2 in self._reduce_letter(d - 1, b, v).items()
                     ),
                 )
                 if row:
-                    rows.append(row)
+                    rows.append(_primitive(split_terms(row, RATIONALS)[1][0]))
         pivots = solve_pivots(echelon(rows))
         red = {}
         basis = []
         for i in letters:
             for w in prev:
-                word = (i,) + w
+                word = words[w][i]
                 if word in pivots:
                     red[word] = {k: -c for k, c in pivots[word].items() if k != word}
                 else:

@@ -76,9 +76,10 @@ def y_alphabet(max_weight):
     return Alphabet(tuple("Y%d" % i for i in range(1, n + 1)), tuple(range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def shuffle_words(u, v):
-    """All interleavings of u and v with multiplicity, as a word -> int table."""
+    """All interleavings of u and v with multiplicity, as a word -> int table.
+    The memo is bounded: unbounded, it held 27 MiB after one degree-10 Lie test."""
     if not u:
         return {v: 1}
     if not v:

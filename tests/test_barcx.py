@@ -169,6 +169,23 @@ def test_series_shuffle_bar_examples():
     assert check_series_shuffle_bar((1, 2), (2,))
 
 
+def test_l2_memo_is_bounded_and_exact(monkeypatch):
+    import assoclab.barcx as barcx
+
+    pairs = [(a, b) for a in all_indices(3) for b in all_indices(3) if sum(a) + sum(b) <= 4]
+    full = {pair: build_l2(*pair) for pair in pairs}
+    monkeypatch.setattr(barcx, "_L2_CACHE", {})
+    monkeypatch.setattr(barcx, "L2_CACHE_SIZE", 4)
+    for pair in pairs:
+        assert build_l2(*pair) == full[pair]
+        assert check_series_shuffle_bar(*pair)
+        assert 0 < len(barcx._L2_CACHE) <= 4
+    # a hit moves its entry to the end, so the oldest entry goes first
+    first = next(iter(barcx._L2_CACHE))
+    build_l2(*first)
+    assert list(barcx._L2_CACHE)[-1] == first
+
+
 def test_series_shuffle_rhs_term_count():
     rhs = series_shuffle_rhs((2,), (1,))
     lhs = build_l((2,), "x").shuffle(build_l((1,), "y"))

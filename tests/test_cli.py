@@ -413,3 +413,25 @@ def test_cli_import_loads_only_its_own_modules():
         "assoclab", "assoclab.cli", "assoclab.rationals", "assoclab.rings",
         "assoclab.series", "assoclab.words",
     ]
+
+
+@pytest.mark.parametrize("what, loaded", [
+    ("hexagon", ["assoclab.lie", "assoclab.models"]),
+    ("5cycle", ["assoclab.lie", "assoclab.models"]),
+    ("double-shuffle", ["assoclab.yside"]),
+])
+def test_verify_imports_only_what_its_check_runs(phi_file, what, loaded):
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import io, json, sys, contextlib, assoclab.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = assoclab.cli.main(['verify', %r, '--phi', %r])\n"
+        "print(json.dumps([code, sorted(m for m in set(sys.modules) - before"
+        " if m.startswith('assoclab'))]))" % (what, str(phi_file))
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == [0, loaded]

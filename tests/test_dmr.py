@@ -8,7 +8,16 @@ from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
-from assoclab.series import Series, from_word, is_group_like, is_lie, zero
+from assoclab.series import (
+    Series,
+    from_word,
+    is_group_like,
+    is_lie,
+    primitive_tensor,
+    tensor_image,
+    tensor_pairs,
+    zero,
+)
 from assoclab.words import X_ALPHABET, y_alphabet
 
 from support import random_lie, random_lie_mixed, random_series, widen
@@ -62,6 +71,65 @@ def test_solver_and_membership_read_one_defect(degree):
         bad = psi.add(last)
         assert dmr.dmr0_defect(bad)
         assert not dmr.is_dmr0(bad)
+
+
+# -- the halved dmr_0 rows ----------------------------------------------------
+
+
+def full_star_defect(s):
+    """Delta_*(s) - (1 (x) s + s (x) 1) on every pair (u, v), through the
+    Delta_* that dmr reads."""
+    return dict(tensor_pairs(dmr.delta_star(s).sub(primitive_tensor(s))))
+
+
+def flip_asymmetry(table):
+    """The entries of a (u, v) -> c table whose flip (v, u) differs."""
+    return {(u, v): c for (u, v), c in table.items() if table.get((v, u)) != c}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_star_defect_is_flip_symmetric(seed):
+    rng = random.Random(3100 + seed)
+    g = random_series(rng, y_alphabet(6), 6, density=0.3)
+    table = full_star_defect(g)
+    assert table and not flip_asymmetry(table)
+    table = full_star_defect(yside.psi_star(random_lie_mixed(rng, 6)))
+    assert table and not flip_asymmetry(table)
+
+
+def test_halved_defect_is_empty_exactly_when_the_full_one_is(psi3, psi5):
+    rng = random.Random(3110)
+    cases = [psi3, psi5, *dmr.solve_dmr0(7), *dmr.solve_dmr0(8)]
+    # solve_dmr0(d) is homogeneous of degree d = its truncation
+    cases += [psi.add(random_lie(rng, psi.trunc, psi.trunc, 1)) for psi in cases]
+    cases += [random_lie(rng, d, d) for d in (3, 5, 6)]
+    for psi in cases:
+        full = full_star_defect(yside.psi_star(psi))
+        halved = dmr.dmr0_defect(psi)
+        kept = {(u, v): c for (u, v), c in full.items() if u <= v}
+        assert {k[1:]: c for k, c in halved.items() if k[0] == "t"} == kept
+        assert bool(kept) == bool(full)
+        assert dmr.is_dmr0(psi) == (not full and not psi.coefficient((0, 1)))
+
+
+def test_a_non_symmetric_delta_star_is_caught(monkeypatch, psi5):
+    def skewed(s):
+        # Delta_*(Y3) without its Y2 (x) Y1 term: no longer flip-symmetric
+        letters = [
+            [
+                ((i - 1,) if i else (), (n - i - 1,) if i < n else ())
+                for i in range(n + 1)
+                if (n, i) != (3, 2)
+            ]
+            for n in range(1, len(s.alphabet) + 1)
+        ]
+        return tensor_image(s, letters)
+
+    assert not flip_asymmetry(full_star_defect(yside.psi_star(psi5)))
+    monkeypatch.setattr(dmr, "delta_star", skewed)
+    assert flip_asymmetry(full_star_defect(yside.psi_star(psi5)))
+    g = random_series(random.Random(3120), y_alphabet(6), 6, density=0.3)
+    assert flip_asymmetry(full_star_defect(g))
 
 
 # -- the Ihara bracket ---------------------------------------------------------
@@ -201,6 +269,17 @@ def test_coproduct_identity_on_qualifying_inputs():
             section = dmr.qualifying_section(g)
             for n in range(1, 6 - w + 1):
                 assert dmr.lemma_coproduct_check(section, n)
+
+
+def test_section_holds_d_y_on_words():
+    for w in (1, 3):
+        for g in dmr.qualifying_basis(w, 6):
+            _, f, d_y = dmr.qualifying_section(g)
+            for m in range(1, 6 - w + 1):
+                letter = Series(y_alphabet(6), 6, RATIONALS, {(m - 1,): qq(1)})
+                assert d_y((m - 1,)) == dmr.big_d_y(f, letter)
+                assert d_y((m - 1,)) is d_y((m - 1,))
+            assert d_y(()).is_zero()
 
 
 def test_telescoping_identity_on_qualifying_inputs():

@@ -135,6 +135,23 @@ def test_bracket_images_are_shared_by_equal_arguments():
     assert img and not free.lie_image(lw, (g["t12"], g["t24"]))
 
 
+def test_lie_image_resolves_its_memo_once_per_call(monkeypatch):
+    import assoclab.models as models
+
+    monkeypatch.setattr(models, "_LIE_IMAGES", {})  # every bracket image is a miss
+    m = a4_model(BRACKET_TRUNC)
+    g = a4_generators(m)
+    images = (g["t12"], g["t24"])
+    calls = []
+    resolve = m._bracket_images
+    monkeypatch.setattr(m, "_bracket_images", lambda images: calls.append(1) or resolve(images))
+    assert m.lie_image((0, 0, 1, 0, 1, 1), images)
+    assert len(calls) == 1
+    coords = {lw: qq(1, len(lw)) for d in range(1, 6) for lw in lyndon_words(2, d)}
+    assert not m.exp_lie(coords, *images).is_zero()
+    assert len(calls) == 2
+
+
 def test_non_integral_images_take_the_word_path():
     rng = random.Random(49)
     phi = random_group_like(rng, TRUNC)

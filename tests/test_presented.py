@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,16 +22,47 @@ def a4_dim(d):
     return (3 ** (d + 2) - 2 ** (d + 3) + 1) // 2
 
 
-def test_p5_generic_dimensions():
-    pres = Presentation.builtin("p5")
-    for d in range(7):
-        assert pres.dimension(d) == p5_dim(d)
+def hilbert_product(factors, top):
+    """Coefficients of prod_k 1/(1 - k t) up to t^top: the Hilbert series of
+    an iterated semidirect product of free algebras on k generators."""
+    coeffs = [1] + [0] * top
+    for k in factors:
+        for d in range(1, top + 1):
+            coeffs[d] += k * coeffs[d - 1]
+    return coeffs
 
 
-def test_a4_generic_dimensions():
-    pres = Presentation.builtin("a4")
-    for d in range(5):
-        assert pres.dimension(d) == a4_dim(d)
+def assert_generic_dimensions(monkeypatch, name, factors, closed_form, top):
+    """The generic engine's dimensions of a builtin presentation against its
+    splitting and its closed form; every row the degree builder hands to the
+    echelon is already a primitive integer row."""
+    import assoclab.presented as presented
+
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(presented, "echelon", spy)
+    pres = Presentation.builtin(name)
+    dims = [pres.dimension(d) for d in range(top + 1)]
+    assert dims == hilbert_product(factors, top) == [closed_form(d) for d in range(top + 1)]
+    # seen[0] holds the linear relations; one call per degree 2..top follows
+    built = [row for rows in seen[1:] for row in rows]
+    assert len(seen) == top and built
+    for row in built:
+        assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+
+
+def test_p5_generic_dimensions(monkeypatch):
+    # p5 splits as free(X12, X23) x free(X34, X45, X24)
+    assert_generic_dimensions(monkeypatch, "p5", (2, 3), p5_dim, 6)
+
+
+def test_a4_generic_dimensions(monkeypatch):
+    # a4 splits as the center times free(t12, t23) x free(t14, t24, t34)
+    assert_generic_dimensions(monkeypatch, "a4", (1, 2, 3), a4_dim, 4)
 
 
 def test_p5_model_counts_match_generic():

@@ -129,6 +129,27 @@ def test_is_lie_two_characterizations_agree():
         assert is_lie(s) == (coproduct(s) == _primitive_image(s))
 
 
+def test_bounded_shuffle_memo_gives_the_unbounded_sums(monkeypatch):
+    from functools import lru_cache
+
+    from assoclab import series, words
+
+    s = lie_basis(X_ALPHABET, 10, 10)[-1][1]
+    assert is_lie(s)  # a Lie series: the cross-check walks every pair
+    info = words.shuffle_words.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    # off the Lie algebra, so that the sums are not all zero
+    s = s.add(random_series(random.Random(18), X_ALPHABET, 10, density=0.01))
+    tables = series.split_terms(s.terms, s.ring)[1]
+    bounded = list(series._shuffle_sums(s, tables))
+    assert any(sums for _, _, sums in bounded)
+    unbounded = lru_cache(maxsize=None)(words.shuffle_words.__wrapped__)
+    monkeypatch.setattr(words, "shuffle_words", unbounded)
+    monkeypatch.setattr(series, "shuffle_words", unbounded)
+    assert list(series._shuffle_sums(s, tables)) == bounded
+    assert unbounded.cache_info().currsize > info.maxsize
+
+
 def _primitive_image(s):
     terms = {}
     for w, c in s.terms.items():
