@@ -208,10 +208,10 @@ def _prepend(out, heads, e):
     accumulate(out, (((letter,) + w, sign * c) for letter, sign in heads for w, c in e.terms.items()))
 
 
-# (a, b) -> build_l2(a, b), least recently used first.  `bar shuffle` at
-# weights 5, 6, 7 and 8 uses 49, 129, 321 and 769 entries; a bound below
-# that costs 3-5 times the time (weight 7 with 128 entries: 2.4 -> 10.9 s),
-# so the bound sits above weight 8 and caps the growth past it.
+# (a, b) -> build_l2(a, b), oldest first.  `bar shuffle` at weights 5, 6,
+# 7 and 8 uses 49, 129, 321 and 769 entries; a bound below that costs 3-5
+# times the time (weight 7 with 128 entries: 2.4 -> 10.9 s), so the bound
+# sits above weight 8 and caps the growth past it.
 _L2_CACHE = {}
 L2_CACHE_SIZE = 1024
 
@@ -227,10 +227,10 @@ def build_l2(a, b):
     if not a or not b:
         raise BarError("both indices must be nonempty")
     key = (a, b)
-    e = _L2_CACHE.pop(key, None)
-    if e is not None:
-        _L2_CACHE[key] = e  # now the most recently used
-        return e
+    try:
+        return _L2_CACHE[key]
+    except KeyError:
+        pass
     k, l = len(a), len(b)
     terms = {}
     # terms with dx: d/dx Li_{a,b}
@@ -253,7 +253,7 @@ def build_l2(a, b):
     if not check_integrability(e):
         raise BarError("two-variable element failed integrability: %r" % (key,))
     if len(_L2_CACHE) >= L2_CACHE_SIZE:
-        del _L2_CACHE[next(iter(_L2_CACHE))]  # the least recently used
+        del _L2_CACHE[next(iter(_L2_CACHE))]  # the oldest entry
     _L2_CACHE[key] = e
     return e
 

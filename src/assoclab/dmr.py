@@ -10,7 +10,7 @@ companions and the Y-side derivation D^Y_f) together with exact checks
 of the identities that drive the bracket-closure proof.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 
 from .rationals import binomial, qq
@@ -59,34 +59,39 @@ def ihara_bracket(psi1, psi2):
     return d_psi(psi2, psi1).sub(d_psi(psi1, psi2)).sub(comm)
 
 
-def s_f(f, v):
-    """s_f(v) = f v + d_f(v)."""
+def s_f_map(f):
+    """v -> s_f(v) = f v + d_f(v), with [X1, f] computed once for every v."""
     if f.constant_term():
         raise ValueError("s_f requires zero constant term")
-    return f.mul(v).add(d_psi(f, v))
+    images = _x1_images(f)
+    return lambda v: f.mul(v).add(derivation(v, images))
 
 
-def s_f_y(f, w):
-    """The Y-side companion of s_f, with pi_Y s_f = s^Y_f pi_Y.
+def s_f(f, v):
+    """s_f(v) = f v + d_f(v)."""
+    return s_f_map(f)(v)
+
+
+def s_f_y_map(f):
+    """w -> s^Y_f(w), the Y-side companion of s_f, with pi_Y s_f = s^Y_f pi_Y.
 
     s_f preserves the span of words ending in X0, so it descends along
     pi_Y; the value on a Y-series is computed through the standard lift.
     """
-    return pi_y(s_f(f, embed_y(w)))
+    s = s_f_map(f)
+    return lambda w: pi_y(s(embed_y(w)))
+
+
+def s_f_y(f, w):
+    """s^Y_f(w); see `s_f_y_map`."""
+    return s_f_y_map(f)(w)
 
 
 def big_d_y_map(f):
     """w -> D^Y_f(w) = s^Y_f(w) - w pi_Y(f), a derivation of the Y-algebra,
     with [X1, f] and pi_Y(f) computed once for every w."""
-    if f.constant_term():
-        raise ValueError("s_f requires zero constant term")
-    images, f_y = _x1_images(f), pi_y(f)
-
-    def apply(w):
-        v = embed_y(w)
-        return pi_y(f.mul(v).add(derivation(v, images))).sub(w.mul(f_y))
-
-    return apply
+    s, f_y = s_f_y_map(f), pi_y(f)
+    return lambda w: s(w).sub(w.mul(f_y))
 
 
 def big_d_y(f, w):
@@ -322,7 +327,7 @@ def coderivation_check(psi, max_weight=None):
     dmin = degs[0] if degs else trunc
     top = max_weight if max_weight is not None else trunc - dmin
     ya = y_alphabet(trunc)
-    s_y = _on_words(partial(s_f_y, f), trunc, ring)
+    s_y = _on_words(s_f_y_map(f), trunc, ring)
     for wgt in range(0, top + 1):
         for w in ya.words_of_degree(wgt):
             ws = Series(ya, trunc, ring, {w: ring.one})
@@ -338,8 +343,9 @@ def exp_dmr(psi):
     """Exp(psi) = sum_i (1/i!) (mu_psi + d_psi)^i (1), with s = mu + d."""
     out = one(psi.alphabet, psi.trunc, psi.ring)
     term = out
+    s = s_f_map(psi)
     for i in range(1, psi.trunc + 1):
-        term = s_f(psi, term).scale_q(qq(1, i))
+        term = s(term).scale_q(qq(1, i))
         if term.is_zero():
             break
         out = out.add(term)

@@ -51,6 +51,29 @@ def bracketing(word):
     return {w: c for w, c in out.items() if c}
 
 
+def dynkin_map(table):
+    """theta(A) for a word -> int table A with no empty word, where theta
+    sends w1...wn to the left-normed bracket [...[w1, w2], ..., wn].
+
+    With A = sum_x A_x.x, theta(A) = sum_x (theta(A_x).x - x.theta(A_x))
+    over the nonempty words of A_x, plus A_x(empty) x: the words are
+    grouped by their last letter and the groups recurse, so no table
+    outlives the call.  By Dynkin-Specht-Wever, a homogeneous A of degree
+    n is Lie exactly when theta(A) = n A.
+    """
+    out, by_last = {}, {}
+    for w, c in table.items():
+        by_last.setdefault(w[-1], {})[w[:-1]] = c
+    for x, prefixes in by_last.items():
+        c = prefixes.pop((), 0)
+        if c:
+            accumulate(out, (((x,), c),))
+        if prefixes:
+            accumulate(out, ((t, m) for v, n in dynkin_map(prefixes).items()
+                             for t, m in ((v + (x,), n), ((x,) + v, -n))))
+    return out
+
+
 def lyndon_coordinates(s):
     """The coordinates of s against the standard bracketings, and a remainder.
 

@@ -308,17 +308,13 @@ class PBWModel:
         memoized by model name and the integer letter images, so one table
         serves every truncation and every coefficient ring.
         """
-        return self._lie_image(lw, self._lie_memo(images))
-
-    def _lie_memo(self, images):
-        """`_bracket_images`, raising ValueError where it gives None."""
         memo = self._bracket_images(images)
         if memo is None:
             raise ValueError("letter images must be integer combinations of letters")
-        return memo
+        return self._lie_image(lw, memo)
 
     def _lie_image(self, lw, memo):
-        """`lie_image` on the memo `_lie_memo` resolved once per top-level call."""
+        """`lie_image` on the bracket-image memo, looked up once by the caller."""
         val = memo.get(lw)
         if val is None:
             u, v = standard_factorization(lw)
@@ -333,10 +329,16 @@ class PBWModel:
         drop out.  The sum runs over the integers, the coordinates split
         over one common denominator.
         """
+        memo = self._bracket_images((g0, g1))
+        if memo is None:
+            raise ValueError("letter images must be integer combinations of letters")
+        return self._exp_lie(coords, memo)
+
+    def _exp_lie(self, coords, memo):
+        """`exp_lie` on the bracket-image memo, looked up once by the caller."""
         den, tables = split_terms(
             {lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring
         )
-        memo = self._lie_memo((g0, g1))
         for k, table in tables.items():
             tables[k] = accumulate(
                 {},
@@ -359,11 +361,12 @@ class PBWModel:
         truncated below the model and other images go through the word
         path.
         """
-        if phi.trunc >= self.trunc and self._bracket_images((g0, g1)) is not None:
+        memo = self._bracket_images((g0, g1)) if phi.trunc >= self.trunc else None
+        if memo is not None:
             if coords is _PEEL:
                 coords = lie_coordinates(phi)
             if coords is not None:
-                return self.exp_lie(coords, g0, g1)
+                return self._exp_lie(coords, memo)
         return substitute(phi, [g0, g1], self)
 
 

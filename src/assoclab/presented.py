@@ -27,6 +27,19 @@ def _primitive(row):
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
+def integer_row(row):
+    """A new primitive integer row from a rational row: copied if its
+    entries are ints already, else scaled by their least common
+    denominator; then divided by the gcd of the entries.  A zero row
+    gives {}.  The elimination edits rows in place, so the copy keeps the
+    caller's row intact."""
+    if all(type(v) is int for v in row.values()):
+        row = dict(row)
+    else:
+        row = split_terms(row, RATIONALS)[1].get(0, {})
+    return _primitive(row) if row else row
+
+
 def _eliminate(row, k, pivot):
     """a.row - b.pivot, with a : b = pivot[k] : row[k] in lowest terms, so
     coordinate k cancels; made primitive."""
@@ -48,20 +61,19 @@ def echelon(rows):
     """Insertion echelon over the integers; returns pivot -> primitive row.
 
     Rows are sparse coordinate -> rational (or int) coeff tables.  Each is
-    scaled once to a primitive integer row (by the least common denominator of
-    its entries, then the gcd of the numerators), and a lead coordinate
-    that is already a pivot is eliminated by cross-multiplication, so no
-    rational is built.  Coordinates are compared by their natural order;
+    made a primitive integer row once (`integer_row`), and a lead
+    coordinate that is already a pivot is eliminated by
+    cross-multiplication, so no rational is built.  Coordinates are compared by their natural order;
     the pivot set is the leading-coordinate set of the row space, hence
     canonical.
     """
     pivots = {}
     for row in rows:
-        row = split_terms(row, RATIONALS)[1].get(0)
+        row = integer_row(row)
         while row:
             lead = min(row)
             if lead not in pivots:
-                pivots[lead] = _primitive(row)
+                pivots[lead] = row
                 break
             row = _eliminate(row, lead, pivots[lead])
     return pivots
@@ -167,7 +179,7 @@ class Presentation:
                     ),
                 )
                 if row:
-                    rows.append(_primitive(split_terms(row, RATIONALS)[1][0]))
+                    rows.append(integer_row(row))
         pivots = solve_pivots(echelon(rows))
         red = {}
         basis = []

@@ -324,9 +324,8 @@ def tensor_square(s):
 
 def _shuffle_sums(s, tables):
     """(u, v, sums) for each unordered pair {u, v} of nonempty words with
-    deg u + deg v <= s.trunc (u ш v = v ш u, so (v, u) gives no new
-    equation): sums[k] is sum m A_k(w) over the terms m.w of u ш v, on
-    the split integer tables A_k of s, nonzero sums only."""
+    deg u + deg v <= s.trunc (u ш v = v ш u): sums[k] is sum m A_k(w) over
+    the terms m.w of u ш v, on the split integer tables A_k of s, nonzero only."""
     deg = s.alphabet.degree
     words = [w for d in range(1, s.trunc) for w in s.alphabet.words_of_degree(d)]
     for i, u in enumerate(words):
@@ -377,14 +376,16 @@ def primitive_tensor(s):
 
 
 def is_lie(s):
-    """Primitivity up to the truncation degree, with the Friedrichs
-    cross-check on the split tables of s, over unordered pairs of words."""
+    """Primitivity up to the truncation degree, cross-checked on each split
+    table A of s by Dynkin-Specht-Wever, theta(A) = sum len(w) A(w) w."""
+    from .lie import dynkin_map
+
     if s.constant_term():
         return False
     by_coproduct = coproduct(s) == primitive_tensor(s)
-    tables = split_terms(s.terms, s.ring)[1]
-    by_friedrichs = not any(sums for _, _, sums in _shuffle_sums(s, tables))
-    if by_coproduct != by_friedrichs:
+    tables = split_terms(s.terms, s.ring)[1].values()
+    by_dynkin = all(dynkin_map(a) == {w: len(w) * c for w, c in a.items()} for a in tables)
+    if by_coproduct != by_dynkin:
         raise AssertionError("primitivity tests disagree")
     return by_coproduct
 

@@ -78,8 +78,7 @@ def y_alphabet(max_weight):
 
 @lru_cache(maxsize=256)
 def shuffle_words(u, v):
-    """All interleavings of u and v with multiplicity, as a word -> int table.
-    The memo is bounded: unbounded, it held 27 MiB after one degree-10 Lie test."""
+    """All interleavings of u and v with multiplicity, as a word -> int table."""
     if not u:
         return {v: 1}
     if not v:

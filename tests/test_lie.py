@@ -1,9 +1,16 @@
 import random
 
-from assoclab.lie import bracketing, lie_basis, lie_bracket, lyndon_coordinates, lyndon_words
-from assoclab.rings import RATIONALS
-from assoclab.series import Series, is_lie, zero
-from assoclab.words import X_ALPHABET
+from assoclab.lie import (
+    bracketing,
+    dynkin_map,
+    lie_basis,
+    lie_bracket,
+    lyndon_coordinates,
+    lyndon_words,
+)
+from assoclab.rings import RATIONALS, accumulate
+from assoclab.series import Series, coproduct, is_lie, primitive_tensor, zero
+from assoclab.words import X_ALPHABET, y_alphabet
 
 from support import random_group_like, random_lie, random_lie_mixed, random_series
 
@@ -86,3 +93,54 @@ def test_lyndon_coordinates_of_a_basis_element():
         for lw, e in lie_basis(X_ALPHABET, d, 6):
             coords, remainder = lyndon_coordinates(e.scale(RATIONALS.embed(3)))
             assert coords == {lw: 3} and remainder.is_zero()
+
+
+def _left_normed(word):
+    """[...[w1, w2], ..., wn] expanded one letter at a time."""
+    out = {word[:1]: 1}
+    for x in word[1:]:
+        step = {}
+        for w, c in out.items():
+            accumulate(step, ((w + (x,), c), ((x,) + w, -c)))
+        out = step
+    return out
+
+
+def test_dynkin_map_matches_left_normed_brackets():
+    rng = random.Random(61)
+    for _ in range(30):
+        table = {}
+        for _ in range(rng.randint(1, 12)):
+            w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 7)))
+            table[w] = rng.choice((-3, -2, -1, 1, 2, 5))
+        want = {}
+        for w, c in table.items():
+            accumulate(want, ((v, c * m) for v, m in _left_normed(w).items()))
+        assert dynkin_map(table) == want
+    # one coefficient moved: the image moves too
+    table[next(iter(table))] += 1
+    assert dynkin_map(table) != want
+
+
+def test_dynkin_criterion_holds_exactly_on_lie_elements():
+    for d in range(1, 8):
+        for lw in lyndon_words(2, d):
+            b = bracketing(lw)
+            assert dynkin_map(b) == {w: d * c for w, c in b.items()}
+            if d > 1:  # the Lyndon word alone is not Lie
+                assert dynkin_map({lw: 1}) != {lw: d}
+
+
+def test_is_lie_over_weighted_letters():
+    # the Y letters have weights 1..n; the Dynkin criterion reads word length
+    ya = y_alphabet(7)
+    rng = random.Random(62)
+    for _ in range(10):
+        a, b, c = (
+            Series(ya, 7, RATIONALS, {(i,): RATIONALS.embed(rng.randint(1, 4))})
+            for i in rng.sample(range(3), 3)
+        )
+        lie = lie_bracket(lie_bracket(a, b), c).add(lie_bracket(a, c)).add(b)
+        assert is_lie(lie)
+        bad = lie.add(a.mul(b))
+        assert not is_lie(bad) and coproduct(bad) != primitive_tensor(bad)

@@ -135,7 +135,7 @@ def test_bracket_images_are_shared_by_equal_arguments():
     assert img and not free.lie_image(lw, (g["t12"], g["t24"]))
 
 
-def test_lie_image_resolves_its_memo_once_per_call(monkeypatch):
+def test_lie_image_and_evaluate_resolve_their_memo_once_per_call(monkeypatch):
     import assoclab.models as models
 
     monkeypatch.setattr(models, "_LIE_IMAGES", {})  # every bracket image is a miss
@@ -150,6 +150,9 @@ def test_lie_image_resolves_its_memo_once_per_call(monkeypatch):
     coords = {lw: qq(1, len(lw)) for d in range(1, 6) for lw in lyndon_words(2, d)}
     assert not m.exp_lie(coords, *images).is_zero()
     assert len(calls) == 2
+    phi = random_group_like(random.Random(50), BRACKET_TRUNC)
+    assert m.evaluate(phi, *images) == substitute(phi, list(images), m)
+    assert len(calls) == 3
 
 
 def test_non_integral_images_take_the_word_path():

@@ -232,6 +232,18 @@ def test_solve_pivots_on_tuple_coordinates():
     assert solve_pivots(echelon(rows)) == gauss_jordan(rows)
 
 
+def test_echelon_leaves_its_rows_intact():
+    # integer rows enter the echelon as they are; it eliminates in place,
+    # so it must work on copies
+    rng = random.Random(1298)
+    rows = [{k: rng.choice((-3, -1, 1, 2, 4)) for k in rng.sample(range(8), rng.randint(1, 5))}
+            for _ in range(14)]
+    rows += [{0: 2, 1: 4}, {0: 3, 1: 6, 2: 3}]
+    before = [dict(row) for row in rows]
+    assert solve_pivots(echelon(rows)) == gauss_jordan(before)
+    assert rows == before
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_affine_matches_gauss_jordan(seed):
     # columns over large coprime denominators; the right-hand side is a

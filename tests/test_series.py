@@ -134,14 +134,17 @@ def test_bounded_shuffle_memo_gives_the_unbounded_sums(monkeypatch):
 
     from assoclab import series, words
 
+    words.shuffle_words.cache_clear()
     s = lie_basis(X_ALPHABET, 10, 10)[-1][1]
-    assert is_lie(s)  # a Lie series: the cross-check walks every pair
-    info = words.shuffle_words.cache_info()
-    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    assert is_lie(s)  # cross-checked by the Dynkin map, with no shuffle
+    assert words.shuffle_words.cache_info().currsize == 0
     # off the Lie algebra, so that the sums are not all zero
     s = s.add(random_series(random.Random(18), X_ALPHABET, 10, density=0.01))
+    assert not is_lie(s)
     tables = series.split_terms(s.terms, s.ring)[1]
     bounded = list(series._shuffle_sums(s, tables))
+    info = words.shuffle_words.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     assert any(sums for _, _, sums in bounded)
     unbounded = lru_cache(maxsize=None)(words.shuffle_words.__wrapped__)
     monkeypatch.setattr(words, "shuffle_words", unbounded)
