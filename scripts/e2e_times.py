@@ -7,6 +7,8 @@ the checkout (the current directory unless --repo is given):
 
 - `assoclab solve-pentagon --degree 8 -o FILE` (the default c2 = 1);
 - `assoclab verify main --phi FILE` on that file;
+- `assoclab verify hexagon --phi FILE` on that file, the model products,
+  exp and inverse over the quadratic extension Q(mu);
 - `assoclab dmr dims --max-degree 9`, the Lie-level path that spends its
   time in the exact echelon, and the same to degree 11, where the dmr_0
   rows and the echelon set the peak memory;
@@ -98,6 +100,7 @@ def main():
             cli + ["solve-pentagon", "--degree", str(DEGREE), "-o", "phi.series"], tmp, env
         )
         out["verify_main"] = timed(cli + ["verify", "main", "--phi", "phi.series"], tmp, env)
+        out["verify_hexagon"] = timed(cli + ["verify", "hexagon", "--phi", "phi.series"], tmp, env)
         out["dmr_dims"] = timed(cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE)], tmp, env)
         out["dmr_dims_large"] = timed(
             cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE_LARGE)], tmp, env

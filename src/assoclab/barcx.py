@@ -208,12 +208,11 @@ def _prepend(out, heads, e):
     accumulate(out, (((letter,) + w, sign * c) for letter, sign in heads for w, c in e.terms.items()))
 
 
-# (a, b) -> build_l2(a, b), oldest first.  `bar shuffle` at weights 5, 6,
-# 7 and 8 uses 49, 129, 321 and 769 entries; a bound below that costs 3-5
-# times the time (weight 7 with 128 entries: 2.4 -> 10.9 s), so the bound
-# sits above weight 8 and caps the growth past it.
+# (a, b) -> build_l2(a, b), for the life of one command.  `bar shuffle` at
+# weights 5 to 9 keeps 49, 129, 321, 769 and 1,793 entries.  It is not
+# bounded: build_l2 recurses through it, so an evicted entry is rebuilt
+# with everything under it (weight 9 under a 1,024 bound: 4 times the time).
 _L2_CACHE = {}
-L2_CACHE_SIZE = 1024
 
 
 def build_l2(a, b):
@@ -252,8 +251,6 @@ def build_l2(a, b):
     e = BarElement("m05", terms)
     if not check_integrability(e):
         raise BarError("two-variable element failed integrability: %r" % (key,))
-    if len(_L2_CACHE) >= L2_CACHE_SIZE:
-        del _L2_CACHE[next(iter(_L2_CACHE))]  # the oldest entry
     _L2_CACHE[key] = e
     return e
 

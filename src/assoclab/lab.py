@@ -29,7 +29,6 @@ from .series import (
     zero,
 )
 from .words import X_ALPHABET
-from . import yside
 
 
 class PentagonObstruction(RuntimeError):
@@ -145,6 +144,8 @@ def solve_pentagon(trunc, c2=0):
 
 def verify_theorem_main(phi):
     """Pentagon and 5-cycle residuals plus the double shuffle property."""
+    from . import yside
+
     pentagon = check_pentagon(phi)
     five_cycle = check_5cycle(phi)
     return {
@@ -161,6 +162,8 @@ T_RING = PolynomialRing("T")
 
 def integral_regularized(a, phi):
     """l^I_a(phi) = l_a(e^{T X1} phi), a polynomial in T."""
+    from . import yside
+
     phi_t = lift_series(phi, T_RING)
     x1 = Series(X_ALPHABET, phi.trunc, T_RING, {(1,): T_RING.gen})
     return yside.l_value_x(a, x1.exp().mul(phi_t))
@@ -169,6 +172,8 @@ def integral_regularized(a, phi):
 def series_regularized(a, phi, _cache=None):
     """l^S_a(phi): l_a on admissible indices, -T on (1), and otherwise the
     unique values keeping the quasi-shuffle product formula valid."""
+    from . import yside
+
     if _cache is None:
         _cache = {}
     if a in _cache:
@@ -197,6 +202,8 @@ def map_L(phi):
     Returns a function Poly -> Poly; internally the images of the powers
     T^n are read off the generating series in u up to the truncation.
     """
+    from . import yside
+
     n_max = phi.trunc
     # exponent: T u - sum_{n>=1} l_n(phi) u^n / n as a u-series over k[T]
     expo = {(0,) * n: T_RING.embed(-yside.l_value_x((n,), phi) / n) for n in range(1, n_max + 1)}
@@ -305,6 +312,8 @@ def gamma_at_minus_y1(coeffs, trunc):
 
 def verify_theorem_gamma(phi):
     """Exact checks of the gamma factorization theorem for phi."""
+    from . import yside
+
     report = gamma_factorize(phi)
     checks = {"factorization": report["success"]}
     ok = True

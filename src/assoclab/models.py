@@ -18,10 +18,13 @@ word, what is left between its leading fiber letters and its trailing
 base and central letters, which are already in place.
 
 Products run over the integers (`series.kernel_mul`): the factors are
-split into integer components over one common denominator, each pair
-of components is multiplied as normalize(a.mul(b)), and the coefficient
-ring enters only when the product is joined back.  exp, log and inverse
-are substitutions and run on the same kernel.
+split into integer components over one common denominator and each pair
+of components is multiplied as normalize(a.mul(b)).  exp, log and
+inverse are substitutions and run on the same kernel.  Each result keeps
+its split and a factor that holds one is not split again; the checks'
+differences and zero tests read the splits too, so a product is joined
+into ring coefficients only when a caller reads its terms, and a passing
+check reads none.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
 model of the same kind: fiber X0, base X1 and no bracket, so its normal
@@ -539,11 +542,11 @@ def check_hexagons(phi):
         return m.exp(t.scale(mu_half))
 
     t12, t13, t23 = g["t12"], g["t13"], g["t23"]
-    f123 = f(t12, t23)
+    f123, e13 = f(t12, t23), half_exp(t13)
     lhs1 = half_exp(t13.add(t23))
-    rhs1 = m.mul(f(t13, t12), half_exp(t13), m.inverse(f(t13, t23)), half_exp(t23), f123)
+    rhs1 = m.mul(f(t13, t12), e13, m.inverse(f(t13, t23)), half_exp(t23), f123)
     lhs2 = half_exp(t12.add(t13))
-    rhs2 = m.mul(m.inverse(f(t23, t13)), half_exp(t13), f(t12, t13), half_exp(t12), m.inverse(f123))
+    rhs2 = m.mul(m.inverse(f(t23, t13)), e13, f(t12, t13), half_exp(t12), m.inverse(f123))
     return lhs1.sub(rhs1), lhs2.sub(rhs2)
 
 

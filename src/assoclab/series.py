@@ -11,15 +11,19 @@ the integer kernel: `split_series` writes a series as integer Series
 (over `INTEGERS`), one per integral basis element of its ring, over one
 common denominator; `kernel_mul` multiplies two split series with one
 `normalize(a.mul(b))` per pair of components and the ring's integer
-structure constants; `join_series` turns the result back into a series
-over the ring.  `substitute`, and with it every power series, and the
-model products run on it.
+structure constants; `join_series` wraps the result as a series over the
+ring.  `substitute`, and with it every power series, and the model
+products run on it.  A Series holds its ring terms, its split at the
+least denominator, or both, and builds each form at most once, when it
+is first read: a kernel result keeps only its split, and `add`, `sub`,
+`==`, `is_zero` and `coefficient` read the splits whenever an operand
+holds one, so a chain of kernel steps passes integer tables along.
 """
 
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .rationals import QQ, qq, format_rational, parse_rational
 from .rings import INTEGERS, RATIONALS, accumulate
@@ -45,12 +49,12 @@ class ConstantTermError(AlgebraError):
 class Series:
     """Sparse map word -> coefficient, truncated at a fixed total degree."""
 
-    __slots__ = ("alphabet", "trunc", "ring", "terms")
+    __slots__ = ("alphabet", "trunc", "ring", "terms", "_split")
 
-    def __init__(self, alphabet, trunc, ring, terms=None, _clean=False):
-        self.alphabet = alphabet
-        self.trunc = trunc
-        self.ring = ring
+    def __init__(self, alphabet, trunc, ring, terms=None, _clean=False, _split=None):
+        self.alphabet, self.trunc, self.ring, self._split = alphabet, trunc, ring, _split
+        if _split is not None:
+            return
         if terms is None:
             self.terms = {}
         elif _clean:
@@ -59,13 +63,34 @@ class Series:
             deg = alphabet.degree
             self.terms = {w: c for w, c in terms.items() if deg(w) <= trunc and c}
 
+    def __getattr__(self, name):
+        """The terms of a held split, joined over the ring when first read."""
+        if name != "terms":
+            raise AttributeError(name)
+        den, parts = self._split
+        coords, rank = {}, max(parts, default=0) + 1
+        for k, part in parts.items():
+            for w, m in part.terms.items():
+                cs = coords.get(w)
+                if cs is None:
+                    cs = coords[w] = [0] * rank
+                cs[k] = QQ(m, den)
+        join = self.ring.join
+        self.terms = {w: join(cs) for w, cs in coords.items()}
+        return self.terms
+
     # -- basic queries ------------------------------------------------
 
     def coefficient(self, word):
-        return self.terms.get(word, self.ring.zero)
+        if self._split is None:
+            return self.terms.get(word, self.ring.zero)
+        den, parts = self._split
+        cs = [QQ(parts[k].terms.get(word, 0), den) if k in parts else 0
+              for k in range(max(parts, default=0) + 1)]
+        return self.ring.join(cs) if any(cs) else self.ring.zero
 
     def constant_term(self):
-        return self.terms.get((), self.ring.zero)
+        return self.coefficient(())
 
     def support(self):
         return sorted(self.terms, key=self.alphabet.word_key)
@@ -79,25 +104,23 @@ class Series:
         """The same series re-truncated at n <= current truncation."""
         if n > self.trunc:
             raise TruncationMismatch("cannot raise truncation degree")
-        deg = self.alphabet.degree
-        terms = {w: c for w, c in self.terms.items() if deg(w) <= n}
-        return Series(self.alphabet, n, self.ring, terms, _clean=True)
+        return Series(self.alphabet, n, self.ring, self.terms)
 
     def is_zero(self):
-        return not self.terms
+        return not (self.terms if self._split is None else self._split[1])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.alphabet == other.alphabet
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
+        """Equal terms; compared on the splits when an operand holds one."""
+        same = isinstance(other, Series) and self.alphabet == other.alphabet
+        if same and self.trunc == other.trunc:
+            if self.ring is other.ring and (self._split or other._split):
+                return split_series(self) == split_series(other)
+            return self.terms == other.terms
+        return False
 
     def __repr__(self):
-        parts = []
-        for w in self.support()[:8]:
-            parts.append("%r: %s" % (self.alphabet.format_word(w), self.terms[w]))
+        fmt = self.alphabet.format_word
+        parts = ["%r: %s" % (fmt(w), self.terms[w]) for w in self.support()[:8]]
         more = "" if len(self.terms) <= 8 else ", ..."
         return "Series({%s%s}, N=%d)" % (", ".join(parts), more, self.trunc)
 
@@ -111,9 +134,19 @@ class Series:
                 "truncation degrees differ: %d vs %d" % (self.trunc, other.trunc)
             )
 
-    def add(self, other):
+    def add(self, other, sign=1):
+        """self + sign * other, on the splits when an operand holds one."""
         self._check_compatible(other)
-        out = accumulate(dict(self.terms), other.terms.items())
+        if self.ring is other.ring and (self._split or other._split):
+            (dx, px), (dy, py) = split_series(self), split_series(other)
+            den = lcm(dx, dy)
+            mx, my = den // dx, sign * (den // dy)
+            out = {k: {w: mx * m for w, m in p.terms.items()} for k, p in px.items()}
+            for k, p in py.items():
+                accumulate(out.setdefault(k, {}), ((w, my * m) for w, m in p.terms.items()))
+            return join_series((den, integer_parts(out, self)), self)
+        pairs = other.terms.items() if sign == 1 else ((w, -c) for w, c in other.terms.items())
+        out = accumulate(dict(self.terms), pairs)
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def neg(self):
@@ -121,17 +154,11 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
 
     def sub(self, other):
-        return self.add(other.neg())
+        return self.add(other, -1)
 
     def scale(self, c):
-        if not c:
-            return Series(self.alphabet, self.trunc, self.ring)
-        return Series(
-            self.alphabet,
-            self.trunc,
-            self.ring,
-            {w: c * x for w, x in self.terms.items()},
-        )
+        terms = {w: c * x for w, x in self.terms.items()} if c else None
+        return Series(self.alphabet, self.trunc, self.ring, terms)
 
     def scale_q(self, q):
         return self.scale(self.ring.embed(q))
@@ -145,16 +172,9 @@ class Series:
         by_degree = [[] for _ in range(self.trunc + 1)]
         for v, b in other.terms.items():
             by_degree[deg(v)].append((v, b))
-        out = accumulate(
-            {},
-            (
-                (u + v, a * b)
-                for u, a in self.terms.items()
-                for d in range(self.trunc - deg(u) + 1)
-                for v, b in by_degree[d]
-            ),
-        )
-        return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
+        pairs = ((u + v, a * b) for u, a in self.terms.items()
+                 for d in range(self.trunc - deg(u) + 1) for v, b in by_degree[d])
+        return Series(self.alphabet, self.trunc, self.ring, accumulate({}, pairs), _clean=True)
 
     def shuffle_mul(self, other):
         """Shuffle product (sum over interleavings), truncated, summed over
@@ -170,7 +190,7 @@ class Series:
                     if deg(u) + deg(v) <= self.trunc:
                         xy = m * x * y
                         accumulate(table, ((w, xy * n) for w, n in shuffle_words(u, v).items()))
-        return join_series((dx * dy, integer_parts(out, self)), self._algebra())
+        return join_series((dx * dy, integer_parts(out, self)), self)
 
     # -- exp / log / inverse ------------------------------------------
 
@@ -309,11 +329,7 @@ def tensor(a, b):
     out = {}
     for u, x in a.terms.items():
         room = a.trunc - deg(u)
-        for v, d, y in right:
-            if d <= room:
-                c = x * y
-                if c:
-                    out[u + v] = c
+        out.update((u + v, c) for v, d, y in right if d <= room and (c := x * y))
     return Series(tensor_alphabet(a.alphabet), a.trunc, a.ring, out, _clean=True)
 
 
@@ -367,11 +383,7 @@ def is_group_like(s):
 
 def primitive_tensor(s):
     """1 (x) s + s (x) 1 on the nonconstant part: the coproduct s has if primitive."""
-    terms = {}
-    for w, c in s.terms.items():
-        if w:
-            terms[primed(w)] = c
-            terms[w] = c
+    terms = {v: c for w, c in s.terms.items() if w for v in (primed(w), w)}
     return Series(tensor_alphabet(s.alphabet), s.trunc, s.ring, terms)
 
 
@@ -396,11 +408,8 @@ def is_lie(s):
 def integer_parts(tables, like):
     """Integer Series over the alphabet and truncation of like (a series
     or an algebra) from the nonempty k -> word -> int tables."""
-    return {
-        k: Series(like.alphabet, like.trunc, INTEGERS, table, _clean=True)
-        for k, table in tables.items()
-        if table
-    }
+    return {k: Series(like.alphabet, like.trunc, INTEGERS, table, _clean=True)
+            for k, table in tables.items() if table}
 
 
 def split_terms(terms, ring):
@@ -422,27 +431,27 @@ def split_terms(terms, ring):
 
 def split_series(s):
     """s as (D, parts) with s = (1/D) sum_k e_k parts[k]: the integer
-    tables of `split_terms` as Series over INTEGERS."""
-    den, tables = split_terms(s.terms, s.ring)
-    return den, integer_parts(tables, s)
+    tables of `split_terms` as Series over INTEGERS, computed once and
+    kept on s."""
+    if s._split is None:
+        den, tables = split_terms(s.terms, s.ring)
+        s._split = den, integer_parts(tables, s)
+    return s._split
 
 
-def join_series(x, algebra):
-    """The series over algebra.ring that the split series x stands for."""
+def join_series(x, like):
+    """The series over like.ring (like is a series or an algebra) that the
+    split series x stands for, holding x at the least denominator: D and
+    every entry are divided by their gcd, as `split_terms` would give it.
+    Its terms are joined when first read."""
     den, parts = x
-    if not parts:
-        return algebra.zero()
-    coords = {}
-    rank = max(parts) + 1
-    for k, part in parts.items():
-        for w, m in part.terms.items():
-            cs = coords.get(w)
-            if cs is None:
-                cs = coords[w] = [0] * rank
-            cs[k] = QQ(m, den)
-    join = algebra.ring.join
-    terms = {w: join(cs) for w, cs in coords.items()}
-    return Series(algebra.alphabet, algebra.trunc, algebra.ring, terms, _clean=True)
+    g = den
+    for part in parts.values():
+        g = gcd(g, *part.terms.values())
+    if g > 1:
+        den, parts = den // g, {k: Series(p.alphabet, p.trunc, INTEGERS, {
+            w: m // g for w, m in p.terms.items()}, _clean=True) for k, p in parts.items()}
+    return Series(like.alphabet, like.trunc, like.ring, _split=(den, parts))
 
 
 def kernel_mul(x, y, algebra):
@@ -480,8 +489,8 @@ def substitute(s, images, algebra):
     truncation; the images must have zero constant term so that grading
     (and hence truncation) is respected.  The images are split once, the
     image of every word is a `kernel_mul` product and the sum over the
-    terms of s is joined once, over the common denominator of the word
-    images.
+    terms of s is one split over the common denominator of the word
+    images, which the result holds.
     """
     if len(images) != len(s.alphabet):
         raise AlgebraError("one image per alphabet letter required")
@@ -492,14 +501,12 @@ def substitute(s, images, algebra):
     cache = {(): split_series(algebra.one())}
 
     def image(word):
-        try:
-            return cache[word]
-        except KeyError:
-            val = cache[word] = kernel_mul(image(word[:-1]), letters[word[-1]], algebra)
-            return val
+        if word not in cache:
+            cache[word] = kernel_mul(image(word[:-1]), letters[word[-1]], algebra)
+        return cache[word]
 
     den, coeffs = split_series(s)
-    words = {w: image(w) for w in s.terms}
+    words = {w: image(w) for part in coeffs.values() for w in part.terms}
     common = lcm(*{d for d, _ in words.values()})
     basis_product = algebra.ring.basis_product
     out = {}
@@ -541,13 +548,8 @@ def power_series(coefficient, u, algebra):
     u must have zero constant term, as substitute checks.
     """
     ring = algebra.ring
-    terms = {}
-    for k in range(algebra.trunc + 1):
-        c = coefficient(k)
-        if c:
-            terms[(0,) * k] = ring.embed(c)
-    series = Series(POWER_ALPHABET, algebra.trunc, ring, terms, _clean=True)
-    return substitute(series, [u], algebra)
+    terms = {(0,) * k: ring.embed(c) for k in range(algebra.trunc + 1) if (c := coefficient(k))}
+    return substitute(Series(POWER_ALPHABET, algebra.trunc, ring, terms, _clean=True), [u], algebra)
 
 
 def exp_coefficient(k):
@@ -569,12 +571,9 @@ def geometric_coefficient(k):
 
 def to_text(s):
     """Series text format; exact round-trip, rational coefficients only."""
-    lines = [
-        "alphabet: %s" % " ".join(s.alphabet.names),
-        "degree: %d" % s.trunc,
-    ]
-    for w in s.support():
-        lines.append('"%s" %s' % (s.alphabet.format_word(w), format_rational(s.terms[w])))
+    lines = ["alphabet: %s" % " ".join(s.alphabet.names), "degree: %d" % s.trunc]
+    fmt = s.alphabet.format_word
+    lines += ['"%s" %s' % (fmt(w), format_rational(s.terms[w])) for w in s.support()]
     return "\n".join(lines) + "\n"
 
 

@@ -169,17 +169,19 @@ def test_series_shuffle_bar_examples():
     assert check_series_shuffle_bar((1, 2), (2,))
 
 
-def test_l2_memo_is_bounded_and_exact(monkeypatch):
+def test_l2_memo_emptied_part_way_is_exact(monkeypatch):
     import assoclab.barcx as barcx
 
     pairs = [(a, b) for a in all_indices(3) for b in all_indices(3) if sum(a) + sum(b) <= 4]
     full = {pair: build_l2(*pair) for pair in pairs}
     monkeypatch.setattr(barcx, "_L2_CACHE", {})
-    monkeypatch.setattr(barcx, "L2_CACHE_SIZE", 4)
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
+        if i == len(pairs) // 2:
+            assert barcx._L2_CACHE
+            barcx._L2_CACHE.clear()
         assert build_l2(*pair) == full[pair]
         assert check_series_shuffle_bar(*pair)
-        assert 0 < len(barcx._L2_CACHE) <= 4
+        assert pair in barcx._L2_CACHE
 
 
 def test_series_shuffle_rhs_term_count():

@@ -415,23 +415,37 @@ def test_cli_import_loads_only_its_own_modules():
     ]
 
 
-@pytest.mark.parametrize("what, loaded", [
-    ("hexagon", ["assoclab.lie", "assoclab.models"]),
-    ("5cycle", ["assoclab.lie", "assoclab.models"]),
-    ("double-shuffle", ["assoclab.yside"]),
-])
-def test_verify_imports_only_what_its_check_runs(phi_file, what, loaded):
+def modules_loaded_by(argv):
+    """[exit code, the assoclab modules loaded] when a fresh interpreter that
+    has imported assoclab.cli runs main(argv)."""
     src = str(pathlib.Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (
         "import io, json, sys, contextlib, assoclab.cli\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = assoclab.cli.main(['verify', %r, '--phi', %r])\n"
+        "    code = assoclab.cli.main(%r)\n"
         "print(json.dumps([code, sorted(m for m in set(sys.modules) - before"
-        " if m.startswith('assoclab'))]))" % (what, str(phi_file))
+        " if m.startswith('assoclab'))]))" % (argv,)
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(out.stdout) == [0, loaded]
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("what, loaded", [
+    ("hexagon", ["assoclab.lie", "assoclab.models"]),
+    ("5cycle", ["assoclab.lie", "assoclab.models"]),
+    ("double-shuffle", ["assoclab.yside"]),
+])
+def test_verify_imports_only_what_its_check_runs(phi_file, what, loaded):
+    assert modules_loaded_by(["verify", what, "--phi", str(phi_file)]) == [0, loaded]
+
+
+def test_solve_pentagon_imports_only_what_it_runs(tmp_path):
+    # the first job of the associator and hexagon workloads compiles no yside
+    argv = ["solve-pentagon", "--degree", "4", "--c2=3/7", "-o", str(tmp_path / "phi.series")]
+    assert modules_loaded_by(argv) == [
+        0, ["assoclab.lab", "assoclab.lie", "assoclab.models", "assoclab.presented"]
+    ]

@@ -11,10 +11,11 @@ from math import factorial
 
 import pytest
 
-from assoclab.models import a4_model, ab_model, p5_model
+from assoclab.lie import lie_basis
+from assoclab.models import a4_model, ab_model, check_hexagons, p5_model
 from assoclab.rationals import QQ, qq
 from assoclab.rings import INTEGERS, RATIONALS, Poly, PolynomialRing, QuadElt, QuadraticExtension
-from assoclab.series import Series, join_series, split_series
+from assoclab.series import Series, join_series, split_series, split_terms
 from assoclab.words import X_ALPHABET
 
 HEX_Q = 24 * qq(-2, 5)  # mu^2 for c2 = -2/5: P/R = -48/5, not an integer
@@ -176,3 +177,139 @@ def test_free_algebra_power_series_match_the_oracle():
             power = u if power is None else power.mul(u)
             expected = expected.add(power.scale_q(qq(1, factorial(k))))
         assert u.exp() == expected
+
+
+# -- held splits ----------------------------------------------------------------
+#
+# A kernel result holds its split and joins its terms when they are first read.
+# The oracle joins a split word by word, one ring.join of the coordinates m / D
+# per word, whatever the common factor of D and the entries.
+
+
+def join_by_word(x, ring):
+    den, parts = x
+    words = {w for p in parts.values() for w in p.terms}
+    rank = max(parts, default=0) + 1
+    coords = ([QQ(parts[k].terms.get(w, 0), den) if k in parts else 0 for k in range(rank)]
+              for w in words)
+    return dict(zip(words, map(ring.join, coords)))
+
+
+def holds_terms(s):
+    """Whether s has built its ring terms, read without building them."""
+    try:
+        Series.__dict__["terms"].__get__(s, Series)
+    except AttributeError:
+        return False
+    return True
+
+
+def plain(s):
+    """A series with the ring terms of s and no split."""
+    return Series(s.alphabet, s.trunc, s.ring, dict(s.terms), _clean=True)
+
+
+def large_element(rng, ring):
+    """A coefficient with large coprime denominators (in both coordinates of Q(mu))."""
+    primes = (10007, 10009, 10037, 10039, 10061, 10067)
+
+    def big():
+        return qq(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes) * rng.choice(primes))
+
+    if ring is HEX_RING:
+        return QuadElt(big(), big(), HEX_Q)
+    return big() if ring is RATIONALS else Poly([big() for _ in range(rng.randint(1, 3))])
+
+
+def held_pair(rng, ring, factor):
+    """(held, s): a random series s over ring and a held split of it whose
+    denominator and entries carry the extra common factor."""
+    m = a4_model(3, ring)
+    terms = {w: large_element(rng, ring) for w in m.alphabet.words_of_degree(2) if rng.random() < 0.5}
+    terms[()] = large_element(rng, ring)
+    s = Series(m.alphabet, m.trunc, ring, terms)
+    den, parts = split_series(plain(s))
+    scaled = {k: Series(p.alphabet, p.trunc, INTEGERS, {w: factor * c for w, c in p.terms.items()})
+              for k, p in parts.items()}
+    return join_series((factor * den, scaled), m), s
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_held_terms_are_the_word_by_word_join(name):
+    ring = RINGS[name]
+    rng = random.Random(90)
+    for factor in (1, 6, 10007):
+        held, s = held_pair(rng, ring, factor)
+        assert not holds_terms(held)
+        den, parts = held._split
+        assert held.terms == join_by_word((den, parts), ring) == s.terms
+        assert holds_terms(held)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_held_split_is_at_the_least_denominator(name):
+    ring = RINGS[name]
+    rng = random.Random(91)
+    for factor in (6, 10007):
+        held, s = held_pair(rng, ring, factor)
+        den, tables = split_terms(s.terms, ring)
+        assert split_series(held)[0] == den
+        assert {k: p.terms for k, p in split_series(held)[1].items()} == tables
+    m = a4_model(3, ring)
+    a, b = (random_series(rng, m, 0.15, random_element(rng, ring)) for _ in range(2))
+    product = m.mul(a, b)
+    den, tables = split_terms(join_by_word(split_series(product), ring), ring)
+    assert split_series(product)[0] == den
+    assert {k: p.terms for k, p in split_series(product)[1].items()} == tables
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_held_linear_operations_agree_with_terms(name):
+    ring = RINGS[name]
+    rng = random.Random(92)
+    (ha, a), (hb, b) = held_pair(rng, ring, 6), held_pair(rng, ring, 35)
+    for sign, op in ((1, "add"), (-1, "sub")):
+        expected = getattr(plain(a), op)(plain(b)).terms
+        assert plain(a).add(plain(b), sign).terms == expected
+        for x, y in ((ha, hb), (ha, plain(b)), (plain(a), hb)):
+            result = getattr(x, op)(y)
+            assert not holds_terms(result)
+            assert result.terms == expected
+    assert ha == plain(a) and plain(a) == ha and ha == join_series(split_series(ha), ha)
+    assert not ha == hb and ha != plain(b) and plain(b) != ha
+    assert ha.sub(plain(a)).is_zero() and plain(a).sub(ha).is_zero()
+    assert not ha.sub(hb).is_zero() and not ha.is_zero()
+    zero = ha.sub(ha)
+    assert zero.is_zero() and zero.terms == {} and not holds_terms(ha)
+    words = set(a.terms) | set(b.terms) | {(0,), (5, 5)}
+    for w in words:
+        assert ha.coefficient(w) == plain(a).coefficient(w) == a.terms.get(w, ring.zero)
+    assert ha.constant_term() == a.terms[()]
+    assert not holds_terms(ha)
+
+
+def test_held_checks_catch_a_nu_only_perturbation():
+    rng = random.Random(93)
+    held, s = held_pair(rng, HEX_RING, 6)
+    for w, c in s.terms.items():
+        bad = dict(s.terms)
+        bad[w] = QuadElt(c.a, c.b + qq(1, 10007 * 10009), HEX_Q)
+        assert HEX_RING.split(bad[w])[0] == HEX_RING.split(c)[0]
+        fresh = join_series(split_series(held), held)
+        assert not fresh == Series(s.alphabet, s.trunc, HEX_RING, bad)
+        assert not fresh.sub(Series(s.alphabet, s.trunc, HEX_RING, bad)).is_zero()
+        assert fresh == plain(s) and fresh.sub(plain(s)).is_zero()
+        assert not holds_terms(fresh)
+
+
+def test_passing_hexagon_check_joins_no_coefficient(monkeypatch, phi5_c2):
+    joins, join = [], QuadraticExtension.join
+    monkeypatch.setattr(QuadraticExtension, "join", lambda ring, cs: joins.append(cs) or join(ring, cs))
+    assert [r.is_zero() for r in check_hexagons(phi5_c2)] == [True, True]
+    assert joins == []
+    # a group-like and a not group-like perturbation each fail both hexagons
+    (_, e), *_ = lie_basis(X_ALPHABET, 5, 5)
+    bad = dict(phi5_c2.terms)
+    bad[(0, 0, 1)] = bad.get((0, 0, 1), 0) + qq(1, 7)
+    for phi in (phi5_c2.log().add(e.scale(qq(1, 7))).exp(), Series(X_ALPHABET, 5, RATIONALS, bad)):
+        assert [r.is_zero() for r in check_hexagons(phi)] == [False, False]
