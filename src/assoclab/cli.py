@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .rationals import format_rational, parse_rational, qq
+from .rationals import parse_rational, qq
 from .series import AlgebraError, Series, from_text, is_lie, to_text
 from .words import X_ALPHABET
 
@@ -135,21 +135,6 @@ def _check_size(name, value):
         raise InputError("negative %s %d" % (name, value))
 
 
-def _jsonify(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    try:
-        return format_rational(qq(value))
-    except (TypeError, ValueError):
-        return str(value)
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -252,8 +237,7 @@ def cmd_dmr(args):
             if not is_lie(s):
                 raise InputError("%s is not a Lie series" % path)
         total = lhs.trunc + rhs.trunc
-        lhs = _widen(lhs, total)
-        rhs = _widen(rhs, total)
+        lhs, rhs = (Series(s.alphabet, total, s.ring, s.terms) for s in (lhs, rhs))
         out = dmr.ihara_bracket(lhs, rhs)
         if args.output:
             with open(args.output, "w") as fh:
@@ -287,10 +271,6 @@ def cmd_dmr(args):
     checks["coproduct_identity"] = ok9
     checks["telescoping_identity"] = ok8
     return checks, {"degree": top}
-
-
-def _widen(s, trunc):
-    return Series(s.alphabet, trunc, s.ring, dict(s.terms))
 
 
 def cmd_bar(args):
@@ -357,24 +337,19 @@ def cmd_group_law(args):
 
 # -- entry point ---------------------------------------------------------
 
-
-def run(args):
-    if args.command == "solve-pentagon":
-        return cmd_solve_pentagon(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "dims":
-        return cmd_dims(args)
-    if args.command == "dmr":
-        return cmd_dmr(args)
-    if args.command == "bar":
-        return cmd_bar(args)
-    if args.command == "group-law":
-        return cmd_group_law(args)
-    raise InputError("unknown command %r" % args.command)
+COMMANDS = {
+    "solve-pentagon": cmd_solve_pentagon,
+    "verify": cmd_verify,
+    "dims": cmd_dims,
+    "dmr": cmd_dmr,
+    "bar": cmd_bar,
+    "group-law": cmd_group_law,
+}
 
 
 def emit(args, checks, extras):
+    """Print the report; extras hold ints, strs, lists of ints and
+    str -> int dicts, which JSON takes as they are."""
     passed = all(bool(v) for v in checks.values())
     if args.report == "json":
         report = {
@@ -383,8 +358,7 @@ def emit(args, checks, extras):
             "checks": {k: bool(v) for k, v in sorted(checks.items())},
             "status": "pass" if passed else "fail",
         }
-        for k in sorted(extras):
-            report[k] = _jsonify(extras[k])
+        report.update(sorted(extras.items()))
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         for k in sorted(checks):
@@ -418,7 +392,7 @@ def main(argv=None):
     if not hasattr(args, "report"):
         args.report = "text"
     try:
-        checks, extras = run(args)
+        checks, extras = COMMANDS[args.command](args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

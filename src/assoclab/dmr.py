@@ -11,7 +11,6 @@ of the identities that drive the bracket-closure proof.
 """
 
 from functools import lru_cache
-from itertools import combinations
 
 from .rationals import binomial, qq
 from .rings import RATIONALS
@@ -67,11 +66,6 @@ def s_f_map(f):
     return lambda v: f.mul(v).add(derivation(v, images))
 
 
-def s_f(f, v):
-    """s_f(v) = f v + d_f(v)."""
-    return s_f_map(f)(v)
-
-
 def s_f_y_map(f):
     """w -> s^Y_f(w), the Y-side companion of s_f, with pi_Y s_f = s^Y_f pi_Y.
 
@@ -82,21 +76,11 @@ def s_f_y_map(f):
     return lambda w: pi_y(s(embed_y(w)))
 
 
-def s_f_y(f, w):
-    """s^Y_f(w); see `s_f_y_map`."""
-    return s_f_y_map(f)(w)
-
-
 def big_d_y_map(f):
     """w -> D^Y_f(w) = s^Y_f(w) - w pi_Y(f), a derivation of the Y-algebra,
     with [X1, f] and pi_Y(f) computed once for every w."""
     s, f_y = s_f_y_map(f), pi_y(f)
     return lambda w: s(w).sub(w.mul(f_y))
-
-
-def big_d_y(f, w):
-    """D^Y_f(w) = s^Y_f(w) - w pi_Y(f), a derivation of the Y-algebra."""
-    return big_d_y_map(f)(w)
 
 
 # -- membership and the solver ------------------------------------------
@@ -223,7 +207,7 @@ def lemma_derivation_check(f, n):
         raise ValueError("hypothesis S_X(f) = -f fails")
     trunc = f.trunc
     ring = f.ring
-    lhs = big_d_y(f, _y_letter(n, trunc, ring))
+    lhs = big_d_y_map(f)(_y_letter(n, trunc, ring))
     word = Series(X_ALPHABET, trunc, ring, {(0,) * (n - 1) + (1,): ring.one})
     x_side = Series(
         X_ALPHABET, trunc, ring, {(0,) * (n - 1): ring.one}
@@ -237,20 +221,28 @@ def lemma_derivation_check(f, n):
 
 
 def qualifying_section(g):
-    """(g, f, D) with f = sec g, for a Y-series g that meets both hypotheses
-    of the pairing identities, g primitive for Delta_* and S_X(f) = -f; a g
-    that fails them raises ValueError.  D is D^Y_f on Y-words, as
-    `_on_words` makes it.  The two pairing checks take this triple, so g
-    is checked, and each D^Y_f(Y_m) computed, once however many n and k
-    they run over."""
+    """(g, f, D, d) with f = sec g, for a Y-series g that meets both
+    hypotheses of the pairing identities, g primitive for Delta_* and
+    S_X(f) = -f; a g that fails them raises ValueError.  D is D^Y_f on
+    Y-words, as `_on_words` makes it, and d[k] the diagonal sum
+    sum_{i=k}^p f_{i,i-k} for 0 <= k <= p.  The two pairing checks take
+    this section, so g is checked, and each D^Y_f(Y_m) and each diagonal
+    computed, once however many n and k they run over."""
     f = yside.sec(g)
     if not yside.is_primitive_star(g) or yside.antipode_x(f) != f.neg():
         raise ValueError("hypotheses: g primitive for Delta_*, S_X(sec g) = -sec g")
-    return g, f, _on_words(big_d_y_map(f), g.trunc, g.ring)
+    p, comps = x_decomposition(f)
+    diagonals = []
+    for k in range(p + 1):
+        total = zero(y_alphabet(g.trunc), g.trunc, g.ring)
+        for i in range(k, p + 1):
+            total = total.add(f_pair(p, comps, i, i - k, g.trunc))
+        diagonals.append(total)
+    return g, f, _on_words(big_d_y_map(f), g.trunc, g.ring), diagonals
 
 
 def lemma_coproduct_check(section, n):
-    """The coboundary of D^Y_f on Y_n for (g, f, D) = qualifying_section(g).
+    """The coboundary of D^Y_f on Y_n for (g, f, D, d) = qualifying_section(g).
 
     Delta_*(D^Y_f(Y_n)) - (id (x) D^Y_f + D^Y_f (x) id)(Delta_*(Y_n))
     equals sum_{k=0}^p sum_{i=k}^p (f_{i,i-k} (x) Y_{n+k}
@@ -261,17 +253,13 @@ def lemma_coproduct_check(section, n):
     without it the identity fails (g = Y_2 - Y_1^2/2, n = 1 is a
     counterexample).
     """
-    g, f, d_y = section
+    g, _, d_y, diagonals = section
     trunc = g.trunc
     ring = g.ring
-    p, comps = x_decomposition(f)
     yn = _y_letter(n, trunc, ring)
     lhs = delta_star(d_y((n - 1,))).sub(_on_each_factor(d_y, delta_star(yn)))
     rhs = zero(tensor_alphabet(y_alphabet(trunc)), trunc, ring)
-    for k in range(p + 1):
-        part = zero(y_alphabet(trunc), trunc, ring)
-        for i in range(k, p + 1):
-            part = part.add(f_pair(p, comps, i, i - k, trunc))
+    for k, part in enumerate(diagonals):
         ynk = _y_letter(n + k, trunc, ring)
         rhs = rhs.add(tensor(part, ynk)).add(tensor(ynk, part))
     return lhs == rhs
@@ -280,21 +268,16 @@ def lemma_coproduct_check(section, n):
 def lemma_telescoping_check(section, k):
     """The k-th diagonal sum of the pairings collapses to a single letter.
 
-    For (g, f, D) = qualifying_section(g), g in the Y Lie algebra with
-    f = sec(g) satisfying S_X(f) = -f:
+    For (g, f, D, d) = qualifying_section(g), g in the Y Lie algebra with
+    f = sec(g) satisfying S_X(f) = -f: the diagonal d[k] =
     sum_{i=k}^p f_{i,i-k} equals
     (-1)^{p-k-1} C(p-1, k) (1 + (-1)^p) c_{X0^{p-1}X1}(g) Y_{p-k}
     for k <= p-1, and 0 for k = p.
     """
-    g, f, _ = section
-    trunc = g.trunc
-    ring = g.ring
-    p, comps = x_decomposition(f)
-    total = zero(y_alphabet(trunc), trunc, ring)
-    for i in range(k, p + 1):
-        total = total.add(f_pair(p, comps, i, i - k, trunc))
-    if k == p:
-        return total.is_zero()
+    g, _, _, diagonals = section
+    p = len(diagonals) - 1
+    if k >= p:  # past p the diagonal is an empty sum
+        return k > p or diagonals[p].is_zero()
     c = embed_y(g).coefficient((0,) * (p - 1) + (1,))
     scalar = (
         qq(-1 if (p - k - 1) % 2 else 1)
@@ -302,8 +285,8 @@ def lemma_telescoping_check(section, k):
         * qq(1 + (-1) ** p)
         * c
     )
-    expected = _y_letter(p - k, trunc, ring).scale(ring.embed(scalar))
-    return total == expected
+    expected = _y_letter(p - k, g.trunc, g.ring).scale(g.ring.embed(scalar))
+    return diagonals[k] == expected
 
 
 def coderivation_check(psi, max_weight=None):
@@ -368,21 +351,9 @@ def u_generators(trunc, ring=RATIONALS):
 
 
 def _weighted_lyndon(weight):
-    """Lyndon words over the letters 1, 2, ... with the given total weight."""
-    out = []
-
-    def rec(acc, left):
-        if left == 0:
-            w = tuple(acc)
-            if len(w) == 1 or all(w < w[i:] for i in range(1, len(w))):
-                out.append(w)
-            return
-        for n in range(1, left + 1):
-            rec(acc + [n], left - n)
-
-    rec([], weight)
-    out.sort()
-    return out
+    """Lyndon words over the letters 1, 2, ... with the given total weight, sorted."""
+    words = (a for a in yside.all_indices(weight) if sum(a) == weight)
+    return sorted(a for a in words if all(a < a[i:] for i in range(1, len(a))))
 
 
 def lie_y_basis(weight, trunc, ring=RATIONALS):
@@ -428,16 +399,6 @@ def qualifying_basis(weight, trunc, ring=RATIONALS):
 # -- depth-graded sums and the meta-abelian image ------------------------
 
 
-def _compositions(weight, depth):
-    for cuts in combinations(range(1, weight), depth - 1):
-        prev = 0
-        parts = []
-        for c in cuts + (weight,):
-            parts.append(c - prev)
-            prev = c
-        yield tuple(parts)
-
-
 def check_binomial_sums(psi):
     """Depth-graded sums of the coefficient functionals collapse.
 
@@ -445,20 +406,15 @@ def check_binomial_sums(psi):
     all indices of weight w and depth m equals
     (-1)^{m-1} C(w, m) l_w(psi) / w for m < w, and 0 for m = w.
     """
-    for w in range(2, psi.trunc + 1):
-        lw = yside.l_value_x((w,), psi)
-        for m in range(1, w + 1):
-            total = qq(0)
-            for a in _compositions(w, m):
-                total = total + yside.l_value_x(a, psi)
-            if m == w:
-                expected = qq(0)
-            else:
-                expected = (
-                    qq(-1 if m % 2 == 0 else 1) * binomial(w, m) * lw / w
-                )
-            if total != expected:
-                return False
+    totals = {}
+    for a in yside.all_indices(psi.trunc):
+        key = (sum(a), len(a))
+        totals[key] = totals.get(key, qq(0)) + yside.l_value_x(a, psi)
+    for (w, m), total in totals.items():
+        sign = qq(-1 if m % 2 == 0 else 1)
+        expected = qq(0) if m == w else sign * binomial(w, m) * totals[w, 1] / w
+        if w > 1 and total != expected:
+            return False
     return True
 
 

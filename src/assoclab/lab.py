@@ -79,20 +79,16 @@ def pentagon_linear_map(basis, model, gens):
     """The linearized pentagon residual on each Lyndon word of basis.
 
     Column i is the signed sum over the five pentagon factors of the
-    standard bracketing of basis[i] evaluated in the model.  The bracket
-    images are the model's integer tables, shared with every evaluation
-    in it, and the columns enter the ring only once summed.
+    standard bracketing of basis[i] evaluated in the model, a word -> int
+    table summed from the model's integer bracket images, which every
+    evaluation in it shares: a column of `_solve_affine`.
     """
     columns = [{} for _ in basis]
     for g0, g1, sign in pentagon_arguments(gens):
         for col, lw in zip(columns, basis):
             image = model.lie_image(lw, (g0, g1)).items()
             accumulate(col, image if sign > 0 else ((w, -m) for w, m in image))
-    embed = model.ring.embed
-    return [
-        Series(model.alphabet, model.trunc, model.ring, {w: embed(m) for w, m in col.items()})
-        for col in columns
-    ]
+    return columns
 
 
 def solve_pentagon(trunc, c2=0):
@@ -126,9 +122,7 @@ def solve_pentagon(trunc, c2=0):
         )
         rhs = {w: -c for w, c in residual.terms.items()}
         basis = lie_basis(X_ALPHABET, d, trunc, ring)
-        columns = [
-            col.terms for col in pentagon_linear_map([lw for lw, _ in basis], model, gens)
-        ]
+        columns = pentagon_linear_map([lw for lw, _ in basis], model, gens)
         solved = _solve_affine(columns, rhs, len(basis))
         if solved is None:
             raise PentagonObstruction("no solution at degree %d" % d)

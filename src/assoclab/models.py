@@ -18,8 +18,8 @@ word, what is left between its leading fiber letters and its trailing
 base and central letters, which are already in place.
 
 Products run over the integers (`series.kernel_mul`): the factors are
-split into integer components over one common denominator and each pair
-of components is multiplied as normalize(a.mul(b)).  exp, log and
+split into integer tables over one common denominator and each pair of
+tables is multiplied as normalize(a.mul(b)).  exp, log and
 inverse are substitutions and run on the same kernel.  Each result keeps
 its split and a factor that holds one is not split again; the checks'
 differences and zero tests read the splits too, so a product is joined
@@ -57,7 +57,6 @@ from .series import (
     Series,
     exp_coefficient,
     geometric_coefficient,
-    integer_parts,
     join_series,
     kernel_mul,
     log_coefficient,
@@ -206,7 +205,7 @@ class PBWModel:
     def mul(self, *factors):
         """The product of the factors, left to right, on the integer kernel.
 
-        Each factor is split into integer components once, every partial
+        Each factor is split into integer tables once, every partial
         product stays split, and the product is joined once.
         """
         x = split_series(self.one())
@@ -351,7 +350,7 @@ class PBWModel:
                     for w, m in self._lie_image(lw, memo).items()
                 ),
             )
-        return self.exp(join_series((den, integer_parts(tables, self)), self))
+        return self.exp(join_series((den, tables), self))
 
     def evaluate(self, phi, g0, g1, coords=_PEEL):
         """phi(g0, g1) for a series phi over X0, X1.
@@ -518,7 +517,10 @@ def check_5cycle(phi):
     m = p5_model(phi.trunc, phi.ring)
     g = p5_generators(m)
     coords = lie_coordinates(phi)
-    return m.mul(*(m.evaluate(phi, g[a], g[b], coords) for a, b in FIVE_CYCLE)).sub(m.one())
+    out = m.one()
+    for a, b in FIVE_CYCLE:
+        out = m.mul(out, m.evaluate(phi, g[a], g[b], coords))
+    return out.sub(m.one())
 
 
 def check_hexagons(phi):

@@ -7,21 +7,23 @@ too: u (x) v is the word u.v' over `tensor_alphabet`, the letters and
 their primed copies, so the coproduct and the tensor squares are Series.
 
 Products inside an algebra (a braid model or the free algebra) run on
-the integer kernel: `split_series` writes a series as integer Series
-(over `INTEGERS`), one per integral basis element of its ring, over one
-common denominator; `kernel_mul` multiplies two split series with one
-`normalize(a.mul(b))` per pair of components and the ring's integer
-structure constants; `join_series` wraps the result as a series over the
-ring.  `substitute`, and with it every power series, and the model
-products run on it.  A Series holds its ring terms, its split at the
-least denominator, or both, and builds each form at most once, when it
-is first read: a kernel result keeps only its split, and `add`, `sub`,
-`==`, `is_zero` and `coefficient` read the splits whenever an operand
-holds one, so a chain of kernel steps passes integer tables along.
+the integer kernel.  A split is (D, {k: {word: int}}): one nonempty
+table of nonzero ints per integral basis element e_k of the ring, over
+one common denominator D, the series being (1/D) sum_k e_k tables[k].
+`split_series` gives the split of a series; `kernel_mul` multiplies two
+splits with one `normalize(a.mul(b))` per pair of tables and the ring's
+integer structure constants; `join_series` wraps a split as a series
+over the ring.  `substitute`, and with it every power series, and the
+model products run on it.  A Series holds its ring terms, its split at
+the least denominator, or both, and builds each form at most once, when
+it is first read: a kernel result keeps only its split, and `add`,
+`sub`, `==`, `is_zero` and `coefficient` read the splits whenever an
+operand holds one, so a chain of kernel steps passes integer tables
+along.  A held split is shared, never written to.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import factorial, gcd, lcm
 
@@ -70,7 +72,7 @@ class Series:
         den, parts = self._split
         coords, rank = {}, max(parts, default=0) + 1
         for k, part in parts.items():
-            for w, m in part.terms.items():
+            for w, m in part.items():
                 cs = coords.get(w)
                 if cs is None:
                     cs = coords[w] = [0] * rank
@@ -85,7 +87,7 @@ class Series:
         if self._split is None:
             return self.terms.get(word, self.ring.zero)
         den, parts = self._split
-        cs = [QQ(parts[k].terms.get(word, 0), den) if k in parts else 0
+        cs = [QQ(parts[k].get(word, 0), den) if k in parts else 0
               for k in range(max(parts, default=0) + 1)]
         return self.ring.join(cs) if any(cs) else self.ring.zero
 
@@ -141,10 +143,10 @@ class Series:
             (dx, px), (dy, py) = split_series(self), split_series(other)
             den = lcm(dx, dy)
             mx, my = den // dx, sign * (den // dy)
-            out = {k: {w: mx * m for w, m in p.terms.items()} for k, p in px.items()}
+            out = {k: {w: mx * m for w, m in p.items()} for k, p in px.items()}
             for k, p in py.items():
-                accumulate(out.setdefault(k, {}), ((w, my * m) for w, m in p.terms.items()))
-            return join_series((den, integer_parts(out, self)), self)
+                accumulate(out.setdefault(k, {}), ((w, my * m) for w, m in p.items()))
+            return join_series((den, out), self)
         pairs = other.terms.items() if sign == 1 else ((w, -c) for w, c in other.terms.items())
         out = accumulate(dict(self.terms), pairs)
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
@@ -181,7 +183,7 @@ class Series:
         the integers on the kernel's split of both factors."""
         self._check_compatible(other)
         deg = self.alphabet.degree
-        (dx, px), (dy, py) = (split_terms(f.terms, self.ring) for f in (self, other))
+        (dx, px), (dy, py) = split_series(self), split_series(other)
         out = {}
         for (i, a), (j, b) in product(px.items(), py.items()):
             for k, m in self.ring.basis_product(i, j):
@@ -190,7 +192,7 @@ class Series:
                     if deg(u) + deg(v) <= self.trunc:
                         xy = m * x * y
                         accumulate(table, ((w, xy * n) for w, n in shuffle_words(u, v).items()))
-        return join_series((dx * dy, integer_parts(out, self)), self)
+        return join_series((dx * dy, out), self)
 
     # -- exp / log / inverse ------------------------------------------
 
@@ -310,11 +312,10 @@ def tensor_image(s, letter_parts):
                         accumulate(row, ((v + b, m) for v, m in right.items()))
         return out
 
-    target = SeriesAlgebra(tensor_alphabet(s.alphabet), s.trunc, s.ring)
-    den, tables = split_terms(s.terms, s.ring)
-    for k, table in tables.items():
-        tables[k] = {u + v: m for u, right in image(table).items() for v, m in right.items()}
-    return join_series((den, integer_parts(tables, target)), target)
+    den, tables = split_series(s)
+    tables = {k: {u + v: m for u, right in image(t).items() for v, m in right.items()}
+              for k, t in tables.items()}
+    return join_series((den, tables), SeriesAlgebra(tensor_alphabet(s.alphabet), s.trunc, s.ring))
 
 
 def coproduct(s):
@@ -365,7 +366,7 @@ def is_group_like(s):
     by_coproduct = s.constant_term() == ring.one and coproduct(s) == tensor_square(s)
     by_shuffle = s.constant_term() == ring.one
     if by_shuffle:
-        den, tables = split_terms(s.terms, ring)
+        den, tables = split_series(s)
         for u, v, sums in _shuffle_sums(s, tables):
             lhs = accumulate({}, (
                 (k, a[u] * b[v] * m)
@@ -395,7 +396,7 @@ def is_lie(s):
     if s.constant_term():
         return False
     by_coproduct = coproduct(s) == primitive_tensor(s)
-    tables = split_terms(s.terms, s.ring)[1].values()
+    tables = split_series(s)[1].values()
     by_dynkin = all(dynkin_map(a) == {w: len(w) * c for w, c in a.items()} for a in tables)
     if by_coproduct != by_dynkin:
         raise AssertionError("primitivity tests disagree")
@@ -403,13 +404,6 @@ def is_lie(s):
 
 
 # -- the integer kernel -------------------------------------------------
-
-
-def integer_parts(tables, like):
-    """Integer Series over the alphabet and truncation of like (a series
-    or an algebra) from the nonempty k -> word -> int tables."""
-    return {k: Series(like.alphabet, like.trunc, INTEGERS, table, _clean=True)
-            for k, table in tables.items() if table}
 
 
 def split_terms(terms, ring):
@@ -430,43 +424,42 @@ def split_terms(terms, ring):
 
 
 def split_series(s):
-    """s as (D, parts) with s = (1/D) sum_k e_k parts[k]: the integer
-    tables of `split_terms` as Series over INTEGERS, computed once and
-    kept on s."""
+    """The split `split_terms` gives of s, computed once and kept on s;
+    callers read it and never write to it."""
     if s._split is None:
-        den, tables = split_terms(s.terms, s.ring)
-        s._split = den, integer_parts(tables, s)
+        s._split = split_terms(s.terms, s.ring)
     return s._split
 
 
 def join_series(x, like):
     """The series over like.ring (like is a series or an algebra) that the
-    split series x stands for, holding x at the least denominator: D and
-    every entry are divided by their gcd, as `split_terms` would give it.
-    Its terms are joined when first read."""
-    den, parts = x
+    split x stands for, holding x in the one split format: empty tables
+    dropped, and D and every entry divided by their gcd, as `split_terms`
+    would give it.  Its terms are joined when first read."""
+    den, tables = x
     g = den
-    for part in parts.values():
-        g = gcd(g, *part.terms.values())
-    if g > 1:
-        den, parts = den // g, {k: Series(p.alphabet, p.trunc, INTEGERS, {
-            w: m // g for w, m in p.terms.items()}, _clean=True) for k, p in parts.items()}
-    return Series(like.alphabet, like.trunc, like.ring, _split=(den, parts))
+    for table in tables.values():
+        g = gcd(g, *table.values())
+    tables = {k: {w: m // g for w, m in t.items()} if g > 1 else t for k, t in tables.items() if t}
+    return Series(like.alphabet, like.trunc, like.ring, _split=(den // g, tables))
 
 
 def kernel_mul(x, y, algebra):
-    """The product of the split series x and y in algebra, split.
+    """The product of the splits x and y in algebra, split.
 
-    Each pair of integer components is multiplied once, as
+    Each pair of integer tables is multiplied once, as integer Series,
     algebra.normalize(a.mul(b)), and lands on the basis elements of
     e_i e_j with the ring's integer structure constants.
     """
     (dx, px), (dy, py) = x, y
     basis_product = algebra.ring.basis_product
     normalize = algebra.normalize
+    wrap = partial(Series, algebra.alphabet, algebra.trunc, INTEGERS, _clean=True)
+    py = [(j, wrap(b)) for j, b in py.items()]
     out = {}
     for i, a in px.items():
-        for j, b in py.items():
+        a = wrap(a)
+        for j, b in py:
             ab = normalize(a.mul(b)).terms
             if not ab:
                 continue
@@ -476,7 +469,7 @@ def kernel_mul(x, y, algebra):
                     accumulate(out[k], pairs)
                 else:
                     out[k] = dict(pairs)
-    return dx * dy, integer_parts(out, algebra)
+    return dx * dy, out
 
 
 # -- homomorphisms ----------------------------------------------------
@@ -506,19 +499,19 @@ def substitute(s, images, algebra):
         return cache[word]
 
     den, coeffs = split_series(s)
-    words = {w: image(w) for part in coeffs.values() for w in part.terms}
+    words = {w: image(w) for part in coeffs.values() for w in part}
     common = lcm(*{d for d, _ in words.values()})
     basis_product = algebra.ring.basis_product
     out = {}
     for k, part in coeffs.items():
-        for w, a in part.terms.items():
+        for w, a in part.items():
             d, parts = words[w]
             a *= common // d
             for l, p in parts.items():
                 for j, m in basis_product(k, l):
                     am = a * m
-                    accumulate(out.setdefault(j, {}), ((v, am * c) for v, c in p.terms.items()))
-    return join_series((den * common, integer_parts(out, algebra)), algebra)
+                    accumulate(out.setdefault(j, {}), ((v, am * c) for v, c in p.items()))
+    return join_series((den * common, out), algebra)
 
 
 def derivation(s, images):

@@ -409,10 +409,15 @@ def test_cli_import_loads_only_its_own_modules():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(out.stdout) == [
+    loaded = json.loads(out.stdout)
+    assert loaded == [
         "assoclab", "assoclab.cli", "assoclab.rationals", "assoclab.rings",
         "assoclab.series", "assoclab.words",
     ]
+    # every start compiles these from source: their size is the start-up budget
+    sizes = [len((pathlib.Path(src) / (m.replace(".", "/") + ".py")).read_text().splitlines())
+             for m in loaded[1:]]
+    assert sum(sizes) <= 1405
 
 
 def modules_loaded_by(argv):

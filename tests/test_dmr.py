@@ -182,8 +182,9 @@ def test_s_map_antihomomorphism_for_the_bracket():
     p2 = random_lie(rng, 2, 6)
     v = random_series(rng, X_ALPHABET, 6)
     br = dmr.ihara_bracket(p1, p2)
-    lhs = dmr.s_f(br, v)
-    rhs = dmr.s_f(p2, dmr.s_f(p1, v)).sub(dmr.s_f(p1, dmr.s_f(p2, v)))
+    s1, s2 = dmr.s_f_map(p1), dmr.s_f_map(p2)
+    lhs = dmr.s_f_map(br)(v)
+    rhs = s2(s1(v)).sub(s1(s2(v)))
     assert lhs == rhs
 
 
@@ -193,14 +194,15 @@ def test_s_map_commutes_with_x1_powers():
     x1 = Series(X_ALPHABET, 6, RATIONALS, {(1,): qq(1)})
     x1n = x1.mul(x1)
     v = random_series(rng, X_ALPHABET, 6)
-    assert dmr.s_f(psi, dmr.s_f(x1n, v)) == dmr.s_f(x1n, dmr.s_f(psi, v))
+    s_psi, s_x1n = dmr.s_f_map(psi), dmr.s_f_map(x1n)
+    assert s_psi(s_x1n(v)) == s_x1n(s_psi(v))
 
 
 def test_s_map_descends_along_pi_y():
     rng = random.Random(75)
     f = random_lie(rng, 2, 6)
     v = random_series(rng, X_ALPHABET, 6)
-    assert yside.pi_y(dmr.s_f(f, v)) == dmr.s_f_y(f, yside.pi_y(v))
+    assert yside.pi_y(dmr.s_f_map(f)(v)) == dmr.s_f_y_map(f)(yside.pi_y(v))
 
 
 def test_big_d_y_is_a_derivation():
@@ -209,8 +211,9 @@ def test_big_d_y_is_a_derivation():
     ya = y_alphabet(6)
     u = widen(random_series(rng, ya, 2), 6)
     v = widen(random_series(rng, ya, 2), 6)
-    lhs = dmr.big_d_y(f, u.mul(v))
-    rhs = dmr.big_d_y(f, u).mul(v).add(u.mul(dmr.big_d_y(f, v)))
+    d_y = dmr.big_d_y_map(f)
+    lhs = d_y(u.mul(v))
+    rhs = d_y(u).mul(v).add(u.mul(d_y(v)))
     assert lhs == rhs
 
 
@@ -274,10 +277,10 @@ def test_coproduct_identity_on_qualifying_inputs():
 def test_section_holds_d_y_on_words():
     for w in (1, 3):
         for g in dmr.qualifying_basis(w, 6):
-            _, f, d_y = dmr.qualifying_section(g)
+            _, f, d_y, _ = dmr.qualifying_section(g)
             for m in range(1, 6 - w + 1):
                 letter = Series(y_alphabet(6), 6, RATIONALS, {(m - 1,): qq(1)})
-                assert d_y((m - 1,)) == dmr.big_d_y(f, letter)
+                assert d_y((m - 1,)) == dmr.big_d_y_map(f)(letter)
                 assert d_y((m - 1,)) is d_y((m - 1,))
             assert d_y(()).is_zero()
 
@@ -288,6 +291,27 @@ def test_telescoping_identity_on_qualifying_inputs():
             section = dmr.qualifying_section(g)
             for k in range(w + 1):
                 assert dmr.lemma_telescoping_check(section, k)
+
+
+def test_section_diagonals_are_the_pairing_sums():
+    # d[k] = sum_{i=k}^p f_{i,i-k}, summed directly; Y_1 added to any one
+    # diagonal fails both pairing checks
+    y1 = Series(y_alphabet(8), 8, RATIONALS, {(0,): qq(1)})
+    for w in range(1, 6):
+        for g in dmr.qualifying_basis(w, 8):
+            section = dmr.qualifying_section(g)
+            diagonals = section[3]
+            p, comps = dmr.x_decomposition(section[1])
+            assert len(diagonals) == p + 1
+            assert dmr.lemma_telescoping_check(section, p + 1)  # an empty sum
+            for k in range(p + 1):
+                direct = zero(y_alphabet(8), 8)
+                for i in range(k, p + 1):
+                    direct = direct.add(dmr.f_pair(p, comps, i, i - k, 8))
+                assert diagonals[k] == direct
+                bad = section[:3] + (diagonals[:k] + [diagonals[k].add(y1)] + diagonals[k + 1 :],)
+                assert not dmr.lemma_coproduct_check(bad, 1)
+                assert not dmr.lemma_telescoping_check(bad, k)
 
 
 def test_coproduct_identity_needs_the_antipode_hypothesis():
@@ -367,6 +391,23 @@ def test_lie_y_basis_is_primitive_star():
     for w in range(1, 5):
         for g in dmr.lie_y_basis(w, 5):
             assert yside.is_primitive_star(g)
+
+
+def test_weighted_lyndon_words_are_the_brute_force_filter():
+    # every composition of w, cut at the positions of a bit mask, kept when
+    # it is strictly smaller than each of its proper rotations
+    for w in range(1, 10):
+        words = []
+        for mask in range(1 << (w - 1)):
+            parts, start = [], 0
+            for i in range(1, w):
+                if mask >> (i - 1) & 1:
+                    parts.append(i - start)
+                    start = i
+            a = tuple(parts) + (w - start,)
+            if all(a < a[i:] + a[:i] for i in range(1, len(a))):
+                words.append(a)
+        assert dmr._weighted_lyndon(w) == sorted(words)
 
 
 def test_lie_y_basis_dimensions():

@@ -6,17 +6,30 @@ normalize(a.mul(b)), and sums the power series term by term; the kernel
 must give the same series exactly.
 """
 
+import copy
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from assoclab.lie import lie_basis
-from assoclab.models import a4_model, ab_model, check_hexagons, p5_model
+from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_model
 from assoclab.rationals import QQ, qq
 from assoclab.rings import INTEGERS, RATIONALS, Poly, PolynomialRing, QuadElt, QuadraticExtension
-from assoclab.series import Series, join_series, split_series, split_terms
-from assoclab.words import X_ALPHABET
+from assoclab.series import (
+    Series,
+    coproduct,
+    is_group_like,
+    is_lie,
+    join_series,
+    kernel_mul,
+    split_series,
+    split_terms,
+)
+from assoclab.words import X_ALPHABET, y_alphabet
+from assoclab.yside import delta_star
+
+from support import random_lie_mixed
 
 HEX_Q = 24 * qq(-2, 5)  # mu^2 for c2 = -2/5: P/R = -48/5, not an integer
 HEX_RING = QuadraticExtension(HEX_Q)
@@ -97,8 +110,8 @@ def test_split_series_round_trip(name):
     m = a4_model(3, ring)
     s = random_series(rng, m, 0.2, random_element(rng, ring))
     den, parts = split_series(s)
-    assert all(p.ring is INTEGERS and p.terms for p in parts.values())
-    assert all(isinstance(c, int) for p in parts.values() for c in p.terms.values())
+    assert all(type(p) is dict and p for p in parts.values())
+    assert all(type(c) is int and c for p in parts.values() for c in p.values())
     assert join_series((den, parts), m) == s
 
 
@@ -188,9 +201,9 @@ def test_free_algebra_power_series_match_the_oracle():
 
 def join_by_word(x, ring):
     den, parts = x
-    words = {w for p in parts.values() for w in p.terms}
+    words = {w for p in parts.values() for w in p}
     rank = max(parts, default=0) + 1
-    coords = ([QQ(parts[k].terms.get(w, 0), den) if k in parts else 0 for k in range(rank)]
+    coords = ([QQ(parts[k].get(w, 0), den) if k in parts else 0 for k in range(rank)]
               for w in words)
     return dict(zip(words, map(ring.join, coords)))
 
@@ -229,8 +242,7 @@ def held_pair(rng, ring, factor):
     terms[()] = large_element(rng, ring)
     s = Series(m.alphabet, m.trunc, ring, terms)
     den, parts = split_series(plain(s))
-    scaled = {k: Series(p.alphabet, p.trunc, INTEGERS, {w: factor * c for w, c in p.terms.items()})
-              for k, p in parts.items()}
+    scaled = {k: {w: factor * c for w, c in p.items()} for k, p in parts.items()}
     return join_series((factor * den, scaled), m), s
 
 
@@ -253,14 +265,11 @@ def test_held_split_is_at_the_least_denominator(name):
     for factor in (6, 10007):
         held, s = held_pair(rng, ring, factor)
         den, tables = split_terms(s.terms, ring)
-        assert split_series(held)[0] == den
-        assert {k: p.terms for k, p in split_series(held)[1].items()} == tables
+        assert split_series(held) == (den, tables)
     m = a4_model(3, ring)
     a, b = (random_series(rng, m, 0.15, random_element(rng, ring)) for _ in range(2))
     product = m.mul(a, b)
-    den, tables = split_terms(join_by_word(split_series(product), ring), ring)
-    assert split_series(product)[0] == den
-    assert {k: p.terms for k, p in split_series(product)[1].items()} == tables
+    assert split_series(product) == split_terms(join_by_word(split_series(product), ring), ring)
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -313,3 +322,59 @@ def test_passing_hexagon_check_joins_no_coefficient(monkeypatch, phi5_c2):
     bad[(0, 0, 1)] = bad.get((0, 0, 1), 0) + qq(1, 7)
     for phi in (phi5_c2.log().add(e.scale(qq(1, 7))).exp(), Series(X_ALPHABET, 5, RATIONALS, bad)):
         assert [r.is_zero() for r in check_hexagons(phi)] == [False, False]
+
+
+def held_inputs(ring, seed):
+    """Held-split series over ring: an exp() result, the Lie series log of
+    it, a join_series output and an exp() over the Y alphabet."""
+    rng = random.Random(seed)
+    scale = ring.one if ring is RATIONALS else QuadElt(qq(1, 3), qq(2, 7), HEX_Q)
+    lie = lift_series(random_lie_mixed(rng, 4), ring).scale(scale)
+    group = lie.exp()
+    y = Series(y_alphabet(4), 4, ring, {w: random_element(rng, ring) for d in (1, 2)
+                                        for w in y_alphabet(4).words_of_degree(d)})
+    return [group, group.log(), held_pair(rng, ring, 6)[0], y.exp()]
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(mu)"])
+def test_consumers_leave_a_held_split_untouched(name):
+    ring = RINGS[name]
+    for s in held_inputs(ring, 95):
+        assert not holds_terms(s)
+        before = copy.deepcopy(split_series(s))
+        coproduct(s)
+        if s.alphabet == y_alphabet(4):
+            delta_star(s)
+        is_lie(s)
+        is_group_like(s)
+        s.shuffle_mul(s)
+        assert split_series(s) == before
+
+
+def one_format(x):
+    """Whether the split x has only nonempty tables of nonzero ints, at the least denominator."""
+    den, tables = x
+    entries = [m for t in tables.values() for m in t.values()]
+    return (all(type(t) is dict and t for t in tables.values())
+            and all(type(m) is int and m for m in entries) and den > 0 and gcd(den, *entries) == 1)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_held_splits_are_in_the_one_format(name):
+    ring = RINGS[name]
+    rng = random.Random(96)
+    m = a4_model(3, ring)
+    a, b = (random_series(rng, m, 0.15, random_element(rng, ring)) for _ in range(2))
+    product = kernel_mul(split_series(a), split_series(b), m)
+    results = [m.mul(a, b), m.exp(m.normalize(a.sub(a.degree_part(0)))), a.add(m.mul(b)),
+               m.mul(a).sub(m.mul(a)), join_series(product, m)]
+    if ring is not T_RING:
+        results += held_inputs(ring, 97)
+        y = results[-1]
+        results += [coproduct(results[-2]), delta_star(y), y.shuffle_mul(y)]
+    for s in results:
+        assert s._split is not None and one_format(s._split)
+    assert results[3].is_zero() and results[3]._split == (1, {})
+    # join_series drops empty tables and divides by the gcd of D and the entries
+    joined = join_series((6, {0: {}, 1: {(0,): 12, (1,): -18}}), m)
+    assert joined._split == (1, {1: {(0,): 2, (1,): -3}})
