@@ -13,7 +13,8 @@ the checkout (the current directory unless --repo is given):
   time in the exact echelon, and the same to degree 11, where the dmr_0
   rows and the echelon set the peak memory;
 - `assoclab dims --engine generic --algebra p5 --max-degree 7`, the
-  degreewise presentation engine (`presented.Presentation`);
+  degreewise presentation engine (`presented.Presentation`), and the
+  same for a4 to degree 6, whose time is in the exact echelon;
 - `assoclab dmr lemmas --degree 6`, the operator identities on the
   qualifying inputs (`dmr.qualifying_basis`);
 - `assoclab dmr bracket --lhs psi3.series --rhs psi7.series --check`, the
@@ -42,6 +43,7 @@ DEGREE = 8
 DMR_DEGREE = 9
 DMR_DEGREE_LARGE = 11
 P5_DEGREE = 7
+A4_DEGREE = 6
 LEMMAS_DEGREE = 6
 BRACKET_DEGREES = (3, 7)
 WRITE_PSI = """
@@ -107,6 +109,10 @@ def main():
         )
         out["dims_p5"] = timed(
             cli + ["dims", "--engine", "generic", "--algebra", "p5", "--max-degree", str(P5_DEGREE)],
+            tmp, env,
+        )
+        out["dims_a4"] = timed(
+            cli + ["dims", "--engine", "generic", "--algebra", "a4", "--max-degree", str(A4_DEGREE)],
             tmp, env,
         )
         out["dmr_lemmas"] = timed(cli + ["dmr", "lemmas", "--degree", str(LEMMAS_DEGREE)], tmp, env)

@@ -11,6 +11,7 @@ of the identities that drive the bracket-closure proof.
 """
 
 from functools import lru_cache
+from math import lcm
 
 from .rationals import binomial, qq
 from .rings import RATIONALS
@@ -18,16 +19,21 @@ from .lie import lie_basis
 from .series import (
     Series,
     derivation,
+    from_word,
     is_lie,
+    join_series,
     one,
     primitive_tensor,
+    reduced,
+    split_series,
     tensor,
     tensor_alphabet,
+    tensor_factors,
     tensor_pairs,
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
-from .lab import _solve_affine, abelian_x1_part, combination, gamma_shape
+from .presented import _solve_affine, combination
 from . import yside
 from .yside import (
     delta_star,
@@ -43,7 +49,7 @@ from .yside import (
 
 def _x1_images(psi):
     """The letter images of d_psi: X1 -> [X1, psi], and X0 -> 0 by omission."""
-    x1 = Series(psi.alphabet, psi.trunc, psi.ring, {(1,): psi.ring.one})
+    x1 = from_word(psi.alphabet, psi.trunc, (1,), psi.ring)
     return {1: x1.mul(psi).sub(psi.mul(x1))}
 
 
@@ -89,16 +95,21 @@ def big_d_y_map(f):
 def _kernel(defect, basis):
     """The kernel of a linear defect map on the span of basis, as Series.
 
-    defect sends a series to a sparse key -> coefficient table that is
-    empty exactly when the series meets its condition; each key is one
-    equation of `_solve_affine`.
+    defect sends a series to a split (D, {k: {key: int}}) that is empty
+    exactly when the series meets its condition; each (k, key) is one
+    equation of `_solve_affine`.  The columns are brought to one common
+    denominator, which leaves the kernel of the homogeneous system unchanged.
     """
-    _, kernel = _solve_affine([defect(e) for e in basis], {}, len(basis))
+    columns = [defect(e) for e in basis]  # the splits, freed by the rebinding below
+    den = lcm(*(d for d, _ in columns))
+    columns = [{(k, key): m * (den // d) for k, t in tables.items() for key, m in t.items()}
+               for d, tables in columns]
+    _, kernel = _solve_affine(columns, {}, len(basis))
     return [combination(vec, basis) for vec in kernel]
 
 
 def dmr0_defect(psi):
-    """The linear conditions of dmr_0 on psi, as a sparse table: c_{X0X1}(psi)
+    """The linear conditions of dmr_0 on psi, as a split: c_{X0X1}(psi)
     under ("c",) and the non-primitive part of Delta_*(psi_*) under
     ("t", u, v) for u (x) v with u <= v.  Empty exactly when a Lie series
     psi with c_{X0} = c_{X1} = 0 lies in dmr_0.
@@ -107,20 +118,24 @@ def dmr0_defect(psi):
     are unchanged by the flip u (x) v -> v (x) u, so the coefficient on
     v (x) u equals the one on u (x) v and the rows with u > v repeat kept
     ones: the row space, and so the kernel, is the same."""
-    out = {}
-    c2 = psi.coefficient((0, 1))
-    if c2:
-        out[("c",)] = c2
     star = psi_star(psi)
-    diff = delta_star(star).sub(primitive_tensor(star))
-    out.update((("t", u, v), c) for (u, v), c in tensor_pairs(diff) if u <= v)
-    return out
+    dt, tables = split_series(delta_star(star).sub(primitive_tensor(star)))
+    dc, coeffs = split_series(psi)
+    den = lcm(dt, dc)
+    out = {}
+    for k, t in tables.items():
+        pairs = ((tensor_factors(p), m) for p, m in t.items())
+        out[k] = {("t", u, v): m * (den // dt) for (u, v), m in pairs if u <= v}
+    for k, t in coeffs.items():
+        if (0, 1) in t:
+            out.setdefault(k, {})[("c",)] = t[(0, 1)] * (den // dc)
+    return reduced((den, out))
 
 
 def is_dmr0(psi):
     """Lie series with c_{X0} = c_{X1} = 0 and an empty `dmr0_defect`."""
     depth_one = psi.coefficient((0,)) or psi.coefficient((1,))
-    return is_lie(psi) and not depth_one and not dmr0_defect(psi)
+    return is_lie(psi) and not depth_one and not dmr0_defect(psi)[1]
 
 
 def solve_dmr0(degree):
@@ -137,33 +152,31 @@ def x_decomposition(f):
     """Write homogeneous f as sum_i f_i X0^i with each f_i in the Y-algebra.
 
     Returns (p, [f_0, ..., f_p]) with the components as Y-series; the
-    weight of f_i is p - i.
+    weight of f_i is p - i.  The words of f's split go by their X0 tail.
     """
-    degs = {len(w) for w in f.terms}
+    den, tables = split_series(f)
+    degs = {len(w) for t in tables.values() for w in t}
     if len(degs) > 1:
         raise ValueError("decomposition requires homogeneous input")
     p = degs.pop() if degs else 0
-    parts = [{} for _ in range(p + 1)]
-    for w, c in f.terms.items():
-        i = 0
-        while i < len(w) and w[len(w) - 1 - i] == 0:
-            i += 1
-        parts[i][w[: len(w) - i]] = c
-    comps = []
-    for part in parts:
-        xs = Series(f.alphabet, f.trunc, f.ring, part, _clean=True)
-        comps.append(pi_y(xs))
-    return p, comps
+    parts = [{k: {} for k in tables} for _ in range(p + 1)]
+    for k, t in tables.items():
+        for w, m in t.items():
+            n = len(w)
+            while n and w[n - 1] == 0:
+                n -= 1
+            parts[len(w) - n][k][w[:n]] = m
+    return p, [pi_y(join_series((den, part), f)) for part in parts]
 
 
 def _y_letter(n, trunc, ring=RATIONALS):
-    return Series(y_alphabet(trunc), trunc, ring, {(n - 1,): ring.one})
+    return from_word(y_alphabet(trunc), trunc, (n - 1,), ring)
 
 
 def f_pair(p, comps, i, j, trunc):
     """f_{i,j} = f_i Y_j + Y_j fbar_i with fbar_i = (-1)^p R_Y(f_i)."""
     fi = comps[i]
-    fbar = reverse_y(fi).scale(fi.ring.embed(-1 if p % 2 else 1))
+    fbar = reverse_y(fi).neg() if p % 2 else reverse_y(fi)
     if j == 0:
         return fi.add(fbar)
     yj = _y_letter(j, trunc, fi.ring)
@@ -180,7 +193,7 @@ def _on_words(op, trunc, ring):
 
     @lru_cache(maxsize=None)
     def on_word(u):
-        return op(Series(ya, trunc, ring, {u: ring.one}))
+        return op(from_word(ya, trunc, u, ring))
 
     return on_word
 
@@ -191,8 +204,7 @@ def _on_each_factor(op, t):
     ya, trunc, ring = y_alphabet(t.trunc), t.trunc, t.ring
     out = zero(t.alphabet, trunc, ring)
     for (u, v), c in tensor_pairs(t):
-        us = Series(ya, trunc, ring, {u: ring.one})
-        vs = Series(ya, trunc, ring, {v: ring.one})
+        us, vs = from_word(ya, trunc, u, ring), from_word(ya, trunc, v, ring)
         out = out.add(tensor(op(u).scale(c), vs)).add(tensor(us, op(v).scale(c)))
     return out
 
@@ -208,11 +220,9 @@ def lemma_derivation_check(f, n):
     trunc = f.trunc
     ring = f.ring
     lhs = big_d_y_map(f)(_y_letter(n, trunc, ring))
-    word = Series(X_ALPHABET, trunc, ring, {(0,) * (n - 1) + (1,): ring.one})
-    x_side = Series(
-        X_ALPHABET, trunc, ring, {(0,) * (n - 1): ring.one}
-    ).mul(f).mul(Series(X_ALPHABET, trunc, ring, {(1,): ring.one}))
-    x_side = x_side.sub(f.mul(word))
+    x0n = from_word(X_ALPHABET, trunc, (0,) * (n - 1), ring)
+    x1 = from_word(X_ALPHABET, trunc, (1,), ring)
+    x_side = x0n.mul(f).mul(x1).sub(f.mul(x0n.mul(x1)))
     p, comps = x_decomposition(f)
     total = zero(y_alphabet(trunc), trunc, ring)
     for i in range(p + 1):
@@ -285,7 +295,7 @@ def lemma_telescoping_check(section, k):
         * qq(1 + (-1) ** p)
         * c
     )
-    expected = _y_letter(p - k, g.trunc, g.ring).scale(g.ring.embed(scalar))
+    expected = _y_letter(p - k, g.trunc, g.ring).scale_q(scalar)
     return diagonals[k] == expected
 
 
@@ -313,7 +323,7 @@ def coderivation_check(psi, max_weight=None):
     s_y = _on_words(s_f_y_map(f), trunc, ring)
     for wgt in range(0, top + 1):
         for w in ya.words_of_degree(wgt):
-            ws = Series(ya, trunc, ring, {w: ring.one})
+            ws = from_word(ya, trunc, w, ring)
             if delta_star(s_y(w)) != _on_each_factor(s_y, delta_star(ws)):
                 return False
     return True
@@ -374,17 +384,17 @@ def lie_y_basis(weight, trunc, ring=RATIONALS):
             prod = one(ya, trunc, ring)
             for i in word:
                 prod = prod.mul(us[i - 1])
-            s = s.add(prod.scale(ring.embed(m)))
+            s = s.add(prod.scale_q(m))
         out.append(s)
     return out
 
 
 def qualifying_defect(g):
-    """S_X(f) + f for f = sec g, as X-word -> coefficient: empty exactly
+    """S_X(f) + f for f = sec g, as the split of a series: empty exactly
     when g meets the hypothesis S_X(sec g) = -sec g of the pairing
     identities."""
     f = yside.sec(g)
-    return yside.antipode_x(f).add(f).terms
+    return split_series(yside.antipode_x(f).add(f))
 
 
 def qualifying_basis(weight, trunc, ring=RATIONALS):
@@ -425,6 +435,8 @@ def gamma_image_check(psi):
     a one-variable series g with coefficients read off the x0^{n-1} x1
     line.  Returns (flag, coefficient table).
     """
+    from .lab import abelian_x1_part, gamma_shape
+
     m = abelian_x1_part(psi)
     coeffs, shape = gamma_shape(m)
     return m == shape, coeffs

@@ -5,8 +5,8 @@ factorization, regularization identities, the group law).
 
 from math import factorial
 
-from .rationals import ONE, ZERO, binomial, qq
-from .rings import RATIONALS, Poly, PolynomialRing, accumulate
+from .rationals import QQ, binomial, qq
+from .rings import RATIONALS, accumulate
 from .lie import lie_basis
 from .models import (
     a4_model,
@@ -18,7 +18,7 @@ from .models import (
     pentagon_arguments,
     pentagon_residual,
 )
-from .presented import echelon, solve_pivots
+from .presented import _solve_affine, combination
 from .series import (
     POWER_ALPHABET,
     Series,
@@ -33,46 +33,6 @@ from .words import X_ALPHABET
 
 class PentagonObstruction(RuntimeError):
     """Raised when the degreewise pentagon system has no solution."""
-
-
-def _solve_affine(columns, rhs, n_unknowns):
-    """Solve sum_i x_i columns[i] = rhs over the rationals.
-
-    columns are sparse word -> coeff tables.  Each word is one equation,
-    a row over the unknowns 0..n-1 with the right-hand side as coordinate
-    n, so the system is inconsistent exactly when n becomes a pivot.
-    Returns (particular, kernel) with the particular solution taking free
-    variables zero, or None when the system is inconsistent.
-    """
-    n = n_unknowns
-    rows = {}
-    for i, col in enumerate(columns):
-        for w, c in col.items():
-            rows.setdefault(w, {})[i] = c
-    for w, c in rhs.items():
-        rows.setdefault(w, {})[n] = c
-    pivots = echelon([rows[w] for w in sorted(rows)])
-    if n in pivots:
-        return None
-    solve_pivots(pivots)
-    particular = [pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n)]
-    kernel = []
-    for f in range(n):
-        if f not in pivots:
-            vec = [-pivots[p].get(f, ZERO) if p in pivots else ZERO for p in range(n)]
-            vec[f] = ONE
-            kernel.append(vec)
-    return particular, kernel
-
-
-def combination(coeffs, basis):
-    """sum_i coeffs[i] basis[i] for rational coeffs and a nonempty list of
-    Series over one alphabet, truncation and ring, in one accumulate call:
-    a solution vector of `_solve_affine` as a series."""
-    first = basis[0]
-    embed = first.ring.embed
-    pairs = ((w, embed(c) * x) for c, e in zip(coeffs, basis) if c for w, x in e.terms.items())
-    return Series(first.alphabet, first.trunc, first.ring, accumulate({}, pairs), _clean=True)
 
 
 def pentagon_linear_map(basis, model, gens):
@@ -150,6 +110,80 @@ def verify_theorem_main(phi):
 
 
 # -- regularization ----------------------------------------------------
+
+
+class Poly:
+    """Dense univariate polynomial over the rationals."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        n = len(coeffs)
+        while n > 0 and coeffs[n - 1] == 0:
+            n -= 1
+        self.coeffs = tuple(coeffs[:n])
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return Poly(())
+        out = [qq(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "Poly(%r)" % (self.coeffs,)
+
+
+class PolynomialRing:
+    """QQ[var] for a named formal variable (e.g. the regularization parameter)."""
+
+    def __init__(self, var="T"):
+        self.var = var
+        self.zero = Poly(())
+        self.one = Poly((qq(1),))
+        self.gen = Poly((qq(0), qq(1)))
+
+    def embed(self, c):
+        c = QQ(c)
+        return Poly((c,)) if c != 0 else self.zero
+
+    def split(self, c):
+        return c.coeffs
+
+    def join(self, coords):
+        return Poly([QQ(x) for x in coords])
+
+    def basis_product(self, i, j):
+        return ((i + j, 1),)
+
 
 T_RING = PolynomialRing("T")
 

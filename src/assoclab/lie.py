@@ -98,15 +98,13 @@ def lyndon_coordinates(s):
 
 
 def lie_basis(alphabet, degree, trunc, ring=RATIONALS):
-    """The Lyndon basis of the degree-d free Lie part, as Series elements.
+    """The Lyndon basis of the degree-d free Lie part, as Series elements
+    that hold their integer split (1, {0: bracketing}) on e_0 = 1.
 
     Only unweighted alphabets are meaningful here (word length = degree).
     """
-    out = []
-    for lw in lyndon_words(len(alphabet), degree):
-        terms = {w: ring.embed(c) for w, c in bracketing(lw).items()}
-        out.append((lw, Series(alphabet, trunc, ring, terms, _clean=True)))
-    return out
+    return [(lw, Series(alphabet, trunc, ring, _split=(1, {0: bracketing(lw)})))
+            for lw in lyndon_words(len(alphabet), degree)]
 
 
 def lie_bracket(a, b):

@@ -50,6 +50,8 @@ word-by-word substitution.  A check peels log phi once for all of its
 factors.
 """
 
+from functools import partial
+
 from .lie import lyndon_coordinates, standard_factorization
 from .rationals import qq
 from .rings import INTEGERS, RATIONALS, QuadraticExtension, accumulate
@@ -205,11 +207,15 @@ class PBWModel:
     def mul(self, *factors):
         """The product of the factors, left to right, on the integer kernel.
 
-        Each factor is split into integer tables once, every partial
-        product stays split, and the product is joined once.
+        Each factor is split into integer tables once, the first is normalized
+        only where a word is not normal, and the partial products stay split.
         """
-        x = split_series(self.one())
-        for f in factors:
+        first, *rest = factors or (self.one(),)
+        den, tables = split_series(first)
+        wrap = partial(Series, self.alphabet, self.trunc, INTEGERS, _clean=True)
+        x = den, {k: t if all(map(self.is_normal, t)) else self.normalize(wrap(t)).terms
+                  for k, t in tables.items()}
+        for f in rest:
             x = kernel_mul(x, split_series(f), self)
         return join_series(x, self)
 

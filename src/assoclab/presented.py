@@ -1,4 +1,5 @@
-"""Finitely presented graded associative algebras with exact normal forms.
+"""Finitely presented graded associative algebras with exact normal forms,
+and the exact linear solver.
 
 The engine is generic degreewise linear algebra: degree-1 relations
 eliminate generators down to a chosen letter basis, and for d >= 2 the
@@ -6,14 +7,15 @@ degree-d quotient is (letters (x) V_{d-1}) modulo the rows obtained by
 right-multiplying every degree-2 relation by a degree-(d-2) basis word
 and rewriting through the already-computed reduction maps.  This is
 complete for homogeneous ideals because every two-sided ideal element
-u.r.v lies in letters.I_{d-1} once u is nonempty.
+u.r.v lies in letters.I_{d-1} once u is nonempty.  A reduction is held
+as (D, word -> int), so rows and normal forms are integer sums.
 """
 
-from math import gcd
+from math import gcd, lcm
 
-from .rationals import ONE, QQ, qq, parse_rational
+from .rationals import ONE, QQ, ZERO, qq, parse_rational
 from .rings import RATIONALS, accumulate
-from .series import Series, split_terms
+from .series import Series, SeriesAlgebra, join_series, split_series, split_terms, substitute
 from .words import Alphabet
 
 
@@ -28,15 +30,11 @@ def _primitive(row):
 
 
 def integer_row(row):
-    """A new primitive integer row from a rational row: copied if its
-    entries are ints already, else scaled by their least common
-    denominator; then divided by the gcd of the entries.  A zero row
-    gives {}.  The elimination edits rows in place, so the copy keeps the
-    caller's row intact."""
-    if all(type(v) is int for v in row.values()):
-        row = dict(row)
-    else:
-        row = split_terms(row, RATIONALS)[1].get(0, {})
+    """A new primitive integer row from a rational or integer row: scaled by
+    the least common denominator of its entries, then divided by their
+    gcd.  A zero row gives {}.  The elimination edits rows in place, so
+    the new row keeps the caller's row intact."""
+    row = split_terms(row, RATIONALS)[1].get(0, {})
     return _primitive(row) if row else row
 
 
@@ -79,13 +77,9 @@ def echelon(rows):
     return pivots
 
 
-def solve_pivots(pivots):
-    """Fully back-substitute over the integers, so each pivot row mentions
-    no other pivot coord, then make each row monic: pivot -> rational row.
-
-    The result is the reduced row echelon form of the row space, which is
-    unique, so it does not depend on the scaling of the integer rows.
-    """
+def back_substitute(pivots):
+    """Fully back-substitute over the integers, in place, so each pivot row
+    mentions no other pivot coordinate; returns pivots."""
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for k in sorted(row):
@@ -93,10 +87,70 @@ def solve_pivots(pivots):
                 # pivots[k] has k > lead, so it is already fully solved
                 row = _eliminate(row, k, pivots[k])
         pivots[lead] = row
-    for lead, row in pivots.items():
-        c = row[lead]
-        pivots[lead] = {k: QQ(v, c) for k, v in row.items()}
     return pivots
+
+
+def solve_pivots(pivots):
+    """The monic rational view of `back_substitute(pivots)`: pivot ->
+    rational row, the reduced row echelon form of the row space, which is
+    unique, so it does not depend on the scaling of the integer rows."""
+    return {lead: {k: QQ(v, row[lead]) for k, v in row.items()}
+            for lead, row in back_substitute(pivots).items()}
+
+
+def _solve_affine(columns, rhs, n_unknowns):
+    """Solve sum_i x_i columns[i] = rhs over the rationals.
+
+    columns are sparse key -> coeff tables.  Each key is one equation,
+    a row over the unknowns 0..n-1 with the right-hand side as coordinate
+    n, so the system is inconsistent exactly when n becomes a pivot.
+    Returns (particular, kernel) with the particular solution taking free
+    variables zero, or None when the system is inconsistent.
+    """
+    n = n_unknowns
+    rows = {}
+    for i, col in enumerate(columns):
+        for w, c in col.items():
+            rows.setdefault(w, {})[i] = c
+    for w, c in rhs.items():
+        rows.setdefault(w, {})[n] = c
+    pivots = echelon([rows[w] for w in sorted(rows)])
+    if n in pivots:
+        return None
+    pivots = solve_pivots(pivots)
+    particular = [pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n)]
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            vec = [-pivots[p].get(f, ZERO) if p in pivots else ZERO for p in range(n)]
+            vec[f] = ONE
+            kernel.append(vec)
+    return particular, kernel
+
+
+def combination(coeffs, basis):
+    """sum_i coeffs[i] basis[i] for rational coeffs and a nonempty list of
+    Series over one alphabet, truncation and ring, summed on their splits:
+    a solution vector of `_solve_affine` as a series."""
+    terms = [(c, split_series(e)) for c, e in zip(coeffs, basis) if c]
+    den = lcm(*(c.denominator * d for c, (d, _) in terms))
+    out = {}
+    for c, (d, tables) in terms:
+        m = c.numerator * (den // (c.denominator * d))
+        for k, t in tables.items():
+            accumulate(out.setdefault(k, {}), ((w, m * x) for w, x in t.items()))
+    return join_series((den, out), basis[0])
+
+
+def _scaled_sum(parts, key):
+    """(D, table) with table / D = sum (c / x) t over the parts (a, c, (x, t))
+    of int c and split t / x, each word u of t read as key(a, u); D is the
+    least common denominator."""
+    den = lcm(*(x for _, _, (x, _) in parts))
+    table = accumulate({}, ((key(a, u), c * (den // x) * m)
+                            for a, c, (x, t) in parts for u, m in t.items()))
+    g = gcd(den, *table.values())
+    return den // g, ({u: m // g for u, m in table.items()} if g > 1 else table)
 
 
 class Presentation:
@@ -122,13 +176,13 @@ class Presentation:
         self._rewrite_quadratic(quad)
         self.basis = {0: [()], 1: [(i,) for i in range(len(self.letters))]}
         self.reduction = {}
-        self._nf_cache = {(): {(): ONE}}
+        self._nf_cache = {(): (1, {(): 1})}
 
     # -- construction ---------------------------------------------------
 
     def _eliminate_linear(self, lin):
         rows = [{(g,): QQ(c) for (g,), c in r.items()} for r in lin]
-        pivots = solve_pivots(echelon(rows))
+        pivots = back_substitute(echelon(rows))
         self.letters = [
             i for i in range(len(self.generator_names)) if (i,) not in pivots
         ]
@@ -137,7 +191,8 @@ class Presentation:
         self.generator_images = []
         for g in range(len(self.generator_names)):
             if (g,) in pivots:
-                img = {pos[k[0]]: -c for k, c in pivots[(g,)].items() if k != (g,)}
+                row = pivots[(g,)]
+                img = {pos[k[0]]: QQ(-c, row[(g,)]) for k, c in row.items() if k != (g,)}
             else:
                 img = {pos[g]: ONE}
             self.generator_images.append(img)
@@ -156,7 +211,7 @@ class Presentation:
                 ),
             )
             if row:
-                self.quadratic.append(row)
+                self.quadratic.append(integer_row(row))
 
     def extend_to(self, dmax):
         for d in range(max(self.basis) + 1, dmax + 1):
@@ -170,35 +225,32 @@ class Presentation:
         rows = []
         for r in self.quadratic:
             for v in self.basis[d - 2]:
-                row = accumulate(
-                    {},
-                    (
-                        (words[u][a], c * c2)
-                        for (a, b), c in r.items()
-                        for u, c2 in self._reduce_letter(d - 1, b, v).items()
-                    ),
-                )
+                parts = [(a, c, self._reduce_letter(d - 1, b, v)) for (a, b), c in r.items()]
+                _, row = _scaled_sum(parts, lambda a, u: words[u][a])
                 if row:
-                    rows.append(integer_row(row))
-        pivots = solve_pivots(echelon(rows))
+                    rows.append(_primitive(row))
+        pivots = back_substitute(echelon(rows))
         red = {}
         basis = []
         for i in letters:
             for w in prev:
                 word = words[w][i]
-                if word in pivots:
-                    red[word] = {k: -c for k, c in pivots[word].items() if k != word}
-                else:
+                row = pivots.get(word)
+                if row is None:
                     basis.append(word)
-                    red[word] = {word: ONE}
+                    red[word] = (1, {word: 1})
+                else:  # row[word] word + sum m k = 0, with least denominator |row[word]|
+                    c = row[word]
+                    red[word] = (abs(c), {k: -m if c > 0 else m for k, m in row.items() if k != word})
         basis.sort()
         self.basis[d] = basis
         self.reduction[d] = red
 
     def _reduce_letter(self, d, letter, word):
-        """Expansion of letter.word (word a basis word of degree d-1) in B_d."""
+        """Expansion of letter.word (word a basis word of degree d-1) in B_d,
+        as (D, word -> int)."""
         if d == 1:
-            return {(letter,): ONE}
+            return 1, {(letter,): 1}
         return self.reduction[d][(letter,) + word]
 
     # -- queries ----------------------------------------------------------
@@ -207,56 +259,36 @@ class Presentation:
         self.extend_to(d)
         return len(self.basis[d])
 
-    def normal_form_word(self, word):
-        """Normal form of a word over the letter basis, as word -> coeff."""
-        try:
-            return self._nf_cache[word]
-        except KeyError:
-            pass
-        d = len(word)
-        self.extend_to(d)
-        out = accumulate(
-            {},
-            (
-                (v, c * c2)
-                for u, c in self.normal_form_word(word[1:]).items()
-                for v, c2 in self._reduce_letter(d, word[0], u).items()
-            ),
-        )
-        self._nf_cache[word] = out
+    def _word_split(self, word):
+        """The normal form of a word over the letter basis, as (D, word -> int)."""
+        out = self._nf_cache.get(word)
+        if out is None:
+            d = len(word)
+            self.extend_to(d)
+            den, rest = self._word_split(word[1:])
+            parts = [(None, m, (den * x, t)) for u, m in rest.items()
+                     for x, t in [self._reduce_letter(d, word[0], u)]]
+            out = self._nf_cache[word] = _scaled_sum(parts, lambda _, u: u)
         return out
 
+    def normal_form_word(self, word):
+        """Normal form of a word over the letter basis, as word -> coeff."""
+        den, table = self._word_split(word)
+        return {v: QQ(m, den) for v, m in table.items()}
+
     def normal_form(self, s):
-        """Normal form of a Series over the full generator alphabet."""
-        if s.alphabet == self.alphabet:
-            expand = None
-        elif s.alphabet == self.full_alphabet:
-            expand = self.generator_images
-        else:
-            raise PresentationError("series alphabet does not match presentation")
-        out = {}
-        for w, c in s.terms.items():
-            pieces = {w: c}
-            if expand is not None:
-                pieces = {(): c}
-                for g in w:
-                    pieces = accumulate(
-                        {},
-                        (
-                            (u + (j,), cu * cj)
-                            for u, cu in pieces.items()
-                            for j, cj in expand[g].items()
-                        ),
-                    )
-            accumulate(
-                out,
-                (
-                    (v, cu * cv)
-                    for u, cu in pieces.items()
-                    for v, cv in self.normal_form_word(u).items()
-                ),
-            )
-        return Series(self.alphabet, s.trunc, RATIONALS, out, _clean=True)
+        """Normal form of a rational Series over the letter basis or the full
+        generator alphabet, summed over the integers on its split."""
+        if s.alphabet != self.alphabet:
+            if s.alphabet != self.full_alphabet:
+                raise PresentationError("series alphabet does not match presentation")
+            images = [Series(self.alphabet, s.trunc, RATIONALS, {(j,): c for j, c in img.items()})
+                      for img in self.generator_images]
+            s = substitute(s, images, SeriesAlgebra(self.alphabet, s.trunc))
+        den, tables = split_series(s)
+        parts = [(None, m, self._word_split(w)) for w, m in tables.get(0, {}).items()]
+        x, table = _scaled_sum(parts, lambda _, u: u)
+        return join_series((den * x, {0: table}), s)
 
     # -- loading ------------------------------------------------------
 

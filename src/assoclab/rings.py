@@ -1,11 +1,11 @@
 """Coefficient rings for series coefficients.
 
 The coefficient rings are exact commutative rings containing the
-rationals: plain rationals, univariate polynomials over the rationals,
-and a quadratic extension adjoining mu with mu^2 = q.  Ring elements
-support +, -, *, unary - and ==, and an element is false exactly when
-it is zero; a ring object knows its zero/one and how to embed a
-rational.
+rationals: plain rationals, a quadratic extension adjoining mu with
+mu^2 = q, and `lab.PolynomialRing`, univariate polynomials over the
+rationals.  Ring elements support +, -, *, unary - and ==, and an
+element is false exactly when it is zero; a ring object knows its
+zero/one and how to embed a rational.
 
 Each of them is also a free module over the rationals with an integral
 basis e_0, e_1, ... whose products are integer combinations of the
@@ -80,85 +80,6 @@ class RationalField:
 
     def basis_product(self, i, j):
         return _UNIT_PRODUCT
-
-
-class Poly:
-    """Dense univariate polynomial over the rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        n = len(coeffs)
-        while n > 0 and coeffs[n - 1] == 0:
-            n -= 1
-        self.coeffs = tuple(coeffs[:n])
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n):
-        return self.coeffs[n] if n < len(self.coeffs) else qq(0)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Poly(())
-        out = [qq(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "Poly(%r)" % (self.coeffs,)
-
-
-class PolynomialRing:
-    """QQ[var] for a named formal variable (e.g. the regularization parameter)."""
-
-    def __init__(self, var="T"):
-        self.var = var
-        self.zero = Poly(())
-        self.one = Poly((qq(1),))
-        self.gen = Poly((qq(0), qq(1)))
-
-    def embed(self, c):
-        c = QQ(c)
-        return Poly((c,)) if c != 0 else self.zero
-
-    def split(self, c):
-        return c.coeffs
-
-    def join(self, coords):
-        return Poly([QQ(x) for x in coords])
-
-    def basis_product(self, i, j):
-        return ((i + j, 1),)
 
 
 class QuadElt:

@@ -13,13 +13,15 @@ one common denominator D, the series being (1/D) sum_k e_k tables[k].
 `split_series` gives the split of a series; `kernel_mul` multiplies two
 splits with one `normalize(a.mul(b))` per pair of tables and the ring's
 integer structure constants; `join_series` wraps a split as a series
-over the ring.  `substitute`, and with it every power series, and the
-model products run on it.  A Series holds its ring terms, its split at
-the least denominator, or both, and builds each form at most once, when
-it is first read: a kernel result keeps only its split, and `add`,
-`sub`, `==`, `is_zero` and `coefficient` read the splits whenever an
-operand holds one, so a chain of kernel steps passes integer tables
-along.  A held split is shared, never written to.
+over the ring.  `Series.mul` over any ring but the integers, every
+substitution and power series and the model products run on it, and
+`tensor`, `derivation`, `word_map` and `scale_q` map split tables.  A
+Series holds its ring terms, its split at the least denominator, or
+both, and builds each form at most once, when it is first read: a kernel
+result or a `from_word` keeps only its split, and `add`, `sub`, `==`,
+`is_zero` and `coefficient` read the splits whenever an operand holds
+one, so a chain of kernel steps passes integer tables along.  A held
+split is shared, never written to.
 """
 
 from bisect import bisect_left
@@ -152,8 +154,7 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
 
     def neg(self):
-        terms = {w: -c for w, c in self.terms.items()}
-        return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
+        return word_map(self, lambda w: (w, -1))
 
     def sub(self, other):
         return self.add(other, -1)
@@ -163,13 +164,22 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, terms)
 
     def scale_q(self, q):
-        return self.scale(self.ring.embed(q))
+        """self times the rational q, on the split."""
+        if not q:
+            return zero(self.alphabet, self.trunc, self.ring)
+        q, (den, tables) = QQ(q), split_series(self)
+        tables = {k: {w: q.numerator * m for w, m in t.items()} for k, t in tables.items()}
+        return join_series((den * q.denominator, tables), self)
 
     # -- products -----------------------------------------------------
 
     def mul(self, other):
-        """Concatenation product, truncated."""
+        """Concatenation product, truncated: one `kernel_mul` over any ring
+        but the integers, whose raw loop below is the kernel's product."""
         self._check_compatible(other)
+        if self.ring is not INTEGERS:
+            x = kernel_mul(split_series(self), split_series(other), self._algebra())
+            return join_series(x, self)
         deg = self.alphabet.degree
         by_degree = [[] for _ in range(self.trunc + 1)]
         for v, b in other.terms.items():
@@ -220,16 +230,27 @@ def zero(alphabet, trunc, ring=RATIONALS):
 
 
 def one(alphabet, trunc, ring=RATIONALS):
-    return Series(alphabet, trunc, ring, {(): ring.one}, _clean=True)
+    return from_word(alphabet, trunc, (), ring)
 
 
 def letter(alphabet, trunc, name, ring=RATIONALS):
-    i = alphabet.index(name)
-    return Series(alphabet, trunc, ring, {(i,): ring.one}, _clean=True)
+    return from_word(alphabet, trunc, (alphabet.index(name),), ring)
 
 
 def from_word(alphabet, trunc, word, ring=RATIONALS):
-    return Series(alphabet, trunc, ring, {tuple(word): ring.one})
+    """The word as a series, holding its split (1, {0: {word: 1}}) on e_0 = 1."""
+    word = tuple(word)
+    tables = {0: {word: 1}} if alphabet.degree(word) <= trunc else {}
+    return Series(alphabet, trunc, ring, _split=(1, tables))
+
+
+def word_map(s, image, like=None):
+    """The linear map w -> m.v for (v, m) = image(w), or w -> 0 when image(w)
+    is None, on the split tables of s, over like (a series or an algebra; s
+    by default); image must send the words it keeps to distinct words."""
+    den, tables = split_series(s)
+    out = {k: {x[0]: x[1] * m for w, m in t.items() if (x := image(w))} for k, t in tables.items()}
+    return join_series((den, out), like or s)
 
 
 class SeriesAlgebra:
@@ -271,12 +292,16 @@ def primed(word):
     return tuple(~j for j in word)
 
 
+def tensor_factors(p):
+    """(u, v) for the tensor word p = u.v': u ends at its first primed
+    (negative) letter."""
+    k = bisect_left(p, True, key=(0).__gt__)
+    return p[:k], primed(p[k:])
+
+
 def tensor_pairs(t):
-    """The terms of a tensor series t as ((u, v), c) for u (x) v: u ends at
-    the first primed (negative) letter of the tensor word u.v'."""
-    for p, c in t.terms.items():
-        k = bisect_left(p, True, key=(0).__gt__)
-        yield (p[:k], primed(p[k:])), c
+    """The terms of a tensor series t as ((u, v), c) for u (x) v."""
+    return ((tensor_factors(p), c) for p, c in t.terms.items())
 
 
 def tensor_image(s, letter_parts):
@@ -324,14 +349,19 @@ def coproduct(s):
 
 
 def tensor(a, b):
-    """a (x) b as a tensor series, truncated at the degree of a."""
+    """a (x) b as a tensor series, truncated at the degree of a, summed over
+    the integers on the splits of a and b."""
     deg = a.alphabet.degree
-    right = [(primed(v), deg(v), y) for v, y in b.terms.items()]
+    (da, pa), (db, pb) = split_series(a), split_series(b)
+    pb = [(j, [(primed(v), deg(v), y) for v, y in t.items()]) for j, t in pb.items()]
     out = {}
-    for u, x in a.terms.items():
-        room = a.trunc - deg(u)
-        out.update((u + v, c) for v, d, y in right if d <= room and (c := x * y))
-    return Series(tensor_alphabet(a.alphabet), a.trunc, a.ring, out, _clean=True)
+    for (i, ta), (j, tb) in product(pa.items(), pb):
+        for k, m in a.ring.basis_product(i, j):
+            table = out.setdefault(k, {})
+            for u, x in ta.items():
+                room, xm = a.trunc - deg(u), x * m
+                accumulate(table, ((u + v, xm * y) for v, d, y in tb if d <= room))
+    return join_series((da * db, out), SeriesAlgebra(tensor_alphabet(a.alphabet), a.trunc, a.ring))
 
 
 def tensor_square(s):
@@ -383,9 +413,11 @@ def is_group_like(s):
 
 
 def primitive_tensor(s):
-    """1 (x) s + s (x) 1 on the nonconstant part: the coproduct s has if primitive."""
-    terms = {v: c for w, c in s.terms.items() if w for v in (primed(w), w)}
-    return Series(tensor_alphabet(s.alphabet), s.trunc, s.ring, terms)
+    """1 (x) s + s (x) 1 on the nonconstant part of s's split: the coproduct s has if primitive."""
+    den, tables = split_series(s)
+    tables = {k: {v: m for w, m in t.items() if w for v in (primed(w), w)}
+              for k, t in tables.items()}
+    return join_series((den, tables), SeriesAlgebra(tensor_alphabet(s.alphabet), s.trunc, s.ring))
 
 
 def is_lie(s):
@@ -413,6 +445,10 @@ def split_terms(terms, ring):
     nonzero ints (a table that would be empty is absent) and D is the
     least common denominator of all the coordinates.
     """
+    if ring is RATIONALS:
+        den = lcm(*{c.denominator for c in terms.values()})
+        return den, ({0: {key: c.numerator * (den // c.denominator) for key, c in terms.items()}}
+                     if terms else {})
     coords = [(key, ring.split(c)) for key, c in terms.items()]
     den = lcm(*{x.denominator for _, cs in coords for x in cs})
     tables = {}
@@ -431,17 +467,22 @@ def split_series(s):
     return s._split
 
 
-def join_series(x, like):
-    """The series over like.ring (like is a series or an algebra) that the
-    split x stands for, holding x in the one split format: empty tables
-    dropped, and D and every entry divided by their gcd, as `split_terms`
-    would give it.  Its terms are joined when first read."""
+def reduced(x):
+    """The split x in the one format: empty tables dropped, and D and every
+    entry divided by their gcd, as `split_terms` would give it."""
     den, tables = x
     g = den
     for table in tables.values():
         g = gcd(g, *table.values())
     tables = {k: {w: m // g for w, m in t.items()} if g > 1 else t for k, t in tables.items() if t}
-    return Series(like.alphabet, like.trunc, like.ring, _split=(den // g, tables))
+    return den // g, tables
+
+
+def join_series(x, like):
+    """The series over like.ring (like is a series or an algebra) that the
+    split x stands for, holding `reduced(x)`; its terms are joined when
+    first read."""
+    return Series(like.alphabet, like.trunc, like.ring, _split=reduced(x))
 
 
 def kernel_mul(x, y, algebra):
@@ -467,8 +508,8 @@ def kernel_mul(x, y, algebra):
                 pairs = ab.items() if m == 1 else ((w, m * c) for w, c in ab.items())
                 if k in out:
                     accumulate(out[k], pairs)
-                else:
-                    out[k] = dict(pairs)
+                else:  # ab is a new table, so it may become out[k]
+                    out[k] = ab if m == 1 else dict(pairs)
     return dx * dy, out
 
 
@@ -517,18 +558,22 @@ def substitute(s, images, algebra):
 def derivation(s, images):
     """Apply to s the derivation sending letter i to images[i] and every
     letter absent from images to zero: each occurrence of a letter in a
-    word is replaced by its image in turn, truncated, in one accumulate
-    call."""
+    word is replaced by its image in turn, truncated, on the splits of s
+    and of the images, over the images' common denominator."""
     deg, weights = s.alphabet.degree, s.alphabet.weights
-    pairs = (
-        (w[:i] + u + w[i + 1 :], c * cu)
-        for w, c in s.terms.items()
-        for i, ch in enumerate(w)
-        if ch in images
-        for u, cu in images[ch].terms.items()
-        if deg(u) - weights[ch] <= s.trunc - deg(w)
-    )
-    return Series(s.alphabet, s.trunc, s.ring, accumulate({}, pairs), _clean=True)
+    ds, ps = split_series(s)
+    splits = {ch: split_series(img) for ch, img in images.items()}
+    den = lcm(*(d for d, _ in splits.values()))
+    out = {}
+    for (k, t), (ch, (d, parts)) in product(ps.items(), splits.items()):
+        for l, img in parts.items():
+            for j, m in s.ring.basis_product(k, l):
+                m *= den // d
+                accumulate(out.setdefault(j, {}), (
+                    (w[:i] + u + w[i + 1 :], m * c * cu)
+                    for w, c in t.items() for i, x in enumerate(w) if x == ch
+                    for u, cu in img.items() if deg(u) - weights[ch] <= s.trunc - deg(w)))
+    return join_series((ds * den, out), s)
 
 
 POWER_ALPHABET = Alphabet(("u",))

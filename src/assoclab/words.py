@@ -26,7 +26,7 @@ class Alphabet:
         return len(self.names)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Alphabet)
             and self.names == other.names
             and self.weights == other.weights
@@ -70,6 +70,7 @@ class Alphabet:
 X_ALPHABET = Alphabet(("X0", "X1"))
 
 
+@lru_cache(maxsize=None)
 def y_alphabet(max_weight):
     """Letters Y1..Yn graded by weight; letters above the truncation cannot occur."""
     n = max_weight

@@ -13,11 +13,13 @@ from functools import lru_cache
 from .rationals import qq
 from .series import (
     Series,
+    SeriesAlgebra,
     derivation,
     one,
     primitive_tensor,
     tensor_image,
     tensor_square,
+    word_map,
 )
 from .words import X_ALPHABET, y_alphabet
 
@@ -25,35 +27,28 @@ from .words import X_ALPHABET, y_alphabet
 # -- projection and embedding -----------------------------------------
 
 
+def _y_word(w):
+    """(Ynm...Yn1, (-1)^m) for w = X0^{n_m-1}X1...X0^{n_1-1}X1, None for a word ending in X0."""
+    letters, run = [], 0
+    for ch in w:
+        if ch == 0:
+            run += 1
+        else:
+            letters.append(run)
+            run = 0
+    return None if run else (tuple(letters), -1 if len(letters) % 2 else 1)
+
+
 def pi_y(s):
-    """Kill words ending in X0; X0^{n_m-1}X1...X0^{n_1-1}X1 -> (-1)^m Ynm...Yn1."""
-    ya = y_alphabet(s.trunc)
-    ring = s.ring
-    out = {}
-    for w, c in s.terms.items():
-        letters = []
-        run = 0
-        for ch in w:
-            if ch == 0:
-                run += 1
-            else:
-                letters.append(run)
-                run = 0
-        if run:
-            continue
-        # distinct X-words give distinct Y-words, so nothing can cancel
-        out[tuple(letters)] = ring.embed(-1 if len(letters) % 2 else 1) * c
-    return Series(ya, s.trunc, ring, out, _clean=True)
+    """Kill words ending in X0; X0^{n_m-1}X1...X0^{n_1-1}X1 -> (-1)^m Ynm...Yn1.
+    Distinct X-words give distinct Y-words, so nothing can cancel."""
+    return word_map(s, _y_word, SeriesAlgebra(y_alphabet(s.trunc), s.trunc, s.ring))
 
 
 def embed_y(s):
     """Algebra map Yn -> -X0^{n-1}X1, inverse to pi_y on its image."""
-    ring = s.ring
-    out = {
-        x_word(word_to_index(w)): ring.embed(-1 if len(w) % 2 else 1) * c
-        for w, c in s.terms.items()
-    }
-    return Series(X_ALPHABET, s.trunc, ring, out, _clean=True)
+    return word_map(s, lambda w: (x_word(word_to_index(w)), -1 if len(w) % 2 else 1),
+                    SeriesAlgebra(X_ALPHABET, s.trunc, s.ring))
 
 
 # -- the quasi-shuffle coproduct --------------------------------------
@@ -252,24 +247,12 @@ def partial0(s):
 
 def antipode_x(s):
     """Anti-automorphism with X0 -> -X0, X1 -> -X1 (word reversal and sign)."""
-    ring = s.ring
-    return Series(
-        s.alphabet,
-        s.trunc,
-        ring,
-        {
-            w[::-1]: (c if len(w) % 2 == 0 else -c)
-            for w, c in s.terms.items()
-        },
-        _clean=True,
-    )
+    return word_map(s, lambda w: (w[::-1], -1 if len(w) % 2 else 1))
 
 
 def reverse_y(s):
     """Anti-automorphism of Y-series fixing every letter (word reversal)."""
-    return Series(
-        s.alphabet, s.trunc, s.ring, {w[::-1]: c for w, c in s.terms.items()}, _clean=True
-    )
+    return word_map(s, lambda w: (w[::-1], 1))
 
 
 def sec(g):

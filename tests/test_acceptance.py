@@ -26,7 +26,8 @@ from assoclab.lie import lie_basis
 from assoclab.models import p5_model
 from assoclab.presented import Presentation
 from assoclab.rationals import qq
-from assoclab.rings import Poly, RATIONALS
+from assoclab.lab import Poly
+from assoclab.rings import RATIONALS
 from assoclab.series import (
     Series,
     coproduct,

@@ -1,4 +1,11 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,12 +15,14 @@ from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
+from assoclab.presented import _solve_affine, combination
 from assoclab.series import (
     Series,
     from_word,
     is_group_like,
     is_lie,
     primitive_tensor,
+    split_terms,
     tensor_image,
     tensor_pairs,
     zero,
@@ -62,15 +71,52 @@ def test_solver_and_membership_read_one_defect(degree):
     # the solved vectors have an empty defect and are members; adding the
     # last Lyndon basis element leaves dmr_0 in both readings
     last = lie_basis(X_ALPHABET, degree, degree)[-1][1]
-    assert dmr.dmr0_defect(last)
+    assert dmr.dmr0_defect(last)[1]
     solved = dmr.solve_dmr0(degree)
     assert len(solved) == DMR_DIMS[degree]
     for psi in solved:
-        assert dmr.dmr0_defect(psi) == {}
+        assert dmr.dmr0_defect(psi) == (1, {})
         assert dmr.is_dmr0(psi)
         bad = psi.add(last)
-        assert dmr.dmr0_defect(bad)
+        assert dmr.dmr0_defect(bad)[1]
         assert not dmr.is_dmr0(bad)
+
+
+def test_kernel_brings_the_columns_to_one_denominator():
+    # columns over the denominators 6, 35 and 630, with c0 + 2 c1 - 3 c2 = 0
+    basis = [e for _, e in lie_basis(X_ALPHABET, 4, 4)]
+    c0 = {"a": Fraction(1, 2), "b": Fraction(1, 3)}
+    c1 = {"a": Fraction(1, 7), "b": Fraction(-1, 5)}
+    c2 = {k: (c0[k] + 2 * c1[k]) / 3 for k in c0}
+    columns = dict(zip(map(id, basis), (c0, c1, c2)))
+
+    def defect(e):
+        return split_terms(columns[id(e)], RATIONALS)
+
+    def scaled(e):
+        # column 1 alone multiplied by its denominator 35: another system
+        return (1, defect(e)[1]) if e is basis[1] else defect(e)
+
+    assert len({defect(e)[0] for e in basis}) == 3
+    # the Fraction solve of the same columns
+    _, kernel = _solve_affine([c0, c1, c2], {}, 3)
+    assert kernel == [[Fraction(-1, 3), Fraction(-2, 3), 1]]
+    expected = [combination(kernel[0], basis)]
+    assert dmr._kernel(defect, basis) == expected
+    assert dmr._kernel(scaled, basis) != expected
+
+
+def test_importing_dmr_compiles_neither_lab_nor_models():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import json, sys, assoclab.dmr; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('assoclab'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "assoclab.dmr" in loaded
+    assert "assoclab.lab" not in loaded and "assoclab.models" not in loaded
 
 
 # -- the halved dmr_0 rows ----------------------------------------------------
@@ -105,7 +151,10 @@ def test_halved_defect_is_empty_exactly_when_the_full_one_is(psi3, psi5):
     cases += [random_lie(rng, d, d) for d in (3, 5, 6)]
     for psi in cases:
         full = full_star_defect(yside.psi_star(psi))
-        halved = dmr.dmr0_defect(psi)
+        den, tables = dmr.dmr0_defect(psi)
+        entries = [m for t in tables.values() for m in t.values()]
+        assert all(tables.values()) and all(entries) and gcd(den, *entries) == 1
+        halved = {k: qq(m, den) for k, m in tables.get(0, {}).items()}
         kept = {(u, v): c for (u, v), c in full.items() if u <= v}
         assert {k[1:]: c for k, c in halved.items() if k[0] == "t"} == kept
         assert bool(kept) == bool(full)
@@ -327,9 +376,9 @@ def test_coproduct_identity_needs_the_antipode_hypothesis():
 def test_qualifying_basis_has_empty_defect():
     for w in range(1, 6):
         for g in dmr.qualifying_basis(w, w + 2):
-            assert dmr.qualifying_defect(g) == {}
+            assert dmr.qualifying_defect(g) == (1, {})
     # U2 is primitive but fails the hypothesis, as the lemma checks say
-    assert dmr.qualifying_defect(dmr.u_generators(4)[1])
+    assert dmr.qualifying_defect(dmr.u_generators(4)[1])[1]
 
 
 def test_qualifying_space_dimensions():

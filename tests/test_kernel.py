@@ -15,19 +15,27 @@ import pytest
 from assoclab.lie import lie_basis
 from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_model
 from assoclab.rationals import QQ, qq
-from assoclab.rings import INTEGERS, RATIONALS, Poly, PolynomialRing, QuadElt, QuadraticExtension
+from assoclab.lab import Poly, PolynomialRing
+from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
+from assoclab.presented import combination
 from assoclab.series import (
     Series,
+    SeriesAlgebra,
     coproduct,
+    derivation,
     is_group_like,
     is_lie,
     join_series,
     kernel_mul,
+    primed,
+    primitive_tensor,
     split_series,
     split_terms,
+    tensor,
+    tensor_alphabet,
 )
 from assoclab.words import X_ALPHABET, y_alphabet
-from assoclab.yside import delta_star
+from assoclab.yside import delta_star, pi_y
 
 from support import random_lie_mixed
 
@@ -378,3 +386,66 @@ def test_held_splits_are_in_the_one_format(name):
     # join_series drops empty tables and divides by the gcd of D and the entries
     joined = join_series((6, {0: {}, 1: {(0,): 12, (1,): -18}}), m)
     assert joined._split == (1, {1: {(0,): 2, (1,): -3}})
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_split_maps_are_in_the_one_format(name):
+    # each map below keeps fewer words than it reads or multiplies two splits,
+    # so its split comes out with a common factor of D and the entries unless
+    # it is reduced; an unreduced split makes == report equal series unequal
+    ring = RINGS[name]
+    rng = random.Random(99)
+    half, two = ring.embed(qq(1, 2)), ring.embed(2)
+
+    def series(alphabet, terms):
+        return Series(alphabet, 4, ring, terms)
+
+    ya, ta = y_alphabet(4), tensor_alphabet(X_ALPHABET)
+    g = series(X_ALPHABET, {(0, 1): ring.one, (1, 0): half})  # (1/2) X1X0 ends in X0
+    a, b = series(X_ALPHABET, {(0,): half}), series(X_ALPHABET, {(1,): two})
+    s = series(X_ALPHABET, {(): half, (0,): ring.one})
+    expected = [
+        (pi_y(g), series(ya, {(1,): ring.embed(-1)})),
+        (primitive_tensor(s), series(ta, {(0,): ring.one, primed((0,)): ring.one})),
+        (tensor(a, b), series(ta, {(0,) + primed((1,)): ring.one})),
+        (a.mul(b), series(X_ALPHABET, {(0, 1): ring.one})),
+        (combination([qq(1, 2)], [b]), series(X_ALPHABET, {(1,): ring.one})),
+        (derivation(b, {1: a}), series(X_ALPHABET, {(0,): ring.one})),
+        (g.scale_q(qq(2, 3)).neg(), series(X_ALPHABET, {(0, 1): ring.embed(qq(-2, 3)),
+                                                          (1, 0): ring.embed(qq(-1, 3))})),
+    ]
+    for got, want in expected:
+        assert got._split is not None and one_format(got._split)
+        assert got == want and got.terms == want.terms
+    # on random inputs too, against the ring-coefficient terms
+    alg = SeriesAlgebra(X_ALPHABET, 4, ring)
+    x, y = (random_series(rng, alg, 0.3, random_element(rng, ring)) for _ in range(2))
+    for got in (pi_y(x), primitive_tensor(x), tensor(x, y), x.mul(y),
+                combination([qq(3, 4), qq(-5, 6)], [x, y]), derivation(x, {0: y})):
+        assert one_format(got._split)
+
+
+def ring_loop_mul(a, b):
+    """The concatenation product summed in the coefficient ring, word pair by
+    word pair: the oracle of `Series.mul`."""
+    deg = a.alphabet.degree
+    terms = {}
+    for u, x in a.terms.items():
+        for v, y in b.terms.items():
+            if deg(u) + deg(v) <= a.trunc:
+                terms[u + v] = terms.get(u + v, a.ring.zero) + x * y
+    return Series(a.alphabet, a.trunc, a.ring, terms)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_free_products_match_the_ring_loop(name):
+    ring = RINGS[name]
+    rng = random.Random(100)
+    alg = SeriesAlgebra(X_ALPHABET, 4, ring)
+    a, b = (random_series(rng, alg, 0.35, random_element(rng, ring)) for _ in range(2))
+    assert a.mul(b) == ring_loop_mul(a, b) == ring_loop_mul(plain(a), plain(b))
+    assert a.mul(b).mul(a) == ring_loop_mul(ring_loop_mul(a, b), a)
+    # a (x) b is the product of a and b primed, with no word pair cancelling
+    bp = Series(tensor_alphabet(X_ALPHABET), 4, ring, {primed(v): c for v, c in b.terms.items()})
+    ap = Series(tensor_alphabet(X_ALPHABET), 4, ring, dict(a.terms))
+    assert tensor(a, b) == ring_loop_mul(ap, bp)

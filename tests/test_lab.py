@@ -5,6 +5,7 @@ import pytest
 from assoclab import yside
 from assoclab.lab import (
     T_RING,
+    Poly,
     _solve_affine,
     gamma_at_minus_y1,
     gamma_factorize,
@@ -21,7 +22,7 @@ from assoclab.lab import (
 from assoclab.lie import lie_basis, lyndon_coordinates
 from assoclab.models import a4_generators, a4_model, pentagon_arguments
 from assoclab.rationals import qq
-from assoclab.rings import RATIONALS, Poly
+from assoclab.rings import RATIONALS
 from assoclab.series import (
     Series,
     SeriesAlgebra,

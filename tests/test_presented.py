@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -289,3 +290,43 @@ def test_solve_affine_inconsistent_over_large_denominators():
     columns[1] = dict(columns[0])
     rhs["b"] = qq(1) + qq(1, q)
     assert _solve_affine(columns, rhs, 3) is None
+
+
+# -- reductions over a common denominator --------------------------------
+
+
+def test_reductions_over_a_common_denominator_match_the_ideal():
+    # leading coefficients other than +-1 give reductions (D, word -> int)
+    # with D > 1, so each row and normal form sums them scaled to one
+    # denominator; the oracle is the dense span of the ideal elements u.r.v
+    text = "generators: a b c\nrelation: 2*a.b - 3*b.a\nrelation: 5*b.c - c.b + 7*a.a\n"
+    relations = [{(0, 1): 2, (1, 0): -3}, {(1, 2): 5, (2, 1): -1, (0, 0): 7}]
+    pres = Presentation.parse(text, name="scaled")
+    top = 5
+    dims = [pres.dimension(d) for d in range(top + 1)]
+    assert any(den > 1 for red in pres.reduction.values() for den, _ in red.values())
+    for d in range(2, top + 1):
+        ideal = gauss_jordan([
+            {u + w + v: c for w, c in r.items()}
+            for r in relations for k in range(d - 1)
+            for u in product(range(3), repeat=k) for v in product(range(3), repeat=d - 2 - k)
+        ])
+        assert dims[d] == 3 ** d - len(ideal)
+        for w in product(range(3), repeat=d):
+            nf = pres.normal_form_word(w)
+            assert set(nf) <= set(pres.basis[d])
+            # w - NF(w) lies in the ideal: it reduces to zero against the RREF
+            rest = {k: -c for k, c in nf.items()}
+            rest[w] = rest.get(w, 0) + 1
+            for lead, row in ideal.items():
+                c = rest.get(lead, 0)
+                if c:
+                    for k, x in row.items():
+                        rest[k] = rest.get(k, 0) - c * x
+            assert not any(rest.values())
+    s = Series(pres.alphabet, 3, RATIONALS, {(0, 1, 2): qq(2, 3), (2, 1, 0): qq(-1, 5), (1,): qq(4)})
+    expected = {}
+    for w, c in s.terms.items():
+        for v, m in pres.normal_form_word(w).items():
+            expected[v] = expected.get(v, 0) + c * m
+    assert pres.normal_form(s).terms == {v: c for v, c in expected.items() if c}

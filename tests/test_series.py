@@ -6,7 +6,8 @@ from assoclab import yside
 from assoclab.lie import lie_basis
 from assoclab.models import ab_model, tensor_model
 from assoclab.rationals import qq
-from assoclab.rings import RATIONALS, PolynomialRing, QuadraticExtension, accumulate
+from assoclab.lab import PolynomialRing
+from assoclab.rings import RATIONALS, QuadraticExtension, accumulate
 from assoclab.series import (
     AlphabetMismatch,
     Series,
