@@ -14,7 +14,10 @@ the checkout (the current directory unless --repo is given):
   rows and the echelon set the peak memory;
 - `assoclab dims --engine generic --algebra p5 --max-degree 7`, the
   degreewise presentation engine (`presented.Presentation`), and the
-  same for a4 to degree 6, whose time is in the exact echelon;
+  same for a4 to degree 6, whose time is in the exact echelon; then
+  p5 to degree 8 and a4 to degree 7 (`dims_p5_large`, `dims_a4_large`),
+  which a checkout before the relation basis of the engine runs for many
+  minutes, so compare two checkouts on `dims_p5` and `dims_a4`;
 - `assoclab dmr lemmas --degree 6`, the operator identities on the
   qualifying inputs (`dmr.qualifying_basis`);
 - `assoclab dmr bracket --lhs psi3.series --rhs psi7.series --check`, the
@@ -44,6 +47,8 @@ DMR_DEGREE = 9
 DMR_DEGREE_LARGE = 11
 P5_DEGREE = 7
 A4_DEGREE = 6
+P5_DEGREE_LARGE = 8
+A4_DEGREE_LARGE = 7
 LEMMAS_DEGREE = 6
 BRACKET_DEGREES = (3, 7)
 WRITE_PSI = """
@@ -107,14 +112,14 @@ def main():
         out["dmr_dims_large"] = timed(
             cli + ["dmr", "dims", "--max-degree", str(DMR_DEGREE_LARGE)], tmp, env
         )
-        out["dims_p5"] = timed(
-            cli + ["dims", "--engine", "generic", "--algebra", "p5", "--max-degree", str(P5_DEGREE)],
-            tmp, env,
-        )
-        out["dims_a4"] = timed(
-            cli + ["dims", "--engine", "generic", "--algebra", "a4", "--max-degree", str(A4_DEGREE)],
-            tmp, env,
-        )
+        for key, algebra, degree in (
+            ("dims_p5", "p5", P5_DEGREE), ("dims_a4", "a4", A4_DEGREE),
+            ("dims_p5_large", "p5", P5_DEGREE_LARGE), ("dims_a4_large", "a4", A4_DEGREE_LARGE),
+        ):
+            out[key] = timed(
+                cli + ["dims", "--engine", "generic", "--algebra", algebra, "--max-degree", str(degree)],
+                tmp, env,
+            )
         out["dmr_lemmas"] = timed(cli + ["dmr", "lemmas", "--degree", str(LEMMAS_DEGREE)], tmp, env)
         lhs, rhs = ("psi%d.series" % d for d in BRACKET_DEGREES)
         subprocess.run(

@@ -289,6 +289,8 @@ def cmd_bar(args):
             )
         else:
             tags = [t for t in args.tags.split(",") if t]
+            if not tags:
+                raise InputError("no tag in %r" % args.tags)
             for tag in tags:
                 if tag not in ("x", "y", "xy"):
                     raise InputError("unknown tag %r" % tag)

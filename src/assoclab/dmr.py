@@ -18,6 +18,7 @@ from .rings import RATIONALS
 from .lie import lie_basis
 from .series import (
     Series,
+    SeriesAlgebra,
     derivation,
     from_word,
     is_lie,
@@ -29,7 +30,6 @@ from .series import (
     tensor,
     tensor_alphabet,
     tensor_factors,
-    tensor_pairs,
     zero,
 )
 from .words import X_ALPHABET, y_alphabet
@@ -200,13 +200,18 @@ def _on_words(op, trunc, ring):
 
 def _on_each_factor(op, t):
     """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map
-    op given on Y-words, as `_on_words` makes it."""
-    ya, trunc, ring = y_alphabet(t.trunc), t.trunc, t.ring
-    out = zero(t.alphabet, trunc, ring)
-    for (u, v), c in tensor_pairs(t):
-        us, vs = from_word(ya, trunc, u, ring), from_word(ya, trunc, v, ring)
-        out = out.add(tensor(op(u).scale(c), vs)).add(tensor(us, op(v).scale(c)))
-    return out
+    op given on Y-words, as `_on_words` makes it.  A term m e_k u (x) v of
+    the split (D, tables) of t gives op(u) (x) m e_k v + m e_k u (x) op(v),
+    integer tensors; the sum is divided by D once."""
+    ys = SeriesAlgebra(y_alphabet(t.trunc), t.trunc, t.ring)
+    den, tables = split_series(t)
+    out = zero(t.alphabet, t.trunc, t.ring)
+    for k, table in tables.items():
+        for p, m in table.items():
+            u, v = tensor_factors(p)
+            us, vs = (join_series((1, {k: {w: m}}), ys) for w in (u, v))
+            out = out.add(tensor(op(u), vs)).add(tensor(us, op(v)))
+    return out.scale_q(qq(1, den))
 
 
 def lemma_derivation_check(f, n):

@@ -7,8 +7,14 @@ degree-d quotient is (letters (x) V_{d-1}) modulo the rows obtained by
 right-multiplying every degree-2 relation by a degree-(d-2) basis word
 and rewriting through the already-computed reduction maps.  This is
 complete for homogeneous ideals because every two-sided ideal element
-u.r.v lies in letters.I_{d-1} once u is nonempty.  A reduction is held
-as (D, word -> int), so rows and normal forms are integer sums.
+u.r.v lies in letters.I_{d-1} once u is nonempty.  The degree-2 build
+echelons the relations as given and keeps its back-substituted pivot
+rows, a basis of their span, as `quadratic`; from degree 3 on only that
+basis is right-multiplied.  A row is linear in its relation, so the
+rows span the same space, and the pivots, reductions and normal forms
+are those of every relation; no Groebner property is assumed.  A
+reduction is held as (D, word -> int), so rows and normal forms are
+integer sums.
 """
 
 from math import gcd, lcm
@@ -177,6 +183,7 @@ class Presentation:
         self.basis = {0: [()], 1: [(i,) for i in range(len(self.letters))]}
         self.reduction = {}
         self._nf_cache = {(): (1, {(): 1})}
+        self.extend_to(2)  # replaces the quadratic relations by a basis of their span
 
     # -- construction ---------------------------------------------------
 
@@ -230,6 +237,8 @@ class Presentation:
                 if row:
                     rows.append(_primitive(row))
         pivots = back_substitute(echelon(rows))
+        if d == 2:
+            self.quadratic = [pivots[w] for w in sorted(pivots)]
         red = {}
         basis = []
         for i in letters:

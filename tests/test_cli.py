@@ -342,6 +342,15 @@ def test_bar_commands(capsys):
     assert run(capsys, ["bar", "shuffle", "--max-weight", "3"])[0] == 0
 
 
+@pytest.mark.parametrize("tags", ["", ",", "x,z"])
+def test_bar_check_rejects_empty_and_unknown_tags(capsys, tags):
+    # a check command that would check nothing exits 2, as an unknown tag does
+    capsys.readouterr()
+    assert main(["bar", "check", "--index", "2,1", "--tags", tags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_group_law_cli(capsys, tmp_path, phi_file):
     out_path = tmp_path / "composed.series"
     code, _ = run(

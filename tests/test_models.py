@@ -281,12 +281,13 @@ def presented_disagreements(model, name):
     builtin presentation `name`, which shares no code with the models.
 
     A model letter maps to the generator of its name; the central c of the
-    four-strand model maps to the sum of the six generators.
+    four-strand model maps to the sum of the six generators t_ij, which
+    leaves out the presentation's own generator c.
     """
     pres = Presentation.builtin(name)
     target = SeriesAlgebra(pres.full_alphabet, model.trunc)
     total = target.zero()
-    for g in pres.generator_names:
+    for g in set(pres.generator_names) - {"c"}:
         total = total.add(target.letter(g))
     images = [total if x == "c" else target.letter(x) for x in model.alphabet.names]
     bad = []

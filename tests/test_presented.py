@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -33,10 +34,13 @@ def hilbert_product(factors, top):
     return coeffs
 
 
-def assert_generic_dimensions(monkeypatch, name, factors, closed_form, top):
+def assert_generic_dimensions(monkeypatch, name, factors, closed_form, top, independent=False):
     """The generic engine's dimensions of a builtin presentation against its
-    splitting and its closed form; every row the degree builder hands to the
-    echelon is already a primitive integer row."""
+    splitting and its closed form.  Every row the degree builder hands to the
+    echelon is already a primitive integer row, and from degree 3 on the rows
+    are the degree-2 relation basis right-multiplied by the basis words of
+    degree d - 2; with `independent` they are linearly independent, so their
+    count is the rank n.dim(d - 1) - dim(d)."""
     import assoclab.presented as presented
 
     seen = []
@@ -54,16 +58,40 @@ def assert_generic_dimensions(monkeypatch, name, factors, closed_form, top):
     assert len(seen) == top and built
     for row in built:
         assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+    n = dims[1]
+    assert len(pres.quadratic) == n * n - dims[2]
+    for d in range(3, top + 1):
+        rows = len(seen[d - 1])
+        assert rows == len(pres.quadratic) * dims[d - 2]
+        if independent:
+            assert rows == n * dims[d - 1] - dims[d]
 
 
 def test_p5_generic_dimensions(monkeypatch):
     # p5 splits as free(X12, X23) x free(X34, X45, X24)
-    assert_generic_dimensions(monkeypatch, "p5", (2, 3), p5_dim, 6)
+    assert_generic_dimensions(monkeypatch, "p5", (2, 3), p5_dim, 7, independent=True)
 
 
 def test_a4_generic_dimensions(monkeypatch):
     # a4 splits as the center times free(t12, t23) x free(t14, t24, t34)
-    assert_generic_dimensions(monkeypatch, "a4", (1, 2, 3), a4_dim, 4)
+    assert_generic_dimensions(monkeypatch, "a4", (1, 2, 3), a4_dim, 6)
+
+
+def test_dependent_relations_give_the_same_relation_basis():
+    # a repeated relation and the sum of two relations add nothing to the
+    # span, so the relation basis, and with it every dimension, is unchanged
+    import assoclab.presented as presented
+
+    path = os.path.join(os.path.dirname(presented.__file__), "data", "p5.presentation")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    quad = [ln for ln in lines if ln.startswith("relation:") and "." in ln]
+    first, second = (ln.split(":", 1)[1] for ln in quad[:2])
+    extra = [quad[3], "relation:%s + %s" % (first, second)]
+    pres = Presentation.parse("\n".join(lines + extra), name="p5")
+    builtin = Presentation.builtin("p5")
+    assert [pres.dimension(d) for d in range(6)] == [builtin.dimension(d) for d in range(6)]
+    assert pres.quadratic == builtin.quadratic
 
 
 def test_p5_model_counts_match_generic():
