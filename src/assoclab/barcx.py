@@ -19,7 +19,7 @@ built from their differential equations; the pairing with group-like
 elements of the five-strand braid enveloping algebra is through the
 connection form Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y
 + X34 dy/(y-1) + X24 (y dx + x dy)/(xy-1), whose dual-basis sign table
-is derived from the coordinate expressions at import time.
+`M05_DUAL` pairs each letter with the coefficient form that is +-1 times it.
 """
 
 from .models import ab_model
@@ -76,41 +76,10 @@ def wedge(i, j):
 WEDGE = {(i, j): wedge(i, j) for i in range(5) for j in range(5)}
 
 
-def _derive_dual_table():
-    """Match each letter against the coefficient forms of Omega_5.
-
-    Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y + X34 dy/(y-1)
-            + X24 (y dx + x dy)/(xy-1), with the model letter order
-    X34, X45, X24, X12, X23.  Each coefficient form is +-1 times one of
-    the five letters; the table records (model letter index, sign).
-    """
-    # Coefficient forms in model letter order: index -> (P, Q) over D.
-    omega = {
-        0: (_P0, _AB.mul(_PX, _PY, _OMX, _OMXY).neg()),  # X34: dy/(y-1)
-        1: (_P0, _AB.mul(_PX, _OMX, _OMY, _OMXY)),  # X45: dy/y
-        2: (  # X24: (y dx + x dy)/(xy-1)
-            _AB.mul(_PX, _PY, _PY, _OMX, _OMY).neg(),
-            _AB.mul(_PX, _PX, _PY, _OMX, _OMY).neg(),
-        ),
-        3: (_AB.mul(_PY, _OMX, _OMY, _OMXY), _P0),  # X12: dx/x
-        4: (_AB.mul(_PX, _PY, _OMY, _OMXY).neg(), _P0),  # X23: dx/(x-1)
-    }
-    table = {}
-    for letter in range(5):
-        p, q = FORM_NUMERATORS[letter]
-        hits = []
-        for model_letter, (op, oq) in omega.items():
-            if p == op and q == oq:
-                hits.append((model_letter, 1))
-            elif p == op.neg() and q == oq.neg():
-                hits.append((model_letter, -1))
-        if len(hits) != 1:
-            raise BarError("dual table derivation is ambiguous")
-        table[letter] = hits[0]
-    return table
-
-
-M05_DUAL = _derive_dual_table()
+# Omega_5 has the coefficient forms dy/(y-1), dy/y, (y dx + x dy)/(xy-1),
+# dx/x and dx/(x-1) on the model letters X34, X45, X24, X12, X23; each
+# letter's form is +-1 times one of them: letter -> (model letter, sign).
+M05_DUAL = {A0: (3, 1), A1: (4, -1), B0: (1, 1), B1: (0, -1), G: (2, -1)}
 
 
 # -- bar elements -------------------------------------------------------

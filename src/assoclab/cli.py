@@ -300,7 +300,7 @@ def cmd_bar(args):
     # shuffle
     _check_size("weight", args.max_weight)
     checks = {}
-    if args.max_weight:
+    if args.max_weight is not None:
         ok = True
         idx = all_indices(args.max_weight)
         for a in idx:

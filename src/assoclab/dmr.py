@@ -10,7 +10,7 @@ companions and the Y-side derivation D^Y_f) together with exact checks
 of the identities that drive the bracket-closure proof.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 
 from .rationals import binomial, qq
@@ -19,7 +19,9 @@ from .lie import lie_basis
 from .series import (
     Series,
     SeriesAlgebra,
+    combine,
     derivation,
+    exp_coefficient,
     from_word,
     is_lie,
     join_series,
@@ -28,12 +30,10 @@ from .series import (
     reduced,
     split_series,
     tensor,
-    tensor_alphabet,
     tensor_factors,
-    zero,
 )
 from .words import X_ALPHABET, y_alphabet
-from .presented import _solve_affine, combination
+from .presented import _solve_affine
 from . import yside
 from .yside import (
     delta_star,
@@ -105,7 +105,7 @@ def _kernel(defect, basis):
     columns = [{(k, key): m * (den // d) for k, t in tables.items() for key, m in t.items()}
                for d, tables in columns]
     _, kernel = _solve_affine(columns, {}, len(basis))
-    return [combination(vec, basis) for vec in kernel]
+    return [combine(zip(vec, basis), basis[0]) for vec in kernel]
 
 
 def dmr0_defect(psi):
@@ -202,16 +202,19 @@ def _on_each_factor(op, t):
     """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map
     op given on Y-words, as `_on_words` makes it.  A term m e_k u (x) v of
     the split (D, tables) of t gives op(u) (x) m e_k v + m e_k u (x) op(v),
-    integer tensors; the sum is divided by D once."""
+    integer tensors, `combine`d with the weight 1/D."""
     ys = SeriesAlgebra(y_alphabet(t.trunc), t.trunc, t.ring)
     den, tables = split_series(t)
-    out = zero(t.alphabet, t.trunc, t.ring)
-    for k, table in tables.items():
-        for p, m in table.items():
-            u, v = tensor_factors(p)
-            us, vs = (join_series((1, {k: {w: m}}), ys) for w in (u, v))
-            out = out.add(tensor(op(u), vs)).add(tensor(us, op(v)))
-    return out.scale_q(qq(1, den))
+
+    def terms():
+        for k, table in tables.items():
+            for p, m in table.items():
+                u, v = tensor_factors(p)
+                us, vs = (join_series((1, {k: {w: m}}), ys) for w in (u, v))
+                yield tensor(op(u), vs)
+                yield tensor(us, op(v))
+
+    return combine(((qq(1, den), x) for x in terms()), t)
 
 
 def lemma_derivation_check(f, n):
@@ -229,9 +232,7 @@ def lemma_derivation_check(f, n):
     x1 = from_word(X_ALPHABET, trunc, (1,), ring)
     x_side = x0n.mul(f).mul(x1).sub(f.mul(x0n.mul(x1)))
     p, comps = x_decomposition(f)
-    total = zero(y_alphabet(trunc), trunc, ring)
-    for i in range(p + 1):
-        total = total.add(f_pair(p, comps, i, i + n, trunc))
+    total = combine(((1, f_pair(p, comps, i, i + n, trunc)) for i in range(p + 1)), lhs)
     return embed_y(lhs) == x_side and lhs == total
 
 
@@ -247,12 +248,9 @@ def qualifying_section(g):
     if not yside.is_primitive_star(g) or yside.antipode_x(f) != f.neg():
         raise ValueError("hypotheses: g primitive for Delta_*, S_X(sec g) = -sec g")
     p, comps = x_decomposition(f)
-    diagonals = []
-    for k in range(p + 1):
-        total = zero(y_alphabet(g.trunc), g.trunc, g.ring)
-        for i in range(k, p + 1):
-            total = total.add(f_pair(p, comps, i, i - k, g.trunc))
-        diagonals.append(total)
+    ys = SeriesAlgebra(y_alphabet(g.trunc), g.trunc, g.ring)
+    diagonals = [combine(((1, f_pair(p, comps, i, i - k, g.trunc)) for i in range(k, p + 1)), ys)
+                 for k in range(p + 1)]
     return g, f, _on_words(big_d_y_map(f), g.trunc, g.ring), diagonals
 
 
@@ -273,10 +271,9 @@ def lemma_coproduct_check(section, n):
     ring = g.ring
     yn = _y_letter(n, trunc, ring)
     lhs = delta_star(d_y((n - 1,))).sub(_on_each_factor(d_y, delta_star(yn)))
-    rhs = zero(tensor_alphabet(y_alphabet(trunc)), trunc, ring)
-    for k, part in enumerate(diagonals):
-        ynk = _y_letter(n + k, trunc, ring)
-        rhs = rhs.add(tensor(part, ynk)).add(tensor(ynk, part))
+    ynk = [_y_letter(n + k, trunc, ring) for k in range(len(diagonals))]
+    rhs = combine(((1, x) for part, y in zip(diagonals, ynk)
+                   for x in (tensor(part, y), tensor(y, part))), lhs)
     return lhs == rhs
 
 
@@ -339,15 +336,14 @@ def coderivation_check(psi, max_weight=None):
 
 def exp_dmr(psi):
     """Exp(psi) = sum_i (1/i!) (mu_psi + d_psi)^i (1), with s = mu + d."""
-    out = one(psi.alphabet, psi.trunc, psi.ring)
-    term = out
+    powers = [one(psi.alphabet, psi.trunc, psi.ring)]
     s = s_f_map(psi)
-    for i in range(1, psi.trunc + 1):
-        term = s(term).scale_q(qq(1, i))
-        if term.is_zero():
+    for _ in range(psi.trunc):
+        power = s(powers[-1])
+        if power.is_zero():
             break
-        out = out.add(term)
-    return out
+        powers.append(power)
+    return combine(((exp_coefficient(i), x) for i, x in enumerate(powers)), psi)
 
 
 # -- change of generators ------------------------------------------------
@@ -381,17 +377,10 @@ def lie_y_basis(weight, trunc, ring=RATIONALS):
     from .lie import bracketing
 
     us = u_generators(trunc, ring)
-    ya = y_alphabet(trunc)
-    out = []
-    for lw in _weighted_lyndon(weight):
-        s = zero(ya, trunc, ring)
-        for word, m in bracketing(lw).items():
-            prod = one(ya, trunc, ring)
-            for i in word:
-                prod = prod.mul(us[i - 1])
-            s = s.add(prod.scale_q(m))
-        out.append(s)
-    return out
+    ys = SeriesAlgebra(y_alphabet(trunc), trunc, ring)
+    return [combine(((m, reduce(Series.mul, [us[i - 1] for i in word]))
+                     for word, m in bracketing(lw).items()), ys)
+            for lw in _weighted_lyndon(weight)]
 
 
 def qualifying_defect(g):

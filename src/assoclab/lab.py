@@ -18,15 +18,15 @@ from .models import (
     pentagon_arguments,
     pentagon_residual,
 )
-from .presented import _solve_affine, combination
+from .presented import _solve_affine
 from .series import (
     POWER_ALPHABET,
     Series,
     SeriesAlgebra,
+    combine,
     letter,
     one,
     substitute,
-    zero,
 )
 from .words import X_ALPHABET
 
@@ -64,13 +64,13 @@ def solve_pentagon(trunc, c2=0):
     logarithm and the per-degree kernel dimensions.
     """
     ring = RATIONALS
-    psi = zero(X_ALPHABET, trunc, ring)
+    parts = []  # (coordinate, Lie basis element) for psi
     coordinates = {}
     c2 = qq(c2)
     if trunc >= 2 and c2 != 0:
         x0 = letter(X_ALPHABET, trunc, "X0")
         x1 = letter(X_ALPHABET, trunc, "X1")
-        psi = psi.add(x0.mul(x1).sub(x1.mul(x0)).scale(c2))
+        parts.append((c2, x0.mul(x1).sub(x1.mul(x0))))
         coordinates[(0, 1)] = c2
     kernel_dims = {}
     for d in range(3, trunc + 1):
@@ -90,8 +90,9 @@ def solve_pentagon(trunc, c2=0):
         kernel_dims[d] = len(kernel)
         if all(v == 0 for v in x) and kernel:
             x = kernel[0]
-        psi = psi.add(combination(x, [e for _, e in basis]))
+        parts += ((c, e) for c, (_, e) in zip(x, basis))
         coordinates.update((lw, c) for c, (lw, _) in zip(x, basis) if c)
+    psi = combine(parts, SeriesAlgebra(X_ALPHABET, trunc, ring))
     phi = psi.exp()
     return {"phi": phi, "psi": psi, "coordinates": coordinates, "kernel_dims": kernel_dims}
 

@@ -134,20 +134,6 @@ def _solve_affine(columns, rhs, n_unknowns):
     return particular, kernel
 
 
-def combination(coeffs, basis):
-    """sum_i coeffs[i] basis[i] for rational coeffs and a nonempty list of
-    Series over one alphabet, truncation and ring, summed on their splits:
-    a solution vector of `_solve_affine` as a series."""
-    terms = [(c, split_series(e)) for c, e in zip(coeffs, basis) if c]
-    den = lcm(*(c.denominator * d for c, (d, _) in terms))
-    out = {}
-    for c, (d, tables) in terms:
-        m = c.numerator * (den // (c.denominator * d))
-        for k, t in tables.items():
-            accumulate(out.setdefault(k, {}), ((w, m * x) for w, x in t.items()))
-    return join_series((den, out), basis[0])
-
-
 def _scaled_sum(parts, key):
     """(D, table) with table / D = sum (c / x) t over the parts (a, c, (x, t))
     of int c and split t / x, each word u of t read as key(a, u); D is the

@@ -6,22 +6,22 @@ concatenation (the ambient ring multiplication).  Tensors are series
 too: u (x) v is the word u.v' over `tensor_alphabet`, the letters and
 their primed copies, so the coproduct and the tensor squares are Series.
 
-Products inside an algebra (a braid model or the free algebra) run on
-the integer kernel.  A split is (D, {k: {word: int}}): one nonempty
-table of nonzero ints per integral basis element e_k of the ring, over
-one common denominator D, the series being (1/D) sum_k e_k tables[k].
-`split_series` gives the split of a series; `kernel_mul` multiplies two
-splits with one `normalize(a.mul(b))` per pair of tables and the ring's
-integer structure constants; `join_series` wraps a split as a series
-over the ring.  `Series.mul` over any ring but the integers, every
-substitution and power series and the model products run on it, and
-`tensor`, `derivation`, `word_map` and `scale_q` map split tables.  A
-Series holds its ring terms, its split at the least denominator, or
-both, and builds each form at most once, when it is first read: a kernel
-result or a `from_word` keeps only its split, and `add`, `sub`, `==`,
-`is_zero` and `coefficient` read the splits whenever an operand holds
-one, so a chain of kernel steps passes integer tables along.  A held
-split is shared, never written to.
+Sums and products run on the integer kernel.  A split is (D, {k: {word:
+int}}): one nonempty table of nonzero ints per integral basis element
+e_k of the ring, over one common denominator D, the series being
+(1/D) sum_k e_k tables[k]; `split_series` gives it and `join_series`
+wraps it as a series.  `combine` sums rational multiples of series once,
+at their common denominator, and `bilinear` extends an integer bilinear
+map of two tables to two splits by the ring's structure constants: the
+sum behind `add` and `scale_q`, the product behind `kernel_mul` (so
+`Series.mul` over any ring but the integers and every substitution),
+`shuffle_mul`, `tensor` and `derivation`.  A Series holds its ring
+terms, its split at the least denominator, or both, and builds each
+form at most once, when it is first read: a kernel result or a
+`from_word` keeps only its split, and `add`, `sub`, `==`, `is_zero` and
+`coefficient` read the splits whenever an operand holds one, so a chain
+of kernel steps passes integer tables along.  A held split is shared,
+never written to.
 """
 
 from bisect import bisect_left
@@ -142,13 +142,7 @@ class Series:
         """self + sign * other, on the splits when an operand holds one."""
         self._check_compatible(other)
         if self.ring is other.ring and (self._split or other._split):
-            (dx, px), (dy, py) = split_series(self), split_series(other)
-            den = lcm(dx, dy)
-            mx, my = den // dx, sign * (den // dy)
-            out = {k: {w: mx * m for w, m in p.items()} for k, p in px.items()}
-            for k, p in py.items():
-                accumulate(out.setdefault(k, {}), ((w, my * m) for w, m in p.items()))
-            return join_series((den, out), self)
+            return combine(((1, self), (sign, other)), self)
         pairs = other.terms.items() if sign == 1 else ((w, -c) for w, c in other.terms.items())
         out = accumulate(dict(self.terms), pairs)
         return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
@@ -165,11 +159,7 @@ class Series:
 
     def scale_q(self, q):
         """self times the rational q, on the split."""
-        if not q:
-            return zero(self.alphabet, self.trunc, self.ring)
-        q, (den, tables) = QQ(q), split_series(self)
-        tables = {k: {w: q.numerator * m for w, m in t.items()} for k, t in tables.items()}
-        return join_series((den * q.denominator, tables), self)
+        return combine(((QQ(q), self),), self)
 
     # -- products -----------------------------------------------------
 
@@ -192,17 +182,17 @@ class Series:
         """Shuffle product (sum over interleavings), truncated, summed over
         the integers on the kernel's split of both factors."""
         self._check_compatible(other)
-        deg = self.alphabet.degree
-        (dx, px), (dy, py) = split_series(self), split_series(other)
-        out = {}
-        for (i, a), (j, b) in product(px.items(), py.items()):
-            for k, m in self.ring.basis_product(i, j):
-                table = out.setdefault(k, {})
-                for (u, x), (v, y) in product(a.items(), b.items()):
-                    if deg(u) + deg(v) <= self.trunc:
-                        xy = m * x * y
-                        accumulate(table, ((w, xy * n) for w, n in shuffle_words(u, v).items()))
-        return join_series((dx * dy, out), self)
+        deg, trunc = self.alphabet.degree, self.trunc
+
+        def pair(a, b):
+            out = {}
+            for (u, x), (v, y) in product(a.items(), b.items()):
+                if deg(u) + deg(v) <= trunc:
+                    xy = x * y
+                    accumulate(out, ((w, xy * n) for w, n in shuffle_words(u, v).items()))
+            return out
+
+        return join_series(bilinear(split_series(self), split_series(other), self.ring, pair), self)
 
     # -- exp / log / inverse ------------------------------------------
 
@@ -349,19 +339,18 @@ def coproduct(s):
 
 
 def tensor(a, b):
-    """a (x) b as a tensor series, truncated at the degree of a, summed over
-    the integers on the splits of a and b."""
-    deg = a.alphabet.degree
-    (da, pa), (db, pb) = split_series(a), split_series(b)
-    pb = [(j, [(primed(v), deg(v), y) for v, y in t.items()]) for j, t in pb.items()]
-    out = {}
-    for (i, ta), (j, tb) in product(pa.items(), pb):
-        for k, m in a.ring.basis_product(i, j):
-            table = out.setdefault(k, {})
-            for u, x in ta.items():
-                room, xm = a.trunc - deg(u), x * m
-                accumulate(table, ((u + v, xm * y) for v, d, y in tb if d <= room))
-    return join_series((da * db, out), SeriesAlgebra(tensor_alphabet(a.alphabet), a.trunc, a.ring))
+    """a (x) b as a tensor series, truncated at the degree of a, on the
+    splits of a and b; distinct pairs (u, v) give distinct words u.v'."""
+    deg, trunc = a.alphabet.degree, a.trunc
+    db, pb = split_series(b)
+    pb = {j: [(primed(v), deg(v), y) for v, y in t.items()] for j, t in pb.items()}
+
+    def pair(ta, tb):
+        return {u + v: x * y for u, x in ta.items() for room in (trunc - deg(u),)
+                for v, d, y in tb if d <= room}
+
+    x = bilinear(split_series(a), (db, pb), a.ring, pair)
+    return join_series(x, SeriesAlgebra(tensor_alphabet(a.alphabet), trunc, a.ring))
 
 
 def tensor_square(s):
@@ -485,32 +474,45 @@ def join_series(x, like):
     return Series(like.alphabet, like.trunc, like.ring, _split=reduced(x))
 
 
-def kernel_mul(x, y, algebra):
-    """The product of the splits x and y in algebra, split.
-
-    Each pair of integer tables is multiplied once, as integer Series,
-    algebra.normalize(a.mul(b)), and lands on the basis elements of
-    e_i e_j with the ring's integer structure constants.
-    """
-    (dx, px), (dy, py) = x, y
-    basis_product = algebra.ring.basis_product
-    normalize = algebra.normalize
-    wrap = partial(Series, algebra.alphabet, algebra.trunc, INTEGERS, _clean=True)
-    py = [(j, wrap(b)) for j, b in py.items()]
+def combine(pairs, like):
+    """sum q s over the pairs (q, s) of a rational q and a series s, over
+    like (a series or an algebra): the scaled tables are summed once, over
+    the integers, at the least common denominator of the q s."""
+    terms = [(q, split_series(s)) for q, s in pairs if q]
+    den = lcm(*(q.denominator * d for q, (d, _) in terms))
     out = {}
-    for i, a in px.items():
-        a = wrap(a)
-        for j, b in py:
-            ab = normalize(a.mul(b)).terms
-            if not ab:
-                continue
-            for k, m in basis_product(i, j):
-                pairs = ab.items() if m == 1 else ((w, m * c) for w, c in ab.items())
-                if k in out:
-                    accumulate(out[k], pairs)
-                else:  # ab is a new table, so it may become out[k]
-                    out[k] = ab if m == 1 else dict(pairs)
+    for q, (d, tables) in terms:
+        m = q.numerator * (den // (q.denominator * d))
+        for k, t in tables.items():
+            accumulate(out.setdefault(k, {}), ((w, m * c) for w, c in t.items()))
+    return join_series((den, out), like)
+
+
+def bilinear(x, y, ring, pair):
+    """The split of the bilinear extension to the splits x and y of pair,
+    which maps a table of x and one of y to a new {word: int} table:
+    pair(x_i, y_j) lands on each e_k of e_i e_j = sum m e_k with weight m."""
+    (dx, px), (dy, py) = x, y
+    basis_product = ring.basis_product
+    out = {}
+    for (i, a), (j, b) in product(px.items(), py.items()):
+        ab = pair(a, b)
+        if not ab:
+            continue
+        for n, (k, m) in enumerate(basis_product(i, j)):
+            pairs = ab.items() if m == 1 else ((w, m * c) for w, c in ab.items())
+            if k in out:
+                accumulate(out[k], pairs)
+            else:  # ab is a new table, so it may become one out[k]
+                out[k] = ab if m == 1 and not n else dict(pairs)
     return dx * dy, out
+
+
+def kernel_mul(x, y, algebra):
+    """The product of the splits x and y in algebra, split: `bilinear` on
+    the product of two tables as integer Series, algebra.normalize(a.mul(b))."""
+    wrap = partial(Series, algebra.alphabet, algebra.trunc, INTEGERS, _clean=True)
+    return bilinear(x, y, algebra.ring, lambda a, b: algebra.normalize(wrap(a).mul(wrap(b))).terms)
 
 
 # -- homomorphisms ----------------------------------------------------
@@ -558,22 +560,19 @@ def substitute(s, images, algebra):
 def derivation(s, images):
     """Apply to s the derivation sending letter i to images[i] and every
     letter absent from images to zero: each occurrence of a letter in a
-    word is replaced by its image in turn, truncated, on the splits of s
-    and of the images, over the images' common denominator."""
+    word is replaced by its image in turn, truncated.  Replacing one
+    letter is `bilinear` in s and its image, and the letters' parts are
+    `combine`d."""
     deg, weights = s.alphabet.degree, s.alphabet.weights
-    ds, ps = split_series(s)
-    splits = {ch: split_series(img) for ch, img in images.items()}
-    den = lcm(*(d for d, _ in splits.values()))
-    out = {}
-    for (k, t), (ch, (d, parts)) in product(ps.items(), splits.items()):
-        for l, img in parts.items():
-            for j, m in s.ring.basis_product(k, l):
-                m *= den // d
-                accumulate(out.setdefault(j, {}), (
-                    (w[:i] + u + w[i + 1 :], m * c * cu)
-                    for w, c in t.items() for i, x in enumerate(w) if x == ch
-                    for u, cu in img.items() if deg(u) - weights[ch] <= s.trunc - deg(w)))
-    return join_series((ds * den, out), s)
+
+    def replace(ch, t, img):
+        return accumulate({}, ((w[:i] + u + w[i + 1 :], c * cu)
+                               for w, c in t.items() for i, x in enumerate(w) if x == ch
+                               for u, cu in img.items() if deg(u) - weights[ch] <= s.trunc - deg(w)))
+
+    parts = (bilinear(split_series(s), split_series(img), s.ring, partial(replace, ch))
+             for ch, img in images.items())
+    return combine(((1, join_series(x, s)) for x in parts), s)
 
 
 POWER_ALPHABET = Alphabet(("u",))

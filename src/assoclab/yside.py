@@ -9,12 +9,15 @@ the generalized double shuffle relation.
 """
 
 from functools import lru_cache
+from math import factorial
 
 from .rationals import qq
 from .series import (
     Series,
     SeriesAlgebra,
+    combine,
     derivation,
+    letter,
     one,
     primitive_tensor,
     tensor_image,
@@ -262,17 +265,12 @@ def sec(g):
     g~ is the embedded X-series of g.
     """
     f = embed_y(g)
-    from .series import letter
-
     x0 = letter(f.alphabet, f.trunc, "X0", f.ring)
-    out = f
-    term = f
-    power = one(f.alphabet, f.trunc, f.ring)
-    for i in range(1, f.trunc + 1):
-        term = partial0(term).scale_q(qq(-1, i))
-        power = power.mul(x0)
+    pieces, term, power = [f], f, one(f.alphabet, f.trunc, f.ring)
+    for _ in range(f.trunc):
+        term, power = partial0(term), power.mul(x0)
         piece = term.mul(power)
         if piece.is_zero():
             break
-        out = out.add(piece)
-    return out
+        pieces.append(piece)
+    return combine(((qq((-1) ** i, factorial(i)), x) for i, x in enumerate(pieces)), f)

@@ -225,6 +225,14 @@ def test_negative_bar_shuffle_weight_exits_two(capsys):
     assert_rejected(capsys, ["bar", "shuffle", "--max-weight", "-1"])
 
 
+def test_bar_shuffle_weight_zero_runs_the_empty_check(capsys):
+    # --max-weight 0 is given, so it is the exhaustive check over no pair
+    code, out = run(capsys, ["bar", "shuffle", "--max-weight", "0", "--report", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["max_weight"] == 0
+    assert report["checks"] == {"series_shuffle_exhaustive": True}
+
+
 def test_out_of_memory_exits_three(capsys, monkeypatch):
     # a failing check exits 1; running out of memory is reported apart
     from assoclab import dmr

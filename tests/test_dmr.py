@@ -15,9 +15,10 @@ from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
-from assoclab.presented import _solve_affine, combination
+from assoclab.presented import _solve_affine
 from assoclab.series import (
     Series,
+    combine,
     from_word,
     is_group_like,
     is_lie,
@@ -101,7 +102,7 @@ def test_kernel_brings_the_columns_to_one_denominator():
     # the Fraction solve of the same columns
     _, kernel = _solve_affine([c0, c1, c2], {}, 3)
     assert kernel == [[Fraction(-1, 3), Fraction(-2, 3), 1]]
-    expected = [combination(kernel[0], basis)]
+    expected = [combine(zip(kernel[0], basis), basis[0])]
     assert dmr._kernel(defect, basis) == expected
     assert dmr._kernel(scaled, basis) != expected
 

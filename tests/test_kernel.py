@@ -1,5 +1,6 @@
-"""The integer kernel: integral bases of the rings, and model products and
-power series checked against a coefficient-ring oracle.
+"""The integer kernel: integral bases of the rings, model products and
+power series checked against a coefficient-ring oracle, and the two split
+routines, `combine` and `bilinear`, against term-by-term ring loops.
 
 The oracle multiplies in the coefficient ring itself, as
 normalize(a.mul(b)), and sums the power series term by term; the kernel
@@ -17,10 +18,10 @@ from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_
 from assoclab.rationals import QQ, qq
 from assoclab.lab import Poly, PolynomialRing
 from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
-from assoclab.presented import combination
 from assoclab.series import (
     Series,
     SeriesAlgebra,
+    combine,
     coproduct,
     derivation,
     is_group_like,
@@ -34,7 +35,7 @@ from assoclab.series import (
     tensor,
     tensor_alphabet,
 )
-from assoclab.words import X_ALPHABET, y_alphabet
+from assoclab.words import X_ALPHABET, shuffle_words, y_alphabet
 from assoclab.yside import delta_star, pi_y
 
 from support import random_lie_mixed
@@ -52,8 +53,8 @@ def random_rational(rng, bound=5):
 def random_element(rng, ring):
     if ring is RATIONALS:
         return random_rational(rng)
-    if ring is HEX_RING:
-        return QuadElt(random_rational(rng), random_rational(rng), HEX_Q)
+    if isinstance(ring, QuadraticExtension):
+        return QuadElt(random_rational(rng), random_rational(rng), ring.q)
     return Poly([random_rational(rng) for _ in range(rng.randint(1, 3))])
 
 
@@ -409,7 +410,7 @@ def test_split_maps_are_in_the_one_format(name):
         (primitive_tensor(s), series(ta, {(0,): ring.one, primed((0,)): ring.one})),
         (tensor(a, b), series(ta, {(0,) + primed((1,)): ring.one})),
         (a.mul(b), series(X_ALPHABET, {(0, 1): ring.one})),
-        (combination([qq(1, 2)], [b]), series(X_ALPHABET, {(1,): ring.one})),
+        (combine([(qq(1, 2), b)], b), series(X_ALPHABET, {(1,): ring.one})),
         (derivation(b, {1: a}), series(X_ALPHABET, {(0,): ring.one})),
         (g.scale_q(qq(2, 3)).neg(), series(X_ALPHABET, {(0, 1): ring.embed(qq(-2, 3)),
                                                           (1, 0): ring.embed(qq(-1, 3))})),
@@ -421,7 +422,7 @@ def test_split_maps_are_in_the_one_format(name):
     alg = SeriesAlgebra(X_ALPHABET, 4, ring)
     x, y = (random_series(rng, alg, 0.3, random_element(rng, ring)) for _ in range(2))
     for got in (pi_y(x), primitive_tensor(x), tensor(x, y), x.mul(y),
-                combination([qq(3, 4), qq(-5, 6)], [x, y]), derivation(x, {0: y})):
+                combine([(qq(3, 4), x), (qq(-5, 6), y)], x), derivation(x, {0: y})):
         assert one_format(got._split)
 
 
@@ -445,7 +446,117 @@ def test_free_products_match_the_ring_loop(name):
     a, b = (random_series(rng, alg, 0.35, random_element(rng, ring)) for _ in range(2))
     assert a.mul(b) == ring_loop_mul(a, b) == ring_loop_mul(plain(a), plain(b))
     assert a.mul(b).mul(a) == ring_loop_mul(ring_loop_mul(a, b), a)
-    # a (x) b is the product of a and b primed, with no word pair cancelling
-    bp = Series(tensor_alphabet(X_ALPHABET), 4, ring, {primed(v): c for v, c in b.terms.items()})
-    ap = Series(tensor_alphabet(X_ALPHABET), 4, ring, dict(a.terms))
-    assert tensor(a, b) == ring_loop_mul(ap, bp)
+    assert tensor(a, b) == ring_loop_tensor(a, b)
+
+
+def ring_loop_tensor(a, b):
+    """a (x) b as the ring-loop product of a and b primed, with no word pair
+    cancelling: the oracle of `tensor`."""
+    ta = tensor_alphabet(a.alphabet)
+    bp = Series(ta, a.trunc, a.ring, {primed(v): c for v, c in b.terms.items()})
+    return ring_loop_mul(Series(ta, a.trunc, a.ring, dict(a.terms)), bp)
+
+
+# -- the two split routines -----------------------------------------------------
+
+
+def term_sum(pairs, like):
+    """The oracle of `combine`: sum q s term by term in the coefficient ring."""
+    ring, terms = like.ring, {}
+    for q, s in pairs:
+        for w, c in s.terms.items():
+            terms[w] = terms.get(w, ring.zero) + ring.embed(q) * c
+    return Series(like.alphabet, like.trunc, ring, terms)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_combine_matches_the_term_sum(name):
+    ring = RINGS[name]
+    rng = random.Random(101)
+    alg = SeriesAlgebra(X_ALPHABET, 4, ring)
+    x, y = (random_series(rng, alg, 0.3, random_element(rng, ring)) for _ in range(2))
+    words = [w for d in (1, 2, 3) for w in X_ALPHABET.words_of_degree(d)]
+    big = [Series(X_ALPHABET, 4, ring, {w: large_element(rng, ring) for w in words}) for _ in range(2)]
+    xy = x.mul(y)
+    cases = {
+        "empty": [],
+        "zero coefficients": [(qq(0), x), (0, y), (qq(0), xy)],
+        "cancelling": [(qq(2, 3), xy), (qq(-2, 3), plain(xy)), (qq(1, 5), y), (qq(-1, 5), y)],
+        "large coprime denominators": [(qq(7, 10009), big[0]), (qq(-3, 10037), big[1]),
+                                       (qq(5, 10061), xy)],
+        "mixed": [(qq(3, 4), x), (qq(-5, 6), y), (1, xy), (-1, x)],
+    }
+    for case, pairs in cases.items():
+        got, want = combine(pairs, alg), term_sum(pairs, alg)
+        assert one_format(got._split), case
+        assert got == want and got.terms == want.terms, case
+        assert got.is_zero() == (case in ("empty", "zero coefficients", "cancelling")), case
+
+
+def ring_loop_shuffle(a, b):
+    """The shuffle product summed in the coefficient ring, word pair by word
+    pair: the oracle of `Series.shuffle_mul`."""
+    deg, ring, terms = a.alphabet.degree, a.ring, {}
+    for u, x in a.terms.items():
+        for v, y in b.terms.items():
+            if deg(u) + deg(v) <= a.trunc:
+                for w, n in shuffle_words(u, v).items():
+                    terms[w] = terms.get(w, ring.zero) + x * y * ring.embed(n)
+    return Series(a.alphabet, a.trunc, ring, terms)
+
+
+def random_pairs(ring, seed):
+    rng = random.Random(seed)
+    alg = SeriesAlgebra(X_ALPHABET, 4, ring)
+    return [[random_series(rng, alg, 0.35, random_element(rng, ring)) for _ in range(2)]
+            for _ in range(2)]
+
+
+def split_products(a, b):
+    """(kernel result, ring-loop oracle) for the three products that run on
+    `bilinear`: `kernel_mul` (through `Series.mul`), `shuffle_mul` and `tensor`."""
+    return [(a.mul(b), ring_loop_mul(a, b)), (a.shuffle_mul(b), ring_loop_shuffle(a, b)),
+            (tensor(a, b), ring_loop_tensor(a, b))]
+
+
+class GoldenRing(QuadraticExtension):
+    """Q(sqrt 5) on the integral basis e_0 = 1, e_1 = (1 + mu)/2, whose
+    structure constant e_1 e_1 = e_0 + e_1 has two terms."""
+
+    def __init__(self):
+        super().__init__(5)
+        self._products = (((0, 1),), ((1, 1),), ((1, 1),), ((0, 1), (1, 1)))
+
+    def split(self, c):
+        return (c.a - c.b, 2 * c.b)
+
+    def join(self, coords):
+        x, y = (list(coords) + [0, 0])[:2]
+        return QuadElt(QQ(x) + QQ(y) / 2, QQ(y) / 2, self.q)
+
+
+class WrongNuSquare(QuadraticExtension):
+    """Q(mu) with one wrong structure constant: nu^2 = P R + 1."""
+
+    def __init__(self, q):
+        super().__init__(q)
+        self._products = self._products[:3] + (((0, self.q.numerator * self._r + 1),),)
+
+
+@pytest.mark.parametrize("name", [*RINGS, "golden"])
+def test_bilinear_products_match_the_ring_loops(name):
+    ring = GoldenRing() if name == "golden" else RINGS[name]
+    # the e_1 tables come first, so the product of the two reaches e_0 and e_1
+    # before either holds a table, and later products add to both
+    e1 = ring.join((0, 1))
+    first = [Series(X_ALPHABET, 4, ring, {(i,): e1, (1 - i,): ring.one}) for i in (0, 1)]
+    for a, b in [first, *random_pairs(ring, 102)]:
+        for got, want in split_products(a, b):
+            assert one_format(got._split)
+            assert got == want and got.terms == want.terms
+
+
+def test_a_wrong_structure_constant_fails_the_ring_loops():
+    for a, b in random_pairs(WrongNuSquare(HEX_Q), 102):
+        for got, want in split_products(a, b):
+            assert got != want and got.terms != want.terms
