@@ -17,9 +17,9 @@ compared before they are read.  The malformed inputs are fixed texts.
 The matrix covers `solve-pentagon` with c2 = 1, 0 and -2/5 and rejected
 arguments; the five `verify` checks on solved, perturbed, malformed,
 zero-denominator, wrong-alphabet, constant-0 and missing files; `dims`
-with both engines; `dmr dims|lemmas|bracket`; `bar check|shuffle`;
-`group-law`.  Each command runs with the text report and with
-`--report json`.
+with both engines, and the generic engine on a4 to degree 6 and p5 to
+degree 7; `dmr dims|lemmas|bracket`; `bar check|shuffle`; `group-law`.
+Each command runs with the text report and with `--report json`.
 """
 
 import difflib
@@ -81,6 +81,8 @@ def matrix():
         for algebra in ("a4", "p5"):
             steps.append(["dims", "--algebra", algebra, "--max-degree", "5", "--engine", engine])
         steps.append(["dims", "--algebra", "a4", "--max-degree", "-1", "--engine", engine])
+    steps += [["dims", "--algebra", "a4", "--max-degree", "6", "--engine", "generic"],
+              ["dims", "--algebra", "p5", "--max-degree", "7", "--engine", "generic"]]
     steps += [
         ["dmr", "dims", "--max-degree", "9"],
         ["dmr", "dims", "--max-degree", "-2"],
@@ -105,6 +107,9 @@ def matrix():
         ["group-law", "--lhs", "missing.series", "--rhs", "phi6.series"],
         # last, so the rest is compared first: before 0 was accepted here it exited 2
         ["bar", "shuffle", "--max-weight", "0"],
+        # last, so the rest is compared first: --max-weight with the indices
+        # used to drop the indices and pass; it now exits 2
+        ["bar", "shuffle", "--max-weight", "2", "--index-a", "2", "--index-b", "1"],
     ]
     out = []
     for step in steps:

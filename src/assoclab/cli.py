@@ -299,24 +299,19 @@ def cmd_bar(args):
         return checks, {"index": list(a)}
     # shuffle
     _check_size("weight", args.max_weight)
-    checks = {}
-    if args.max_weight is not None:
-        ok = True
-        idx = all_indices(args.max_weight)
-        for a in idx:
-            for b in idx:
-                if sum(a) + sum(b) <= args.max_weight:
-                    ok = ok and barcx.check_series_shuffle_bar(a, b)
-        checks["series_shuffle_exhaustive"] = ok
-        extras = {"max_weight": args.max_weight}
-    else:
-        if not (args.index_a and args.index_b):
-            raise InputError("need --index-a and --index-b or --max-weight")
-        a = _parse_index(args.index_a)
-        b = _parse_index(args.index_b)
-        checks["series_shuffle"] = barcx.check_series_shuffle_bar(a, b)
-        extras = {"index_a": list(a), "index_b": list(b)}
-    return checks, extras
+    top = args.max_weight
+    if top is not None:
+        if args.index_a is not None or args.index_b is not None:
+            raise InputError("--max-weight excludes --index-a and --index-b")
+        idx = all_indices(top)
+        ok = all(barcx.check_series_shuffle_bar(a, b)
+                 for a in idx for b in idx if sum(a) + sum(b) <= top)
+        return {"series_shuffle_exhaustive": ok}, {"max_weight": top}
+    if not (args.index_a and args.index_b):
+        raise InputError("need --index-a and --index-b or --max-weight")
+    a, b = _parse_index(args.index_a), _parse_index(args.index_b)
+    checks = {"series_shuffle": barcx.check_series_shuffle_bar(a, b)}
+    return checks, {"index_a": list(a), "index_b": list(b)}
 
 
 def cmd_group_law(args):

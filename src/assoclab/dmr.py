@@ -25,6 +25,7 @@ from .series import (
     from_word,
     is_lie,
     join_series,
+    linear_map,
     one,
     primitive_tensor,
     reduced,
@@ -200,21 +201,16 @@ def _on_words(op, trunc, ring):
 
 def _on_each_factor(op, t):
     """(op (x) id + id (x) op)(t) for a tensor t of Y-series and a linear map
-    op given on Y-words, as `_on_words` makes it.  A term m e_k u (x) v of
-    the split (D, tables) of t gives op(u) (x) m e_k v + m e_k u (x) op(v),
-    integer tensors, `combine`d with the weight 1/D."""
-    ys = SeriesAlgebra(y_alphabet(t.trunc), t.trunc, t.ring)
-    den, tables = split_series(t)
+    op given on Y-words, as `_on_words` makes it: one `linear_map` of the
+    split of t, the image of a tensor word u.v' being op(u) (x) v + u (x) op(v)."""
+    ya = y_alphabet(t.trunc)
 
-    def terms():
-        for k, table in tables.items():
-            for p, m in table.items():
-                u, v = tensor_factors(p)
-                us, vs = (join_series((1, {k: {w: m}}), ys) for w in (u, v))
-                yield tensor(op(u), vs)
-                yield tensor(us, op(v))
+    def image(p):
+        u, v = tensor_factors(p)
+        us, vs = (from_word(ya, t.trunc, w, t.ring) for w in (u, v))
+        return split_series(tensor(op(u), vs).add(tensor(us, op(v))))
 
-    return combine(((qq(1, den), x) for x in terms()), t)
+    return join_series(linear_map(split_series(t), image, t.ring), t)
 
 
 def lemma_derivation_check(f, n):

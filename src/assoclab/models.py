@@ -61,6 +61,7 @@ from .series import (
     geometric_coefficient,
     join_series,
     kernel_mul,
+    linear_map,
     log_coefficient,
     one,
     power_series,
@@ -343,20 +344,11 @@ class PBWModel:
         return self._exp_lie(coords, memo)
 
     def _exp_lie(self, coords, memo):
-        """`exp_lie` on the bracket-image memo, looked up once by the caller."""
-        den, tables = split_terms(
-            {lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring
-        )
-        for k, table in tables.items():
-            tables[k] = accumulate(
-                {},
-                (
-                    (w, n * m)
-                    for lw, n in table.items()
-                    for w, m in self._lie_image(lw, memo).items()
-                ),
-            )
-        return self.exp(join_series((den, tables), self))
+        """`exp_lie` on the bracket-image memo, looked up once by the caller:
+        one `linear_map` of the split Lyndon coordinates."""
+        x = split_terms({lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring)
+        lie = linear_map(x, lambda lw: (1, {0: self._lie_image(lw, memo)}), self.ring)
+        return self.exp(join_series(lie, self))
 
     def evaluate(self, phi, g0, g1, coords=_PEEL):
         """phi(g0, g1) for a series phi over X0, X1.

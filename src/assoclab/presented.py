@@ -13,15 +13,18 @@ rows, a basis of their span, as `quadratic`; from degree 3 on only that
 basis is right-multiplied.  A row is linear in its relation, so the
 rows span the same space, and the pivots, reductions and normal forms
 are those of every relation; no Groebner property is assumed.  A
-reduction is held as (D, word -> int), so rows and normal forms are
-integer sums.
+reduction or normal form is a split in the kernel's one format,
+(D, {0: word -> int}), and every row and normal form is one
+`series.linear_map` of such splits, an integer sum.
 """
 
-from math import gcd, lcm
+from functools import partial
+from math import gcd
 
 from .rationals import ONE, QQ, ZERO, qq, parse_rational
 from .rings import RATIONALS, accumulate
-from .series import Series, SeriesAlgebra, join_series, split_series, split_terms, substitute
+from .series import (Series, SeriesAlgebra, join_series, linear_map, reduced, split_series,
+                     split_terms, substitute)
 from .words import Alphabet
 
 
@@ -64,16 +67,16 @@ def _eliminate(row, k, pivot):
 def echelon(rows):
     """Insertion echelon over the integers; returns pivot -> primitive row.
 
-    Rows are sparse coordinate -> rational (or int) coeff tables.  Each is
-    made a primitive integer row once (`integer_row`), and a lead
+    Rows are sparse coordinate -> int tables (`integer_row` makes one of a
+    rational row).  Each is copied and made primitive, and a lead
     coordinate that is already a pivot is eliminated by
-    cross-multiplication, so no rational is built.  Coordinates are compared by their natural order;
-    the pivot set is the leading-coordinate set of the row space, hence
-    canonical.
+    cross-multiplication, so no rational is built.  Coordinates are
+    compared by their natural order; the pivot set is the
+    leading-coordinate set of the row space, hence canonical.
     """
     pivots = {}
     for row in rows:
-        row = integer_row(row)
+        row = _primitive(dict(row))
         while row:
             lead = min(row)
             if lead not in pivots:
@@ -120,7 +123,7 @@ def _solve_affine(columns, rhs, n_unknowns):
             rows.setdefault(w, {})[i] = c
     for w, c in rhs.items():
         rows.setdefault(w, {})[n] = c
-    pivots = echelon([rows[w] for w in sorted(rows)])
+    pivots = echelon([integer_row(rows[w]) for w in sorted(rows)])
     if n in pivots:
         return None
     pivots = solve_pivots(pivots)
@@ -132,17 +135,6 @@ def _solve_affine(columns, rhs, n_unknowns):
             vec[f] = ONE
             kernel.append(vec)
     return particular, kernel
-
-
-def _scaled_sum(parts, key):
-    """(D, table) with table / D = sum (c / x) t over the parts (a, c, (x, t))
-    of int c and split t / x, each word u of t read as key(a, u); D is the
-    least common denominator."""
-    den = lcm(*(x for _, _, (x, _) in parts))
-    table = accumulate({}, ((key(a, u), c * (den // x) * m)
-                            for a, c, (x, t) in parts for u, m in t.items()))
-    g = gcd(den, *table.values())
-    return den // g, ({u: m // g for u, m in table.items()} if g > 1 else table)
 
 
 class Presentation:
@@ -168,14 +160,13 @@ class Presentation:
         self._rewrite_quadratic(quad)
         self.basis = {0: [()], 1: [(i,) for i in range(len(self.letters))]}
         self.reduction = {}
-        self._nf_cache = {(): (1, {(): 1})}
+        self._nf_cache = {(): (1, {0: {(): 1}})}
         self.extend_to(2)  # replaces the quadratic relations by a basis of their span
 
     # -- construction ---------------------------------------------------
 
     def _eliminate_linear(self, lin):
-        rows = [{(g,): QQ(c) for (g,), c in r.items()} for r in lin]
-        pivots = back_substitute(echelon(rows))
+        pivots = back_substitute(echelon([integer_row(r) for r in lin]))
         self.letters = [
             i for i in range(len(self.generator_names)) if (i,) not in pivots
         ]
@@ -215,11 +206,16 @@ class Presentation:
         prev = self.basis[d - 1]
         # one tuple per word of letters (x) B_{d-1}, shared by every row
         words = {u: [(i,) + u for i in letters] for u in prev}
+
+        def image(v, ab):  # a.(b.v), with b.v reduced in B_{d-1}
+            a, b = ab
+            den, tables = self._reduce_letter(d - 1, b, v)
+            return den, {k: {words[u][a]: m for u, m in t.items()} for k, t in tables.items()}
+
         rows = []
         for r in self.quadratic:
             for v in self.basis[d - 2]:
-                parts = [(a, c, self._reduce_letter(d - 1, b, v)) for (a, b), c in r.items()]
-                _, row = _scaled_sum(parts, lambda a, u: words[u][a])
+                row = linear_map((1, {0: r}), partial(image, v), RATIONALS)[1].get(0)
                 if row:
                     rows.append(_primitive(row))
         pivots = back_substitute(echelon(rows))
@@ -233,19 +229,20 @@ class Presentation:
                 row = pivots.get(word)
                 if row is None:
                     basis.append(word)
-                    red[word] = (1, {word: 1})
+                    red[word] = (1, {0: {word: 1}})
                 else:  # row[word] word + sum m k = 0, with least denominator |row[word]|
                     c = row[word]
-                    red[word] = (abs(c), {k: -m if c > 0 else m for k, m in row.items() if k != word})
+                    rest = {k: -m if c > 0 else m for k, m in row.items() if k != word}
+                    red[word] = (abs(c), {0: rest} if rest else {})
         basis.sort()
         self.basis[d] = basis
         self.reduction[d] = red
 
     def _reduce_letter(self, d, letter, word):
         """Expansion of letter.word (word a basis word of degree d-1) in B_d,
-        as (D, word -> int)."""
+        as a split."""
         if d == 1:
-            return 1, {(letter,): 1}
+            return 1, {0: {(letter,): 1}}
         return self.reduction[d][(letter,) + word]
 
     # -- queries ----------------------------------------------------------
@@ -255,21 +252,21 @@ class Presentation:
         return len(self.basis[d])
 
     def _word_split(self, word):
-        """The normal form of a word over the letter basis, as (D, word -> int)."""
+        """The normal form of a word over the letter basis, as a split: the
+        first letter times the normal form of the rest."""
         out = self._nf_cache.get(word)
         if out is None:
             d = len(word)
             self.extend_to(d)
-            den, rest = self._word_split(word[1:])
-            parts = [(None, m, (den * x, t)) for u, m in rest.items()
-                     for x, t in [self._reduce_letter(d, word[0], u)]]
-            out = self._nf_cache[word] = _scaled_sum(parts, lambda _, u: u)
+            x = linear_map(self._word_split(word[1:]), partial(self._reduce_letter, d, word[0]),
+                           RATIONALS)
+            out = self._nf_cache[word] = reduced(x)
         return out
 
     def normal_form_word(self, word):
         """Normal form of a word over the letter basis, as word -> coeff."""
-        den, table = self._word_split(word)
-        return {v: QQ(m, den) for v, m in table.items()}
+        den, tables = self._word_split(word)
+        return {v: QQ(m, den) for t in tables.values() for v, m in t.items()}
 
     def normal_form(self, s):
         """Normal form of a rational Series over the letter basis or the full
@@ -280,10 +277,7 @@ class Presentation:
             images = [Series(self.alphabet, s.trunc, RATIONALS, {(j,): c for j, c in img.items()})
                       for img in self.generator_images]
             s = substitute(s, images, SeriesAlgebra(self.alphabet, s.trunc))
-        den, tables = split_series(s)
-        parts = [(None, m, self._word_split(w)) for w, m in tables.get(0, {}).items()]
-        x, table = _scaled_sum(parts, lambda _, u: u)
-        return join_series((den * x, {0: table}), s)
+        return join_series(linear_map(split_series(s), self._word_split, s.ring), s)
 
     # -- loading ------------------------------------------------------
 

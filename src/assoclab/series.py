@@ -10,18 +10,18 @@ Sums and products run on the integer kernel.  A split is (D, {k: {word:
 int}}): one nonempty table of nonzero ints per integral basis element
 e_k of the ring, over one common denominator D, the series being
 (1/D) sum_k e_k tables[k]; `split_series` gives it and `join_series`
-wraps it as a series.  `combine` sums rational multiples of series once,
-at their common denominator, and `bilinear` extends an integer bilinear
-map of two tables to two splits by the ring's structure constants: the
-sum behind `add` and `scale_q`, the product behind `kernel_mul` (so
-`Series.mul` over any ring but the integers and every substitution),
-`shuffle_mul`, `tensor` and `derivation`.  A Series holds its ring
-terms, its split at the least denominator, or both, and builds each
-form at most once, when it is first read: a kernel result or a
-`from_word` keeps only its split, and `add`, `sub`, `==`, `is_zero` and
-`coefficient` read the splits whenever an operand holds one, so a chain
-of kernel steps passes integer tables along.  A held split is shared,
-never written to.
+wraps it as a series.  The kernel is two loops over the ring's structure
+constants: `linear_map` sums a split against the splits of its keys'
+images once, at their common denominator (every substitution, and
+`combine`, so `add` and `scale_q`), and `bilinear` extends an integer
+bilinear map of two tables to two splits (`kernel_mul`, so `Series.mul`
+over any ring but the integers, `shuffle_mul`, `tensor`, `derivation`).
+A Series holds its ring terms, its split at the least denominator, or
+both, and builds each form at most once, when it is first read: a kernel
+result or a `from_word` keeps only its split, and `add`, `sub`, `==`,
+`is_zero` and `coefficient` read the splits whenever an operand holds
+one, so a chain of kernel steps passes integer tables along.  A held
+split is shared, never written to.
 """
 
 from bisect import bisect_left
@@ -476,16 +476,34 @@ def join_series(x, like):
 
 def combine(pairs, like):
     """sum q s over the pairs (q, s) of a rational q and a series s, over
-    like (a series or an algebra): the scaled tables are summed once, over
-    the integers, at the least common denominator of the q s."""
-    terms = [(q, split_series(s)) for q, s in pairs if q]
-    den = lcm(*(q.denominator * d for q, (d, _) in terms))
+    like (a series or an algebra): one `linear_map` of the split weights,
+    a split over the indices i of the pairs, the image of i the split of s_i."""
+    terms = [(q, s) for q, s in pairs if q]
+    weights = split_terms({i: q for i, (q, _) in enumerate(terms)}, RATIONALS)
+    return join_series(linear_map(weights, lambda i: split_series(terms[i][1]), like.ring), like)
+
+
+def linear_map(x, image, ring):
+    """The split of sum_w x(w) image(w), for a split x over keys w and a map
+    image from a key to a split over ring, read once per key: coordinate e_k
+    of x times coordinate e_l of image(w) lands on each e_j of
+    e_k e_l = sum m e_j with weight m.  The sum is taken once, over the
+    integers, at the common denominator of the images."""
+    den, tables = x
+    images = {w: image(w) for w in dict.fromkeys(w for t in tables.values() for w in t)}
+    common = lcm(*{d for d, _ in images.values()})
+    basis_product = ring.basis_product
     out = {}
-    for q, (d, tables) in terms:
-        m = q.numerator * (den // (q.denominator * d))
-        for k, t in tables.items():
-            accumulate(out.setdefault(k, {}), ((w, m * c) for w, c in t.items()))
-    return join_series((den, out), like)
+    for k, t in tables.items():
+        for w, a in t.items():
+            d, parts = images[w]
+            a *= common // d
+            for l, p in parts.items():
+                for j, m in basis_product(k, l):
+                    am = a * m
+                    pairs = p.items() if am == 1 else ((v, am * c) for v, c in p.items())
+                    accumulate(out.setdefault(j, {}), pairs)
+    return den * common, out
 
 
 def bilinear(x, y, ring, pair):
@@ -524,9 +542,8 @@ def substitute(s, images, algebra):
     `algebra` provides one(), normalize(), its ring, alphabet and
     truncation; the images must have zero constant term so that grading
     (and hence truncation) is respected.  The images are split once, the
-    image of every word is a `kernel_mul` product and the sum over the
-    terms of s is one split over the common denominator of the word
-    images, which the result holds.
+    image of every word is a `kernel_mul` product, cached by prefix, and
+    the sum over the terms of s is one `linear_map`.
     """
     if len(images) != len(s.alphabet):
         raise AlgebraError("one image per alphabet letter required")
@@ -541,20 +558,7 @@ def substitute(s, images, algebra):
             cache[word] = kernel_mul(image(word[:-1]), letters[word[-1]], algebra)
         return cache[word]
 
-    den, coeffs = split_series(s)
-    words = {w: image(w) for part in coeffs.values() for w in part}
-    common = lcm(*{d for d, _ in words.values()})
-    basis_product = algebra.ring.basis_product
-    out = {}
-    for k, part in coeffs.items():
-        for w, a in part.items():
-            d, parts = words[w]
-            a *= common // d
-            for l, p in parts.items():
-                for j, m in basis_product(k, l):
-                    am = a * m
-                    accumulate(out.setdefault(j, {}), ((v, am * c) for v, c in p.items()))
-    return join_series((den * common, out), algebra)
+    return join_series(linear_map(split_series(s), image, algebra.ring), algebra)
 
 
 def derivation(s, images):

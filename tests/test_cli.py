@@ -233,6 +233,16 @@ def test_bar_shuffle_weight_zero_runs_the_empty_check(capsys):
     assert report["checks"] == {"series_shuffle_exhaustive": True}
 
 
+@pytest.mark.parametrize("indices", [["--index-a", "2", "--index-b", "1"], ["--index-a", "2"],
+                                     ["--index-b", "1"]])
+def test_bar_shuffle_rejects_a_weight_with_indices(capsys, indices):
+    # --max-weight runs the exhaustive check, which would drop the indices
+    capsys.readouterr()
+    assert main(["bar", "shuffle", "--max-weight", "2"] + indices) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_out_of_memory_exits_three(capsys, monkeypatch):
     # a failing check exits 1; running out of memory is reported apart
     from assoclab import dmr

@@ -1,6 +1,7 @@
 """The integer kernel: integral bases of the rings, model products and
-power series checked against a coefficient-ring oracle, and the two split
-routines, `combine` and `bilinear`, against term-by-term ring loops.
+power series checked against a coefficient-ring oracle, and the split
+routines, `combine`, `linear_map` and `bilinear`, against term-by-term
+ring loops.
 
 The oracle multiplies in the coefficient ring itself, as
 normalize(a.mul(b)), and sums the power series term by term; the kernel
@@ -9,12 +10,14 @@ must give the same series exactly.
 
 import copy
 import random
+from itertools import product
 from math import factorial, gcd
 
 import pytest
 
 from assoclab.lie import lie_basis
 from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_model
+from assoclab.presented import Presentation
 from assoclab.rationals import QQ, qq
 from assoclab.lab import Poly, PolynomialRing
 from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
@@ -28,8 +31,10 @@ from assoclab.series import (
     is_lie,
     join_series,
     kernel_mul,
+    linear_map,
     primed,
     primitive_tensor,
+    reduced,
     split_series,
     split_terms,
     tensor,
@@ -457,7 +462,7 @@ def ring_loop_tensor(a, b):
     return ring_loop_mul(Series(ta, a.trunc, a.ring, dict(a.terms)), bp)
 
 
-# -- the two split routines -----------------------------------------------------
+# -- the split routines ---------------------------------------------------------
 
 
 def term_sum(pairs, like):
@@ -560,3 +565,88 @@ def test_a_wrong_structure_constant_fails_the_ring_loops():
     for a, b in random_pairs(WrongNuSquare(HEX_Q), 102):
         for got, want in split_products(a, b):
             assert got != want and got.terms != want.terms
+
+
+def ring_loop_linear_map(coeffs, images, like):
+    """The oracle of `linear_map`: sum_w coeffs[w] images[w], term by term in
+    the coefficient ring."""
+    ring, terms = like.ring, {}
+    for w, x in coeffs.items():
+        for v, c in images[w].terms.items():
+            terms[v] = terms.get(v, ring.zero) + x * c
+    return Series(like.alphabet, like.trunc, ring, terms)
+
+
+def large_coefficient(rng, ring):
+    """`large_element` over any of the test rings, the two-term ring too."""
+    if isinstance(ring, QuadraticExtension) and ring is not HEX_RING:
+        return QuadElt(large_element(rng, RATIONALS), large_element(rng, RATIONALS), ring.q)
+    return large_element(rng, ring)
+
+
+def linear_map_cases(ring, seed):
+    """(algebra, images, cases): series images by key, sharing words, and
+    one table of ring coefficients over the keys per case."""
+    rng = random.Random(seed)
+    alg = SeriesAlgebra(X_ALPHABET, 4, ring)
+    a, b = (random_series(rng, alg, 0.3, random_element(rng, ring)) for _ in range(2))
+    assert set(a.terms) & set(b.terms) & set(a.mul(b).terms)
+    words = [w for d in (1, 2, 3) for w in X_ALPHABET.words_of_degree(d)]
+    big = Series(X_ALPHABET, 4, ring, {w: large_coefficient(rng, ring) for w in words})
+    images = {"a": a, "b": b, "ab": a.mul(b), "-a": a.neg(), "zero": alg.zero(), "big": big}
+    c, e1 = large_coefficient(rng, ring), ring.join((0, 1))
+    cases = {
+        "empty": {},
+        "zero image": {"zero": c},
+        "cancelling": {"a": c, "-a": c, "zero": e1 or c},
+        "shared keys": {"a": random_element(rng, ring) or c, "b": e1 or c, "ab": c},
+        "large coprime denominators": {"big": c, "ab": large_coefficient(rng, ring),
+                                       "b": large_coefficient(rng, ring)},
+    }
+    return alg, images, cases
+
+
+@pytest.mark.parametrize("name", [*RINGS, "golden"])
+def test_linear_map_matches_the_ring_loop(name):
+    ring = GoldenRing() if name == "golden" else RINGS[name]
+    alg, images, cases = linear_map_cases(ring, 103)
+    for case, coeffs in cases.items():
+        read = []
+
+        def image(w):
+            read.append(w)
+            return split_series(images[w])
+
+        x = linear_map(split_terms(coeffs, ring), image, ring)
+        got, want = join_series(x, alg), ring_loop_linear_map(coeffs, images, alg)
+        assert sorted(read) == sorted(coeffs), case  # each image is read once
+        assert one_format(got._split), case
+        assert got == want and got.terms == want.terms, case
+        assert got.is_zero() == (case in ("empty", "zero image", "cancelling")), case
+
+
+def test_a_wrong_structure_constant_fails_linear_map():
+    ring = WrongNuSquare(HEX_Q)
+    alg, images, cases = linear_map_cases(ring, 103)
+    for case in ("shared keys", "large coprime denominators"):
+        coeffs = cases[case]
+        x = linear_map(split_terms(coeffs, ring), lambda w: split_series(images[w]), ring)
+        got, want = join_series(x, alg), ring_loop_linear_map(coeffs, images, alg)
+        assert got != want and got.terms != want.terms, case
+
+
+SCALED = "generators: a b c\nrelation: 2*a.b - 3*b.a\nrelation: 5*b.c - c.b + 7*a.a\n"
+
+
+@pytest.mark.parametrize("name,top", [("a4", 4), ("p5", 5), ("scaled", 5)])
+def test_presentation_splits_are_in_the_one_format(name, top):
+    # reductions and normal forms are splits (D, {0: table}) at the least
+    # denominator, as `linear_map` sums them
+    pres = Presentation.parse(SCALED, name=name) if name == "scaled" else Presentation.builtin(name)
+    pres.extend_to(top)
+    splits = [x for d in range(2, top + 1) for x in pres.reduction[d].values()]
+    splits += [pres._word_split(w) for d in range(top + 1)
+               for w in product(range(len(pres.letters)), repeat=d)]
+    for x in splits:
+        assert one_format(x) and reduced(x) == x and set(x[1]) <= {0}
+    assert any(x[0] > 1 for x in splits) == (name == "scaled")

@@ -8,7 +8,7 @@ import pytest
 
 from assoclab.lab import _solve_affine
 from assoclab.models import a4_model, p5_model
-from assoclab.presented import Presentation, PresentationError, echelon, solve_pivots
+from assoclab.presented import Presentation, PresentationError, echelon, integer_row, solve_pivots
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
 from assoclab.series import Series
@@ -249,7 +249,7 @@ def test_solve_pivots_matches_gauss_jordan(seed):
     n_coords = rng.randint(3, 9)
     rows = random_system(rng, rng.randint(2, 14), n_coords)
     expected = gauss_jordan(rows)
-    pivots = echelon(rows)
+    pivots = echelon([integer_row(row) for row in rows])
     assert set(pivots) == set(expected)
     assert solve_pivots(pivots) == expected
 
@@ -258,7 +258,7 @@ def test_solve_pivots_on_tuple_coordinates():
     rng = random.Random(1299)
     words = [(a, b) for a in range(3) for b in range(3)]
     rows = [{words[k]: c for k, c in row.items()} for row in random_system(rng, 12, 9)]
-    assert solve_pivots(echelon(rows)) == gauss_jordan(rows)
+    assert solve_pivots(echelon([integer_row(row) for row in rows])) == gauss_jordan(rows)
 
 
 def test_echelon_leaves_its_rows_intact():
