@@ -1,12 +1,11 @@
-"""Bar-construction elements on the genus-zero moduli spaces.
+"""Bar-construction elements on the genus-zero moduli space M_{0,5}.
 
 Bar elements are linear combinations of tensor words in logarithmic
 1-forms: a0 = dx/x, a1 = dx/(1-x), b0 = dy/y, b1 = dy/(1-y) and
-g = (y dx + x dy)/(1-xy) on the two-variable space, or w0 = dz/z and
-w1 = dz/(z-1) on the one-variable space.  They are Series over these
-letters, and their product is the shuffle product.  Words are stored
-left to right, [w_{i_m}|...|w_{i_1}], matching the left-to-right order
-of the dual monomials.
+g = (y dx + x dy)/(1-xy) on the two-variable space.  They are Series
+over these letters, and their product is the shuffle product.  Words are
+stored left to right, [w_{i_m}|...|w_{i_1}], matching the left-to-right
+order of the dual monomials.
 
 Every 1-form is represented exactly as a pair of polynomial numerators
 (P, Q), integer series of the commutative quotient `models.ab_model`, with
@@ -15,25 +14,23 @@ D = xy(1-x)(1-y)(1-xy), so wedge products and the integrability
 condition reduce to polynomial identities.
 
 The l-elements of the one- and two-variable multiple polylogarithms are
-built from their differential equations; the pairing with group-like
-elements of the five-strand braid enveloping algebra is through the
+built from their differential equations.  They pair with group-like
+elements of the five-strand braid enveloping algebra through the
 connection form Omega_5 = X12 dx/x + X23 dx/(x-1) + X45 dy/y
-+ X34 dy/(y-1) + X24 (y dx + x dy)/(xy-1), whose dual-basis sign table
-`M05_DUAL` pairs each letter with the coefficient form that is +-1 times it.
++ X34 dy/(y-1) + X24 (y dx + x dy)/(xy-1); the tier-1 tests check that
+pairing against the coefficient functionals l_a.
 """
 
 from .models import ab_model
-from .rationals import ONE as Q_ONE, qq
+from .rationals import ONE as Q_ONE
 from .rings import INTEGERS, RATIONALS, accumulate
 from .series import Series, split_terms
 from .words import Alphabet
 from .yside import stuffle_terms, x_word
 
 A0, A1, B0, B1, G = range(5)
-W0, W1 = range(2)
 
 M05_NAMES = ("a0", "a1", "b0", "b1", "g")
-M04_NAMES = ("w0", "w1")
 
 
 class BarError(ValueError):
@@ -76,32 +73,22 @@ def wedge(i, j):
 WEDGE = {(i, j): wedge(i, j) for i in range(5) for j in range(5)}
 
 
-# Omega_5 has the coefficient forms dy/(y-1), dy/y, (y dx + x dy)/(xy-1),
-# dx/x and dx/(x-1) on the model letters X34, X45, X24, X12, X23; each
-# letter's form is +-1 times one of them: letter -> (model letter, sign).
-M05_DUAL = {A0: (3, 1), A1: (4, -1), B0: (1, 1), B1: (0, -1), G: (2, -1)}
-
-
 # -- bar elements -------------------------------------------------------
 
 M05 = Alphabet(M05_NAMES)
-M04 = Alphabet(M04_NAMES)
-_SPACES = {"m05": M05, "m04": M04}
 
 
 class BarElement(Series):
-    """A bar element of the space "m05" or "m04": a rational Series over
-    its 1-forms, truncated at its weight.  Every letter is a 1-form, so
-    the weight is the length of the longest word and no term is dropped."""
+    """A bar element on M_{0,5}: a rational Series over its 1-forms,
+    truncated at its weight.  Every letter is a 1-form, so the weight is
+    the length of the longest word and no term is dropped."""
 
     __slots__ = ()
 
-    def __init__(self, space, terms):
-        if space not in _SPACES:
-            raise BarError("unknown space %r" % space)
+    def __init__(self, terms):
         terms = {w: c for w, c in terms.items() if c}
         trunc = max(map(len, terms), default=0)
-        super().__init__(_SPACES[space], trunc, RATIONALS, terms, _clean=True)
+        super().__init__(M05, trunc, RATIONALS, terms, _clean=True)
 
     def shuffle(self, other):
         """Product dual to deconcatenation: the shuffle product, at the sum
@@ -120,11 +107,8 @@ def check_integrability(e):
     For each slot j the sum of c_I [..|w_{i_{j+1}} ^ w_{i_j}|..] must be
     zero; terms are grouped by slot position and surrounding word and
     the integer wedge numerators summed over the integers, on the split
-    of e.  The one-variable space has no nonzero 2-forms, so
-    every element there is integrable.
+    of e.
     """
-    if e.alphabet == M04:
-        return True
     acc = {}
     for w, c in split_terms(e.terms, e.ring)[1].get(0, {}).items():
         for pos in range(len(w) - 1):
@@ -162,14 +146,7 @@ def build_l(a, tag):
             for letter in sub[ch]:
                 nxt[w + (letter,)] = c
         words = nxt
-    return BarElement("m05", words)
-
-
-def build_l_m04(a):
-    """Bar element of l_a on the one-variable space, with the (-1)^{dp} sign."""
-    a = tuple(a)
-    sign = qq(-1 if len(a) % 2 else 1)
-    return BarElement("m04", {x_word(a): sign})
+    return BarElement(words)
 
 
 def _prepend(out, heads, e):
@@ -217,7 +194,7 @@ def build_l2(a, b):
         _prepend(terms, ((B1, 1),), build_l2(a, b[:-1]))
     else:
         _prepend(terms, ((B1, 1),), build_l(a, "xy"))
-    e = BarElement("m05", terms)
+    e = BarElement(terms)
     if not check_integrability(e):
         raise BarError("two-variable element failed integrability: %r" % (key,))
     _L2_CACHE[key] = e
@@ -229,9 +206,7 @@ _SWAP = {A0: B0, A1: B1, B0: A0, B1: A1, G: G}
 
 def swap_xy(e):
     """Exchange the roles of the two coordinates: a-letters <-> b-letters."""
-    if e.alphabet != M05:
-        raise BarError("swap_xy acts on the two-variable space")
-    return BarElement("m05", {tuple(_SWAP[i] for i in w): c for w, c in e.terms.items()})
+    return BarElement({tuple(_SWAP[i] for i in w): c for w, c in e.terms.items()})
 
 
 def build_l2_yx(a, b):
@@ -253,52 +228,10 @@ def series_shuffle_rhs(a, b):
         else:
             e = build_l2_yx(pair[0], pair[1])
         accumulate(terms, e.terms.items())
-    return BarElement("m05", terms)
+    return BarElement(terms)
 
 
 def check_series_shuffle_bar(a, b):
     """l^x_a . l^y_b equals the ordered-stuffle sum, as exact bar elements."""
     lhs = build_l(a, "x").shuffle(build_l(b, "y"))
     return lhs == series_shuffle_rhs(a, b)
-
-
-# -- pairing with group-like series -------------------------------------
-
-
-def pair_p5(e, g):
-    """Pair a two-variable bar element with a five-strand model series.
-
-    The model series (taken in its straightened normal form, which is a
-    particular lift to the free algebra) is read against the dual basis
-    of the letters X34, X45, X24, X12, X23 with the signs derived from
-    the connection form.  Integrability of e makes the value independent
-    of the lift.
-    """
-    if e.alphabet != M05:
-        raise BarError("pair_p5 expects a two-variable element")
-    ring = g.ring
-    total = ring.zero
-    for w, c in e.terms.items():
-        word = tuple(M05_DUAL[i][0] for i in w)
-        coef = g.coefficient(word)
-        if not coef:
-            continue
-        sign = 1
-        for i in w:
-            sign *= M05_DUAL[i][1]
-        total = total + coef * ring.embed(c * sign)
-    return total
-
-
-def pair_m04(e, g):
-    """Pair a one-variable bar element with a series over X0, X1."""
-    if e.alphabet != M04:
-        raise BarError("pair_m04 expects a one-variable element")
-    ring = g.ring
-    total = ring.zero
-    for w, c in e.terms.items():
-        coef = g.coefficient(w)
-        if not coef:
-            continue
-        total = total + coef * ring.embed(c)
-    return total

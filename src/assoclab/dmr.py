@@ -21,7 +21,6 @@ from .series import (
     SeriesAlgebra,
     combine,
     derivation,
-    exp_coefficient,
     from_word,
     is_lie,
     join_series,
@@ -297,51 +296,6 @@ def lemma_telescoping_check(section, k):
     return diagonals[k] == expected
 
 
-def coderivation_check(psi, max_weight=None):
-    """s^Y_f for f = sec(psi_*) is a coderivation of the Y Hopf algebra.
-
-    Also checks the building block sec(psi_*) = psi + psi_corr (the
-    correction sum embedded in U<<X0, X1>>) and S_X(sec psi_*) = -sec psi_*.
-    Verified on all Y-words up to max_weight (default: everything the
-    truncation allows).
-    """
-    trunc = psi.trunc
-    ring = psi.ring
-    star = psi_star(psi)
-    f = yside.sec(star)
-    section = psi.add(embed_y(yside.correction_exponent(psi)))
-    if f != section:
-        return False
-    if yside.antipode_x(f) != f.neg():
-        return False
-    degs = sorted({len(w) for w in psi.terms})
-    dmin = degs[0] if degs else trunc
-    top = max_weight if max_weight is not None else trunc - dmin
-    ya = y_alphabet(trunc)
-    s_y = _on_words(s_f_y_map(f), trunc, ring)
-    for wgt in range(0, top + 1):
-        for w in ya.words_of_degree(wgt):
-            ws = from_word(ya, trunc, w, ring)
-            if delta_star(s_y(w)) != _on_each_factor(s_y, delta_star(ws)):
-                return False
-    return True
-
-
-# -- the exponential map -------------------------------------------------
-
-
-def exp_dmr(psi):
-    """Exp(psi) = sum_i (1/i!) (mu_psi + d_psi)^i (1), with s = mu + d."""
-    powers = [one(psi.alphabet, psi.trunc, psi.ring)]
-    s = s_f_map(psi)
-    for _ in range(psi.trunc):
-        power = s(powers[-1])
-        if power.is_zero():
-            break
-        powers.append(power)
-    return combine(((exp_coefficient(i), x) for i, x in enumerate(powers)), psi)
-
-
 # -- change of generators ------------------------------------------------
 
 
@@ -396,7 +350,7 @@ def qualifying_basis(weight, trunc, ring=RATIONALS):
     return _kernel(qualifying_defect, lie_y_basis(weight, trunc, ring))
 
 
-# -- depth-graded sums and the meta-abelian image ------------------------
+# -- depth-graded sums ---------------------------------------------------
 
 
 def check_binomial_sums(psi):
@@ -416,17 +370,3 @@ def check_binomial_sums(psi):
         if w > 1 and total != expected:
             return False
     return True
-
-
-def gamma_image_check(psi):
-    """The abelianized X1-part of psi has the three-term gamma shape.
-
-    M(psi) = (psi_{X1} X1)^ab must equal g(x0) + g(x1) - g(x0 + x1) for
-    a one-variable series g with coefficients read off the x0^{n-1} x1
-    line.  Returns (flag, coefficient table).
-    """
-    from .lab import abelian_x1_part, gamma_shape
-
-    m = abelian_x1_part(psi)
-    coeffs, shape = gamma_shape(m)
-    return m == shape, coeffs

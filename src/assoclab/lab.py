@@ -1,11 +1,9 @@
 """Associator laboratory: solving the pentagon equation degree by degree
 and verifying its consequences (5-cycle, double shuffle, gamma
-factorization, regularization identities, the group law).
+factorization, the group law).
 """
 
-from math import factorial
-
-from .rationals import QQ, binomial, qq
+from .rationals import binomial, qq
 from .rings import RATIONALS, accumulate
 from .lie import lie_basis
 from .models import (
@@ -14,13 +12,11 @@ from .models import (
     a4_generators,
     check_pentagon,
     check_5cycle,
-    lift_series,
     pentagon_arguments,
     pentagon_residual,
 )
 from .presented import _solve_affine
 from .series import (
-    POWER_ALPHABET,
     Series,
     SeriesAlgebra,
     combine,
@@ -108,150 +104,6 @@ def verify_theorem_main(phi):
         "five_cycle_zero": five_cycle.is_zero(),
         "double_shuffle": yside.check_double_shuffle(phi),
     }
-
-
-# -- regularization ----------------------------------------------------
-
-
-class Poly:
-    """Dense univariate polynomial over the rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        n = len(coeffs)
-        while n > 0 and coeffs[n - 1] == 0:
-            n -= 1
-        self.coeffs = tuple(coeffs[:n])
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Poly(())
-        out = [qq(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "Poly(%r)" % (self.coeffs,)
-
-
-class PolynomialRing:
-    """QQ[var] for a named formal variable (e.g. the regularization parameter)."""
-
-    def __init__(self, var="T"):
-        self.var = var
-        self.zero = Poly(())
-        self.one = Poly((qq(1),))
-        self.gen = Poly((qq(0), qq(1)))
-
-    def embed(self, c):
-        c = QQ(c)
-        return Poly((c,)) if c != 0 else self.zero
-
-    def split(self, c):
-        return c.coeffs
-
-    def join(self, coords):
-        return Poly([QQ(x) for x in coords])
-
-    def basis_product(self, i, j):
-        return ((i + j, 1),)
-
-
-T_RING = PolynomialRing("T")
-
-
-def integral_regularized(a, phi):
-    """l^I_a(phi) = l_a(e^{T X1} phi), a polynomial in T."""
-    from . import yside
-
-    phi_t = lift_series(phi, T_RING)
-    x1 = Series(X_ALPHABET, phi.trunc, T_RING, {(1,): T_RING.gen})
-    return yside.l_value_x(a, x1.exp().mul(phi_t))
-
-
-def series_regularized(a, phi, _cache=None):
-    """l^S_a(phi): l_a on admissible indices, -T on (1), and otherwise the
-    unique values keeping the quasi-shuffle product formula valid."""
-    from . import yside
-
-    if _cache is None:
-        _cache = {}
-    if a in _cache:
-        return _cache[a]
-    if a == ():
-        out = T_RING.one
-    elif a == (1,):
-        out = Poly((qq(0), qq(-1)))
-    elif yside.is_admissible(a):
-        out = T_RING.embed(yside.l_value_x(a, phi))
-    else:
-        b = a[:-1]
-        terms = dict(yside.stuffle(b, (1,)))
-        mult = terms.pop(a)
-        val = series_regularized(b, phi, _cache) * Poly((qq(0), qq(-1)))
-        for c, m in terms.items():
-            val = val - series_regularized(c, phi, _cache) * T_RING.embed(m)
-        out = val * T_RING.embed(qq(1, mult))
-    _cache[a] = out
-    return out
-
-
-def map_L(phi):
-    """The linear map on k[T] defined by L(exp Tu) = exp{Tu - sum l_n u^n/n}.
-
-    Returns a function Poly -> Poly; internally the images of the powers
-    T^n are read off the generating series in u up to the truncation.
-    """
-    from . import yside
-
-    n_max = phi.trunc
-    # exponent: T u - sum_{n>=1} l_n(phi) u^n / n as a u-series over k[T]
-    expo = {(0,) * n: T_RING.embed(-yside.l_value_x((n,), phi) / n) for n in range(1, n_max + 1)}
-    if n_max >= 1:
-        expo[(0,)] = expo[(0,)] + T_RING.gen
-    series = Series(POWER_ALPHABET, n_max, T_RING, expo).exp()
-    images = [series.coefficient((0,) * n) * T_RING.embed(factorial(n)) for n in range(n_max + 1)]
-
-    def apply(p):
-        out = T_RING.zero
-        for n, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            if n >= len(images):
-                raise ValueError("degree beyond truncation")
-            out = out + images[n] * T_RING.embed(c)
-        return out
-
-    return apply
 
 
 # -- group law ---------------------------------------------------------

@@ -105,7 +105,3 @@ def lie_basis(alphabet, degree, trunc, ring=RATIONALS):
     """
     return [(lw, Series(alphabet, trunc, ring, _split=(1, {0: bracketing(lw)})))
             for lw in lyndon_words(len(alphabet), degree)]
-
-
-def lie_bracket(a, b):
-    return a.mul(b).sub(b.mul(a))

@@ -28,8 +28,7 @@ check reads none.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
 model of the same kind: fiber X0, base X1 and no bracket, so its normal
-words are X0^i X1^j.  So is the tensor square of a free algebra: fiber
-letters, primed base letters and no bracket, normal words u.v'.
+words are X0^i X1^j.
 
 The four-strand model uses fiber t14, t24, t34, base t12, t23 and the
 central sum c of all six generators.  The five-strand model uses fiber
@@ -68,7 +67,6 @@ from .series import (
     split_series,
     split_terms,
     substitute,
-    tensor_alphabet,
     zero,
 )
 from .words import Alphabet, X_ALPHABET
@@ -415,14 +413,6 @@ def ab_model(trunc, ring=RATIONALS):
     return PBWModel("ab", X_ALPHABET, (FIBER, BASE), {}, trunc, ring)
 
 
-def tensor_model(alphabet, trunc, ring=RATIONALS):
-    """The tensor square of the free algebra on alphabet; its normal words
-    u.v' over tensor_alphabet(alphabet) are the tensors u (x) v."""
-    n = len(alphabet)
-    name = "tensor %s %s" % (alphabet.names, alphabet.weights)
-    return PBWModel(name, tensor_alphabet(alphabet), (FIBER,) * n + (BASE,) * n, {}, trunc, ring)
-
-
 # -- the five-strand model ---------------------------------------------
 
 P5_LETTERS = ("X34", "X45", "X24", "X12", "X23")
@@ -548,62 +538,3 @@ def check_hexagons(phi):
     lhs2 = half_exp(t12.add(t13))
     rhs2 = m.mul(m.inverse(f(t23, t13)), e13, f(t12, t13), half_exp(t12), m.inverse(f123))
     return lhs1.sub(rhs1), lhs2.sub(rhs2)
-
-
-# -- homomorphisms between the five-strand algebra and U<<X0,X1>> -------
-
-
-def projection_images(which, trunc, ring=RATIONALS):
-    """Images of the model letters X34, X45, X24, X12, X23 under p2, p3, p4."""
-    from .series import letter
-
-    x0 = letter(X_ALPHABET, trunc, "X0", ring)
-    x1 = letter(X_ALPHABET, trunc, "X1", ring)
-    z = zero(X_ALPHABET, trunc, ring)
-    if which == "p4":
-        return [z, z, z, x0, x1]
-    if which == "p2":
-        return [x1, x0, z, z, z]
-    if which == "p3":
-        return [z, x0, x1, x0, z]
-    raise ValueError("unknown projection %r" % which)
-
-
-def apply_projection(which, e):
-    """Push a five-strand model series down to a series over X0, X1."""
-    from .series import SeriesAlgebra
-
-    target = SeriesAlgebra(X_ALPHABET, e.trunc, e.ring)
-    images = projection_images(which, e.trunc, e.ring)
-    return substitute(e, images, target)
-
-
-def embedding_images(which, model):
-    """Images of X0, X1 under i123, i451, i432, i215 in the five-strand model."""
-    g = p5_generators(model)
-    if which == "i123":
-        return [g["X12"], g["X23"]]
-    if which == "i451":
-        return [g["X45"], g["X51"]]
-    if which == "i432":
-        return [g["X34"], g["X23"]]
-    if which == "i215":
-        return [g["X12"], g["X15"]]
-    raise ValueError("unknown embedding %r" % which)
-
-
-def apply_embedding(which, phi, model=None):
-    m = model or p5_model(phi.trunc, phi.ring)
-    g0, g1 = embedding_images(which, m)
-    return m.evaluate(phi, g0, g1)
-
-
-def tau_images(p5m):
-    """Images of the four-strand model letters under tau in the five-strand model."""
-    g = p5_generators(p5m)
-    return [g["X14"], g["X24"], g["X34"], g["X12"], g["X23"], p5m.zero()]
-
-
-def apply_tau(e, p5m=None):
-    m = p5m or p5_model(e.trunc, e.ring)
-    return substitute(e, tau_images(m), m)

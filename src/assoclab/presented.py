@@ -1,5 +1,5 @@
-"""Finitely presented graded associative algebras with exact normal forms,
-and the exact linear solver.
+"""Finitely presented graded associative algebras with exact degreewise
+reductions, and the exact linear solver.
 
 The engine is generic degreewise linear algebra: degree-1 relations
 eliminate generators down to a chosen letter basis, and for d >= 2 the
@@ -13,9 +13,8 @@ rows, a basis of their span, as `quadratic`; from degree 3 on only that
 basis is right-multiplied.  A row is linear in its relation, so the
 rows span the same space, and the pivots, reductions and normal forms
 are those of every relation; no Groebner property is assumed.  A
-reduction or normal form is a split in the kernel's one format,
-(D, {0: word -> int}), and every row and normal form is one
-`series.linear_map` of such splits, an integer sum.
+reduction is a split in the kernel's one format, (D, {0: word -> int}),
+and every row is one `series.linear_map` of such splits, an integer sum.
 """
 
 from functools import partial
@@ -23,8 +22,7 @@ from math import gcd
 
 from .rationals import ONE, QQ, ZERO, qq, parse_rational
 from .rings import RATIONALS, accumulate
-from .series import (Series, SeriesAlgebra, join_series, linear_map, reduced, split_series,
-                     split_terms, substitute)
+from .series import linear_map, split_terms
 from .words import Alphabet
 
 
@@ -39,11 +37,11 @@ def _primitive(row):
 
 
 def integer_row(row):
-    """A new primitive integer row from a rational or integer row: scaled by
-    the least common denominator of its entries, then divided by their
-    gcd.  A zero row gives {}.  The elimination edits rows in place, so
-    the new row keeps the caller's row intact."""
-    row = split_terms(row, RATIONALS)[1].get(0, {})
+    """A new primitive integer row from a rational or integer row: zero
+    entries dropped, scaled by the least common denominator of the rest,
+    then divided by their gcd.  A zero row gives {}.  The elimination edits
+    rows in place, so the new row keeps the caller's row intact."""
+    row = split_terms({k: c for k, c in row.items() if c}, RATIONALS)[1].get(0, {})
     return _primitive(row) if row else row
 
 
@@ -143,7 +141,6 @@ class Presentation:
     def __init__(self, names, relations, name=""):
         self.name = name
         self.generator_names = tuple(names)
-        self.full_alphabet = Alphabet(self.generator_names)
         lin, quad = [], []
         for r in relations:
             degs = {len(w) for w in r}
@@ -160,7 +157,6 @@ class Presentation:
         self._rewrite_quadratic(quad)
         self.basis = {0: [()], 1: [(i,) for i in range(len(self.letters))]}
         self.reduction = {}
-        self._nf_cache = {(): (1, {0: {(): 1}})}
         self.extend_to(2)  # replaces the quadratic relations by a basis of their span
 
     # -- construction ---------------------------------------------------
@@ -250,34 +246,6 @@ class Presentation:
     def dimension(self, d):
         self.extend_to(d)
         return len(self.basis[d])
-
-    def _word_split(self, word):
-        """The normal form of a word over the letter basis, as a split: the
-        first letter times the normal form of the rest."""
-        out = self._nf_cache.get(word)
-        if out is None:
-            d = len(word)
-            self.extend_to(d)
-            x = linear_map(self._word_split(word[1:]), partial(self._reduce_letter, d, word[0]),
-                           RATIONALS)
-            out = self._nf_cache[word] = reduced(x)
-        return out
-
-    def normal_form_word(self, word):
-        """Normal form of a word over the letter basis, as word -> coeff."""
-        den, tables = self._word_split(word)
-        return {v: QQ(m, den) for t in tables.values() for v, m in t.items()}
-
-    def normal_form(self, s):
-        """Normal form of a rational Series over the letter basis or the full
-        generator alphabet, summed over the integers on its split."""
-        if s.alphabet != self.alphabet:
-            if s.alphabet != self.full_alphabet:
-                raise PresentationError("series alphabet does not match presentation")
-            images = [Series(self.alphabet, s.trunc, RATIONALS, {(j,): c for j, c in img.items()})
-                      for img in self.generator_images]
-            s = substitute(s, images, SeriesAlgebra(self.alphabet, s.trunc))
-        return join_series(linear_map(split_series(s), self._word_split, s.ring), s)
 
     # -- loading ------------------------------------------------------
 

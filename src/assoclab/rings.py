@@ -1,9 +1,8 @@
 """Coefficient rings for series coefficients.
 
 The coefficient rings are exact commutative rings containing the
-rationals: plain rationals, a quadratic extension adjoining mu with
-mu^2 = q, and `lab.PolynomialRing`, univariate polynomials over the
-rationals.  Ring elements support +, -, *, unary - and ==, and an
+rationals: plain rationals and a quadratic extension adjoining mu with
+mu^2 = q.  Ring elements support +, -, *, unary - and ==, and an
 element is false exactly when it is zero; a ring object knows its
 zero/one and how to embed a rational.
 
@@ -11,11 +10,12 @@ Each of them is also a free module over the rationals with an integral
 basis e_0, e_1, ... whose products are integer combinations of the
 basis: `split(c)` gives the rational coordinates of c, `join(coords)`
 the element with these coordinates, and `basis_product(i, j)` the pairs
-(k, m) with e_i e_j = sum m e_k.  The bases are {1} for the rationals,
-{1, nu} with nu = R mu and nu^2 = P R for q = P/R in lowest terms, and
-{T^i} for Q[T].  The integer kernel of `series` multiplies coordinate
-tables over `INTEGERS`, whose elements are Python ints, and enters the
-ring only through these three.
+(k, m) with e_i e_j = sum m e_k.  The bases are {1} for the rationals
+and {1, nu} with nu = R mu and nu^2 = P R for q = P/R in lowest terms.
+Any ring with these three methods runs on the kernel; the tier-1 tests
+add Q[T] and Q(sqrt 5) as test rings.  The integer kernel of `series`
+multiplies coordinate tables over `INTEGERS`, whose elements are Python
+ints, and enters the ring only through these three.
 """
 
 from .rationals import QQ, qq

@@ -104,12 +104,6 @@ class Series:
         terms = {w: c for w, c in self.terms.items() if deg(w) == d}
         return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
 
-    def truncated(self, n):
-        """The same series re-truncated at n <= current truncation."""
-        if n > self.trunc:
-            raise TruncationMismatch("cannot raise truncation degree")
-        return Series(self.alphabet, n, self.ring, self.terms)
-
     def is_zero(self):
         return not (self.terms if self._split is None else self._split[1])
 
@@ -287,11 +281,6 @@ def tensor_factors(p):
     (negative) letter."""
     k = bisect_left(p, True, key=(0).__gt__)
     return p[:k], primed(p[k:])
-
-
-def tensor_pairs(t):
-    """The terms of a tensor series t as ((u, v), c) for u (x) v."""
-    return ((tensor_factors(p), c) for p, c in t.terms.items())
 
 
 def tensor_image(s, letter_parts):

@@ -113,22 +113,8 @@ def check_double_shuffle(phi):
 # -- indices ----------------------------------------------------------
 
 
-def is_admissible(a):
-    return bool(a) and a[-1] > 1
-
-
-def index_to_word(a):
-    """Index (a1,...,ak) as the Y-word Yak...Ya1 (letter indices)."""
-    return tuple(n - 1 for n in reversed(a))
-
-
 def word_to_index(w):
     return tuple(i + 1 for i in reversed(w))
-
-
-def l_value(a, g):
-    """Coefficient functional l_a on a Y-series."""
-    return g.coefficient(index_to_word(a))
 
 
 def x_word(a):
@@ -229,14 +215,6 @@ def stuffle_terms(a, b):
         else:
             j = pos_b
             out.append(((c[:j], c[j:]), "y,x", c))
-    return out
-
-
-def stuffle(a, b):
-    """Quasi-shuffle product of two indices, as an index -> multiplicity table."""
-    out = {}
-    for _, _, c in stuffle_terms(a, b):
-        out[c] = out.get(c, 0) + 1
     return out
 
 

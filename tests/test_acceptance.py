@@ -12,13 +12,9 @@ import pytest
 
 from assoclab import barcx, dmr, yside
 from assoclab.lab import (
-    T_RING,
     gamma_at_minus_y1,
     gamma_factorize,
     group_law,
-    integral_regularized,
-    map_L,
-    series_regularized,
     solve_pentagon,
     verify_theorem_main,
 )
@@ -26,7 +22,6 @@ from assoclab.lie import lie_basis
 from assoclab.models import p5_model
 from assoclab.presented import Presentation
 from assoclab.rationals import qq
-from assoclab.lab import Poly
 from assoclab.rings import RATIONALS
 from assoclab.series import (
     Series,
@@ -34,12 +29,12 @@ from assoclab.series import (
     is_group_like,
     is_lie,
     one,
-    tensor_pairs,
     tensor_square,
 )
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import all_indices, random_group_like, random_lie, random_series
+from support import (Poly, all_indices, coderivation_check, integral_regularized, map_L,
+                     random_group_like, random_lie, random_series, series_regularized, tensor_pairs)
 from test_yside import stuffle_oracle
 
 
@@ -105,7 +100,6 @@ def test_criterion_5_bar_construction_suite():
     # the reference two-variable element, letter for letter
     A0, A1, B0, B1, G = barcx.A0, barcx.A1, barcx.B0, barcx.B1, barcx.G
     expected = barcx.BarElement(
-        "m05",
         {
             (B1, A0, G): qq(1),
             (B1, B0, G): qq(1),
@@ -166,8 +160,8 @@ def test_criterion_7_operator_identity_suite(psi3, psi5):
             for k in range(w + 1):
                 assert dmr.lemma_telescoping_check(section, k)
     # the coderivation property on the double shuffle generators
-    assert dmr.coderivation_check(widen(psi3, 6), max_weight=3)
-    assert dmr.coderivation_check(widen(psi5, 7), max_weight=2)
+    assert coderivation_check(widen(psi3, 6), max_weight=3)
+    assert coderivation_check(widen(psi5, 7), max_weight=2)
     # 100 seeded random degree-6 inputs for the derivation identity
     # (the other two identities have no qualifying inputs of degree 6:
     # their hypothesis space is empty in even weights up to 6)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from assoclab import yside
@@ -11,32 +9,25 @@ from assoclab.barcx import (
     G,
     BarElement,
     BarError,
-    M05_DUAL,
     WEDGE,
     build_l,
     build_l2,
     build_l2_yx,
-    build_l_m04,
     check_integrability,
     check_series_shuffle_bar,
-    pair_m04,
-    pair_p5,
     series_shuffle_rhs,
     swap_xy,
 )
-from assoclab.lab import (
-    T_RING,
-    integral_regularized,
-)
 from assoclab.models import lift_series, p5_model, p5_generators
 from assoclab.rationals import qq
-from assoclab.series import AlphabetMismatch
+from assoclab.series import AlphabetMismatch, letter
+from assoclab.words import X_ALPHABET
 
-from support import all_indices
+from support import M05_DUAL, T_RING, all_indices, integral_regularized, is_admissible, pair_p5
 
 
 def bar(terms):
-    return BarElement("m05", {w: qq(c) for w, c in terms.items()})
+    return BarElement({w: qq(c) for w, c in terms.items()})
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +85,6 @@ def test_shuffle_of_integrable_is_integrable():
     a = build_l((2,), "x")
     b = build_l((1,), "y")
     assert check_integrability(a.shuffle(b))
-
-
-def test_m04_words_are_all_integrable():
-    rng = random.Random(60)
-    terms = {
-        tuple(rng.randint(0, 1) for _ in range(3)): qq(rng.randint(-3, 3))
-        for _ in range(5)
-    }
-    assert check_integrability(BarElement("m04", terms))
 
 
 # -- the l-element builders ---------------------------------------------------
@@ -191,10 +173,11 @@ def test_series_shuffle_rhs_term_count():
 
 
 def test_space_mismatch_raises():
+    other = letter(X_ALPHABET, 1, "X0")
     with pytest.raises(AlphabetMismatch):
-        bar({(A0,): 1}).add(BarElement("m04", {(0,): qq(1)}))
+        bar({(A0,): 1}).add(other)
     with pytest.raises(BarError):
-        pair_p5(BarElement("m04", {(0,): qq(1)}), None)
+        pair_p5(other, None)
 
 
 # -- pairing with the five-strand series --------------------------------------
@@ -214,7 +197,7 @@ def test_pairing_two_variable(phi5, paired):
         for b in all_indices(2):
             assert pair_p5(build_l2(a, b), big) == yside.l_value_x(a + b, phi5)
             # the swapped variant needs the second index admissible
-            if yside.is_admissible(b):
+            if is_admissible(b):
                 assert pair_p5(build_l2_yx(a, b), big) == yside.l_value_x(
                     a + b, phi5
                 )
@@ -226,11 +209,6 @@ def test_two_variable_pairing_vanishes_on_single_factor(phi5, paired):
     for a in all_indices(2):
         for b in all_indices(2):
             assert pair_p5(build_l2(a, b), f123) == 0
-
-
-def test_m04_pairing_matches_l_values(phi5):
-    for a in all_indices(4):
-        assert pair_m04(build_l_m04(a), phi5) == yside.l_value_x(a, phi5)
 
 
 def test_regularized_pairing_one_variable(phi5, paired):
@@ -258,7 +236,7 @@ def test_regularized_pairing_swapped_is_constant(phi5, paired):
     big_t = paired["big_t"]
     for a in all_indices(2):
         for b in all_indices(3):
-            if not yside.is_admissible(b) or sum(a) + sum(b) > 4:
+            if not is_admissible(b) or sum(a) + sum(b) > 4:
                 continue
             got = pair_p5(build_l2_yx(a, b), big_t)
             assert got == T_RING.embed(yside.l_value_x(a + b, phi5))

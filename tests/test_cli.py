@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -445,6 +447,25 @@ def test_cli_import_loads_only_its_own_modules():
     sizes = [len((pathlib.Path(src) / (m.replace(".", "/") + ".py")).read_text().splitlines())
              for m in loaded[1:]]
     assert sum(sizes) <= 1405
+
+
+def test_every_definition_in_src_is_named_elsewhere_in_src():
+    """Every function, class and method of src/assoclab is named somewhere
+    in src/ outside its own definition, so no code there is reached only
+    from the tests; dunder methods are exempt.  This is a name check on
+    the source text: a name mentioned only in prose passes it."""
+    texts = {p: p.read_text() for p in sorted((pathlib.Path(__file__).parent.parent
+                                               / "src" / "assoclab").glob("*.py"))}
+    unnamed = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+                named = re.compile(r"\b%s\b" % re.escape(node.name))
+                if not any(named.search(rest if p == path else t) for p, t in texts.items()):
+                    unnamed.append("%s.%s" % (path.stem, node.name))
+    assert unnamed == []
 
 
 def modules_loaded_by(argv):

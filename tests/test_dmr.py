@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from assoclab import dmr, yside
-from assoclab.lab import meta_abelian
+from assoclab.lab import abelian_x1_part, gamma_shape, meta_abelian
 from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
@@ -25,12 +25,12 @@ from assoclab.series import (
     primitive_tensor,
     split_terms,
     tensor_image,
-    tensor_pairs,
     zero,
 )
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import random_lie, random_lie_mixed, random_series, widen
+from support import (coderivation_check, exp_dmr, random_lie, random_lie_mixed, random_series,
+                     tensor_pairs, widen)
 
 TRUNC = 7
 
@@ -388,26 +388,33 @@ def test_qualifying_space_dimensions():
 
 
 def test_coderivation_property(psi3):
-    assert dmr.coderivation_check(widen(psi3, 6), max_weight=3)
+    assert coderivation_check(widen(psi3, 6), max_weight=3)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_coderivation_property_fails_outside_dmr0(seed):
+    f = random_lie(random.Random(seed), 3, 3)
+    assert not dmr.is_dmr0(f)
+    assert not coderivation_check(widen(f, 6), max_weight=3)
 
 
 # -- the exponential map ---------------------------------------------------------
 
 
 def test_exp_dmr_lands_in_the_group(psi3):
-    e = dmr.exp_dmr(widen(psi3, 6))
+    e = exp_dmr(widen(psi3, 6))
     assert is_group_like(e)
     assert yside.check_double_shuffle(e)
 
 
 def test_exp_dmr_differs_from_plain_exp(psi3):
     p = widen(psi3, 6)
-    assert dmr.exp_dmr(p) != p.exp()
+    assert exp_dmr(p) != p.exp()
 
 
 def test_meta_abelian_image_of_exp(psi3):
     p = widen(psi3, 6)
-    e = dmr.exp_dmr(p)
+    e = exp_dmr(p)
     ab = ab_model(6)
     mlog = ab.log(meta_abelian(e))
     x1part = Series(
@@ -481,8 +488,9 @@ def test_binomial_sums_fail_generically():
 
 
 def test_gamma_image(psi3, psi5):
-    ok3, coeffs3 = dmr.gamma_image_check(psi3)
-    assert ok3
+    m3 = abelian_x1_part(psi3)
+    coeffs3, shape3 = gamma_shape(m3)
+    assert m3 == shape3
     assert coeffs3[3] == -psi3.coefficient((0, 0, 1)) / 3
-    ok5, _ = dmr.gamma_image_check(psi5)
-    assert ok5
+    m5 = abelian_x1_part(psi5)
+    assert m5 == gamma_shape(m5)[1]

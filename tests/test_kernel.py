@@ -19,7 +19,6 @@ from assoclab.lie import lie_basis
 from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_model
 from assoclab.presented import Presentation
 from assoclab.rationals import QQ, qq
-from assoclab.lab import Poly, PolynomialRing
 from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
 from assoclab.series import (
     Series,
@@ -43,11 +42,10 @@ from assoclab.series import (
 from assoclab.words import X_ALPHABET, shuffle_words, y_alphabet
 from assoclab.yside import delta_star, pi_y
 
-from support import random_lie_mixed
+from support import T_RING, Poly, random_lie_mixed, word_split
 
 HEX_Q = 24 * qq(-2, 5)  # mu^2 for c2 = -2/5: P/R = -48/5, not an integer
 HEX_RING = QuadraticExtension(HEX_Q)
-T_RING = PolynomialRing("T")
 RINGS = {"Q": RATIONALS, "Q(mu)": HEX_RING, "Q[T]": T_RING}
 
 
@@ -645,7 +643,7 @@ def test_presentation_splits_are_in_the_one_format(name, top):
     pres = Presentation.parse(SCALED, name=name) if name == "scaled" else Presentation.builtin(name)
     pres.extend_to(top)
     splits = [x for d in range(2, top + 1) for x in pres.reduction[d].values()]
-    splits += [pres._word_split(w) for d in range(top + 1)
+    splits += [word_split(pres, w) for d in range(top + 1)
                for w in product(range(len(pres.letters)), repeat=d)]
     for x in splits:
         assert one_format(x) and reduced(x) == x and set(x[1]) <= {0}

@@ -4,17 +4,12 @@ import pytest
 
 from assoclab import yside
 from assoclab.lab import (
-    T_RING,
-    Poly,
     _solve_affine,
     gamma_at_minus_y1,
     gamma_factorize,
     group_law,
-    integral_regularized,
-    map_L,
     meta_abelian,
     pentagon_linear_map,
-    series_regularized,
     solve_pentagon,
     verify_theorem_gamma,
     verify_theorem_main,
@@ -26,6 +21,7 @@ from assoclab.rings import RATIONALS
 from assoclab.series import (
     Series,
     SeriesAlgebra,
+    combine,
     is_group_like,
     letter,
     one,
@@ -33,7 +29,8 @@ from assoclab.series import (
 )
 from assoclab.words import X_ALPHABET
 
-from support import all_indices, random_group_like
+from support import (T_RING, Poly, all_indices, integral_regularized, is_admissible, map_L,
+                     random_group_like, random_lie, series_regularized, stuffle)
 
 # -- the solver -----------------------------------------------------------
 
@@ -141,7 +138,7 @@ def test_integral_regularization_of_all_ones(phi5):
 
 def test_integral_regularization_constant_on_admissible(phi5):
     for a in all_indices(5):
-        if yside.is_admissible(a):
+        if is_admissible(a):
             got = integral_regularized(a, phi5)
             assert got == T_RING.embed(yside.l_value_x(a, phi5))
 
@@ -155,6 +152,19 @@ def test_series_equals_L_of_integral(phi5):
         )
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_differs_from_L_of_integral_without_double_shuffle(seed):
+    # exp of a random Lie series of degrees 2-5: c_X0 = c_X1 = 0, but double shuffle fails
+    rng = random.Random(seed)
+    parts = [(1, random_lie(rng, d, 5)) for d in range(2, 6)]
+    phi = combine(parts, SeriesAlgebra(X_ALPHABET, 5)).exp()
+    assert not yside.check_double_shuffle(phi)
+    apply_L, cache = map_L(phi), {}
+    bad = [a for a in all_indices(5)
+           if series_regularized(a, phi, cache) != apply_L(integral_regularized(a, phi))]
+    assert len(bad) == 13 and bad[0] == (2, 1)
+
+
 def test_series_regularization_satisfies_stuffle(phi5):
     # the defining property: the product formula holds for every pair
     cache = {}
@@ -164,7 +174,7 @@ def test_series_regularization_satisfies_stuffle(phi5):
                 b, phi5, cache
             )
             rhs = T_RING.zero
-            for c, m in yside.stuffle(a, b).items():
+            for c, m in stuffle(a, b).items():
                 rhs = rhs + series_regularized(c, phi5, cache) * T_RING.embed(m)
             assert lhs == rhs
 

@@ -4,7 +4,6 @@ from assoclab.lie import (
     bracketing,
     dynkin_map,
     lie_basis,
-    lie_bracket,
     lyndon_coordinates,
     lyndon_words,
 )
@@ -12,7 +11,7 @@ from assoclab.rings import RATIONALS, accumulate
 from assoclab.series import Series, coproduct, is_lie, primitive_tensor, zero
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import random_group_like, random_lie, random_lie_mixed, random_series
+from support import lie_bracket, random_group_like, random_lie, random_lie_mixed, random_series
 
 # necklace counts: dimensions of the free Lie algebra on two generators
 WITT_2 = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}

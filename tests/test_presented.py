@@ -9,9 +9,11 @@ import pytest
 from assoclab.lab import _solve_affine
 from assoclab.models import a4_model, p5_model
 from assoclab.presented import Presentation, PresentationError, echelon, integer_row, solve_pivots
-from assoclab.rationals import qq
+from assoclab.rationals import QQ, qq
 from assoclab.rings import RATIONALS
 from assoclab.series import Series
+
+from support import normal_form, word_split
 
 
 def p5_dim(d):
@@ -116,7 +118,7 @@ def test_relations_reduce_to_zero():
     for name in ("a4", "p5"):
         pres = Presentation.builtin(name)
         for row in pres.quadratic:
-            assert pres.normal_form(relation_series(pres, row, 2)).is_zero()
+            assert normal_form(pres, relation_series(pres, row, 2)).is_zero()
 
 
 def test_two_sided_ideal_elements_reduce_to_zero():
@@ -128,7 +130,7 @@ def test_two_sided_ideal_elements_reduce_to_zero():
             right = {w + (letter,): c for w, c in row.items()}
             for terms in (left, right):
                 s = Series(pres.alphabet, 3, RATIONALS, terms)
-                assert pres.normal_form(s).is_zero()
+                assert normal_form(pres, s).is_zero()
 
 
 def test_degree_four_ideal_elements_reduce_to_zero():
@@ -139,7 +141,7 @@ def test_degree_four_ideal_elements_reduce_to_zero():
         for b in range(n):
             terms = {(a,) + w + (b,): c for w, c in row.items()}
             s = Series(pres.alphabet, 4, RATIONALS, terms)
-            assert pres.normal_form(s).is_zero()
+            assert normal_form(pres, s).is_zero()
 
 
 def test_normal_form_is_idempotent_and_linear():
@@ -150,9 +152,9 @@ def test_normal_form_is_idempotent_and_linear():
         RATIONALS,
         {(0, 1, 2): qq(2), (4, 3, 0): qq(-1), (1,): qq(5)},
     )
-    nf = pres.normal_form(s)
-    assert pres.normal_form(nf) == nf
-    assert pres.normal_form(s.scale(qq(2))) == nf.scale(qq(2))
+    nf = normal_form(pres, s)
+    assert normal_form(pres, nf) == nf
+    assert normal_form(pres, s.scale(qq(2))) == nf.scale(qq(2))
 
 
 def test_normal_form_respects_products():
@@ -161,12 +163,14 @@ def test_normal_form_respects_products():
     words = [(0, 3), (3, 0), (4, 2), (2, 4, 1)]
     for u in words:
         for v in words:
-            direct = pres.normal_form_word(u + v)
-            nfu = pres.normal_form_word(u)
+            den, tables = word_split(pres, u + v)
+            direct = {w: QQ(m, den) for w, m in tables.get(0, {}).items()}
+            d1, t1 = word_split(pres, u)
             recombined = {}
-            for w1, c1 in nfu.items():
-                for w2, c2 in pres.normal_form_word(w1 + v).items():
-                    recombined[w2] = recombined.get(w2, qq(0)) + c1 * c2
+            for w1, c1 in t1.get(0, {}).items():
+                d2, t2 = word_split(pres, w1 + v)
+                for w2, c2 in t2.get(0, {}).items():
+                    recombined[w2] = recombined.get(w2, qq(0)) + QQ(c1, d1) * QQ(c2, d2)
             recombined = {w: c for w, c in recombined.items() if c != 0}
             assert direct == recombined
 
@@ -320,6 +324,14 @@ def test_solve_affine_inconsistent_over_large_denominators():
     assert _solve_affine(columns, rhs, 3) is None
 
 
+def test_explicit_zero_entries_are_dropped():
+    # a zero entry must not become a pivot lead, where the echelon would divide by it
+    assert _solve_affine([{"x": qq(0), "y": qq(1)}, {"x": qq(1)}], {"x": qq(1)}, 2) == ([0, 1], [])
+    pres = Presentation(["a", "b", "c"], [{(0,): qq(0), (1,): qq(1)}])
+    assert pres.letters == [0, 2]
+    assert [pres.dimension(d) for d in range(4)] == [1, 2, 4, 8]
+
+
 # -- reductions over a common denominator --------------------------------
 
 
@@ -341,10 +353,11 @@ def test_reductions_over_a_common_denominator_match_the_ideal():
         ])
         assert dims[d] == 3 ** d - len(ideal)
         for w in product(range(3), repeat=d):
-            nf = pres.normal_form_word(w)
+            den, tables = word_split(pres, w)
+            nf = tables.get(0, {})
             assert set(nf) <= set(pres.basis[d])
             # w - NF(w) lies in the ideal: it reduces to zero against the RREF
-            rest = {k: -c for k, c in nf.items()}
+            rest = {k: -QQ(c, den) for k, c in nf.items()}
             rest[w] = rest.get(w, 0) + 1
             for lead, row in ideal.items():
                 c = rest.get(lead, 0)
@@ -355,6 +368,7 @@ def test_reductions_over_a_common_denominator_match_the_ideal():
     s = Series(pres.alphabet, 3, RATIONALS, {(0, 1, 2): qq(2, 3), (2, 1, 0): qq(-1, 5), (1,): qq(4)})
     expected = {}
     for w, c in s.terms.items():
-        for v, m in pres.normal_form_word(w).items():
-            expected[v] = expected.get(v, 0) + c * m
-    assert pres.normal_form(s).terms == {v: c for v, c in expected.items() if c}
+        den, tables = word_split(pres, w)
+        for v, m in tables.get(0, {}).items():
+            expected[v] = expected.get(v, 0) + c * QQ(m, den)
+    assert normal_form(pres, s).terms == {v: c for v, c in expected.items() if c}

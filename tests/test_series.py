@@ -4,9 +4,8 @@ import pytest
 
 from assoclab import yside
 from assoclab.lie import lie_basis
-from assoclab.models import ab_model, tensor_model
+from assoclab.models import ab_model
 from assoclab.rationals import qq
-from assoclab.lab import PolynomialRing
 from assoclab.rings import RATIONALS, QuadraticExtension, accumulate
 from assoclab.series import (
     AlphabetMismatch,
@@ -22,14 +21,14 @@ from assoclab.series import (
     substitute,
     tensor,
     tensor_alphabet,
-    tensor_pairs,
     tensor_square,
     to_text,
     zero,
 )
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import random_group_like, random_lie_mixed, random_rational, random_series
+from support import (PolynomialRing, random_group_like, random_lie_mixed, random_rational,
+                     random_series, tensor_model, tensor_pairs)
 
 TRUNC = 5
 
