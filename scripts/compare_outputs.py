@@ -110,6 +110,10 @@ def matrix():
         # last, so the rest is compared first: --max-weight with the indices
         # used to drop the indices and pass; it now exits 2
         ["bar", "shuffle", "--max-weight", "2", "--index-a", "2", "--index-b", "1"],
+        # last, so the rest is compared first: conflicting options used to
+        # drop one of them (the value of --c2, the tags) and pass; they now exit 2
+        ["solve-pentagon", "--degree", "4", "--c2-zero", "--c2", "5"],
+        ["bar", "check", "--index", "2", "--index-b", "1", "--tags", "bogus"],
     ]
     out = []
     for step in steps:

@@ -37,10 +37,10 @@ def build_parser():
 
     p = add_parser("solve-pentagon", help="solve the pentagon equation degreewise")
     p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--c2-zero", action="store_true", help="normalize c_{X0X1} = 0")
-    p.add_argument(
-        "--c2", default="1", help="value of c_{X0X1} as p/q (default 1)"
-    )
+    # no default for --c2: the group tells a given value from the default by identity
+    c2 = p.add_mutually_exclusive_group()
+    c2.add_argument("--c2-zero", action="store_true", help="normalize c_{X0X1} = 0")
+    c2.add_argument("--c2", help="value of c_{X0X1} as p/q (default 1)")
     p.add_argument("-o", "--output", help="write the series file here")
 
     p = add_parser("verify", help="verify an identity for a series file")
@@ -75,11 +75,10 @@ def build_parser():
     bsub = p.add_subparsers(dest="bar_command", required=True)
     q = bsub.add_parser("check", parents=[common], help="build l-elements and check integrability")
     q.add_argument("--index", required=True, help="first index, e.g. 2,1")
-    q.add_argument("--index-b", help="second index for the two-variable elements")
-    q.add_argument(
-        "--tags",
-        default="x,y,xy",
-        help="comma-separated subset of x,y,xy (one-variable builders)",
+    kind = q.add_mutually_exclusive_group()
+    kind.add_argument("--index-b", help="second index for the two-variable elements")
+    kind.add_argument(
+        "--tags", help="comma-separated subset of x,y,xy (one-variable builders; default all)"
     )
     q = bsub.add_parser("shuffle", parents=[common], help="the series shuffle formula for bar elements")
     q.add_argument("--index-a", help="first index, e.g. 2,1")
@@ -142,7 +141,7 @@ def cmd_solve_pentagon(args):
     from .lab import solve_pentagon
 
     try:
-        c2 = qq(0) if args.c2_zero else parse_rational(args.c2)
+        c2 = qq(0) if args.c2_zero else parse_rational("1" if args.c2 is None else args.c2)
     except (ValueError, ZeroDivisionError):
         raise InputError("malformed rational %r" % args.c2)
     _check_size("degree", args.degree)
@@ -288,7 +287,7 @@ def cmd_bar(args):
                 barcx.build_l2_yx(a, b)
             )
         else:
-            tags = [t for t in args.tags.split(",") if t]
+            tags = [t for t in ("x,y,xy" if args.tags is None else args.tags).split(",") if t]
             if not tags:
                 raise InputError("no tag in %r" % args.tags)
             for tag in tags:

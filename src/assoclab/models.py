@@ -328,22 +328,12 @@ class PBWModel:
             val = memo[lw] = self.bracket(self._lie_image(u, memo), self._lie_image(v, memo))
         return val
 
-    def exp_lie(self, coords, g0, g1):
-        """exp of sum_lw coords[lw] * lie_image(lw, (g0, g1)).
-
-        This is phi(g0, g1) for the group-like phi whose Lie logarithm has
-        the Lyndon coordinates coords; words longer than the truncation
-        drop out.  The sum runs over the integers, the coordinates split
-        over one common denominator.
-        """
-        memo = self._bracket_images((g0, g1))
-        if memo is None:
-            raise ValueError("letter images must be integer combinations of letters")
-        return self._exp_lie(coords, memo)
-
     def _exp_lie(self, coords, memo):
-        """`exp_lie` on the bracket-image memo, looked up once by the caller:
-        one `linear_map` of the split Lyndon coordinates."""
+        """exp of sum_lw coords[lw] * `_lie_image`(lw, memo), one `linear_map`
+        of the split Lyndon coordinates: phi(g0, g1) for the group-like phi
+        whose Lie logarithm has the Lyndon coordinates coords, with memo the
+        bracket-image memo of (g0, g1), looked up once by the caller; words
+        longer than the truncation drop out."""
         x = split_terms({lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring)
         lie = linear_map(x, lambda lw: (1, {0: self._lie_image(lw, memo)}), self.ring)
         return self.exp(join_series(lie, self))
@@ -353,7 +343,7 @@ class PBWModel:
 
         A group-like phi is exp of the Lie series log(phi): when g0 and g1
         are integer combinations of letters, its Lyndon coordinates go to
-        `exp_lie`.  A caller that evaluates one phi several times peels it
+        `_exp_lie`.  A caller that evaluates one phi several times peels it
         once and passes coords = lie_coordinates(phi), over the model
         ring; otherwise phi is peeled here.  Every other phi, a phi
         truncated below the model and other images go through the word
@@ -482,18 +472,14 @@ def pentagon_arguments(gens):
     return [(total(a), total(b), sign) for a, b, sign in PENTAGON]
 
 
-def pentagon_residual(m, factors):
-    """f1 f2 - f3 f4 f5 for the five pentagon factors, in PENTAGON order."""
-    f1, f2, f3, f4, f5 = factors
-    return m.mul(f1, f2).sub(m.mul(f3, f4, f5))
-
-
 def check_pentagon(phi):
-    """LHS - RHS of the pentagon equation in the four-strand model."""
+    """LHS - RHS of the pentagon equation in the four-strand model:
+    f1 f2 - f3 f4 f5 for the five factors in PENTAGON order."""
     m = a4_model(phi.trunc, phi.ring)
     args = pentagon_arguments(a4_generators(m))
     coords = lie_coordinates(phi)
-    return pentagon_residual(m, [m.evaluate(phi, g0, g1, coords) for g0, g1, _ in args])
+    f1, f2, f3, f4, f5 = (m.evaluate(phi, g0, g1, coords) for g0, g1, _ in args)
+    return m.mul(f1, f2).sub(m.mul(f3, f4, f5))
 
 
 # The factors of the 5-cycle product, as (g0, g1) generator names.

@@ -1,5 +1,7 @@
 """Finitely presented graded associative algebras with exact degreewise
-reductions, and the exact linear solver.
+reductions, the exact linear solver, and `solve_defect`, the one solve of
+a linear defect map on a basis (`lab.solve_pentagon`, `dmr.solve_dmr0`
+and `dmr.qualifying_basis` call it).
 
 The engine is generic degreewise linear algebra: degree-1 relations
 eliminate generators down to a chosen letter basis, and for d >= 2 the
@@ -18,11 +20,11 @@ and every row is one `series.linear_map` of such splits, an integer sum.
 """
 
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import ONE, QQ, ZERO, qq, parse_rational
 from .rings import RATIONALS, accumulate
-from .series import linear_map, split_terms
+from .series import combine, linear_map, split_terms
 from .words import Alphabet
 
 
@@ -121,7 +123,8 @@ def _solve_affine(columns, rhs, n_unknowns):
             rows.setdefault(w, {})[i] = c
     for w, c in rhs.items():
         rows.setdefault(w, {})[n] = c
-    pivots = echelon([integer_row(rows[w]) for w in sorted(rows)])
+    # pop frees each row as its integer row is built: the two are never held whole together
+    pivots = echelon([integer_row(rows.pop(w)) for w in sorted(rows)])
     if n in pivots:
         return None
     pivots = solve_pivots(pivots)
@@ -133,6 +136,36 @@ def _solve_affine(columns, rhs, n_unknowns):
             vec[f] = ONE
             kernel.append(vec)
     return particular, kernel
+
+
+def solve_defect(columns, basis, rhs):
+    """The solutions x of defect(sum_i x_i basis[i]) = rhs for a linear
+    defect map.
+
+    columns yields the split (D, {k: {key: int}}) of the defect of each
+    basis element in turn, and rhs is a split too; each (k, key) is one
+    equation of `_solve_affine`.  All of them are brought to one common
+    denominator, which multiplies every equation by the same nonzero
+    number, and each split is dropped as its integer column replaces it,
+    so the splits an iterator yields are freed before the solve.
+    Returns the particular solution, free variables zero, and the kernel
+    as `series.combine`s of basis, or None when rhs is off the image.
+    """
+    columns = list(columns)
+    den = lcm(rhs[0], *(d for d, _ in columns))
+
+    def scaled(split):
+        d, tables = split
+        return {(k, key): m * (den // d) for k, t in tables.items() for key, m in t.items()}
+
+    for i in range(len(columns)):
+        columns[i] = scaled(columns[i])
+    solved = _solve_affine(columns, scaled(rhs), len(basis))
+    if solved is None:
+        return None
+    particular, kernel = solved
+    return (combine(zip(particular, basis), basis[0]),
+            [combine(zip(vec, basis), basis[0]) for vec in kernel])
 
 
 class Presentation:

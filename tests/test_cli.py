@@ -91,6 +91,16 @@ def test_negative_c2_as_its_own_argument(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("c2", [["--c2-zero", "--c2", "5"], ["--c2", "5", "--c2-zero"],
+                                ["--c2-zero", "--c2", "1"], ["--c2", "1", "--c2-zero"]])
+def test_c2_zero_with_c2_exits_two(capsys, c2):
+    # two values for one coefficient are rejected, whichever comes first
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-pentagon", "--degree", "3", *c2])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_failing_check_exits_one(capsys, tmp_path):
     rng = random.Random(90)
     path = tmp_path / "generic.series"
@@ -369,6 +379,17 @@ def test_bar_check_rejects_empty_and_unknown_tags(capsys, tags):
     assert main(["bar", "check", "--index", "2,1", "--tags", tags]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--index-b", "1", "--tags", "bogus"],
+                                  ["--tags", "x", "--index-b", "1"]])
+def test_bar_check_rejects_tags_with_index_b(capsys, argv):
+    # the two-variable check takes no tags, so a tag given with it is not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["bar", "check", "--index", "2", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with" in err
 
 
 def test_group_law_cli(capsys, tmp_path, phi_file):

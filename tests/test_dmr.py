@@ -4,7 +4,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -15,15 +14,12 @@ from assoclab.models import ab_model
 from assoclab.lie import lie_basis
 from assoclab.rationals import qq
 from assoclab.rings import RATIONALS
-from assoclab.presented import _solve_affine
 from assoclab.series import (
     Series,
-    combine,
     from_word,
     is_group_like,
     is_lie,
     primitive_tensor,
-    split_terms,
     tensor_image,
     zero,
 )
@@ -81,30 +77,6 @@ def test_solver_and_membership_read_one_defect(degree):
         bad = psi.add(last)
         assert dmr.dmr0_defect(bad)[1]
         assert not dmr.is_dmr0(bad)
-
-
-def test_kernel_brings_the_columns_to_one_denominator():
-    # columns over the denominators 6, 35 and 630, with c0 + 2 c1 - 3 c2 = 0
-    basis = [e for _, e in lie_basis(X_ALPHABET, 4, 4)]
-    c0 = {"a": Fraction(1, 2), "b": Fraction(1, 3)}
-    c1 = {"a": Fraction(1, 7), "b": Fraction(-1, 5)}
-    c2 = {k: (c0[k] + 2 * c1[k]) / 3 for k in c0}
-    columns = dict(zip(map(id, basis), (c0, c1, c2)))
-
-    def defect(e):
-        return split_terms(columns[id(e)], RATIONALS)
-
-    def scaled(e):
-        # column 1 alone multiplied by its denominator 35: another system
-        return (1, defect(e)[1]) if e is basis[1] else defect(e)
-
-    assert len({defect(e)[0] for e in basis}) == 3
-    # the Fraction solve of the same columns
-    _, kernel = _solve_affine([c0, c1, c2], {}, 3)
-    assert kernel == [[Fraction(-1, 3), Fraction(-2, 3), 1]]
-    expected = [combine(zip(kernel[0], basis), basis[0])]
-    assert dmr._kernel(defect, basis) == expected
-    assert dmr._kernel(scaled, basis) != expected
 
 
 def test_importing_dmr_compiles_neither_lab_nor_models():

@@ -7,11 +7,14 @@ from math import gcd
 import pytest
 
 from assoclab.lab import _solve_affine
+from assoclab.lie import lie_basis
 from assoclab.models import a4_model, p5_model
-from assoclab.presented import Presentation, PresentationError, echelon, integer_row, solve_pivots
+from assoclab.presented import (Presentation, PresentationError, echelon, integer_row,
+                                solve_defect, solve_pivots)
 from assoclab.rationals import QQ, qq
 from assoclab.rings import RATIONALS
-from assoclab.series import Series
+from assoclab.series import Series, combine, split_terms
+from assoclab.words import X_ALPHABET
 
 from support import normal_form, word_split
 
@@ -330,6 +333,50 @@ def test_explicit_zero_entries_are_dropped():
     pres = Presentation(["a", "b", "c"], [{(0,): qq(0), (1,): qq(1)}])
     assert pres.letters == [0, 2]
     assert [pres.dimension(d) for d in range(4)] == [1, 2, 4, 8]
+
+
+# -- the defect-map solve ---------------------------------------------------
+
+# columns over the denominators 6, 35 and 630, with c0 + 2 c1 - 3 c2 = 0
+C0 = {"a": Fraction(1, 2), "b": Fraction(1, 3)}
+C1 = {"a": Fraction(1, 7), "b": Fraction(-1, 5)}
+DEFECT_COLUMNS = [C0, C1, {k: (C0[k] + 2 * C1[k]) / 3 for k in C0}]
+
+
+def defect_basis():
+    return [e for _, e in lie_basis(X_ALPHABET, 4, 4)]
+
+
+def test_solve_defect_brings_the_columns_to_one_denominator():
+    basis = defect_basis()
+    splits = [split_terms(c, RATIONALS) for c in DEFECT_COLUMNS]
+    assert len({d for d, _ in splits}) == 3
+    # the Fraction solve of the same columns
+    _, kernel = _solve_affine(DEFECT_COLUMNS, {}, 3)
+    assert kernel == [[Fraction(-1, 3), Fraction(-2, 3), 1]]
+    expected = [combine(zip(kernel[0], basis), basis[0])]
+    assert solve_defect(splits, basis, (1, {}))[1] == expected
+    # column 1 alone multiplied by its denominator 35: another system
+    splits[1] = (1, splits[1][1])
+    assert solve_defect(splits, basis, (1, {}))[1] != expected
+
+
+@pytest.mark.parametrize("rhs", [
+    {"a": Fraction(3, 11), "b": Fraction(-2, 11)},  # a denominator unlike the columns'
+    {"a": Fraction(1, 2), "c": Fraction(1, 3)},  # off the span: no column has c
+])
+def test_solve_defect_gives_the_fraction_solve(rhs):
+    basis = defect_basis()
+    solved = solve_defect((split_terms(c, RATIONALS) for c in DEFECT_COLUMNS), basis,
+                          split_terms(rhs, RATIONALS))
+    expected = _solve_affine(DEFECT_COLUMNS, rhs, 3)
+    if "c" in rhs:
+        assert expected is None and solved is None
+        return
+    particular, kernel = expected
+    assert particular == [Fraction(6, 31), Fraction(420, 341), 0]
+    assert solved == (combine(zip(particular, basis), basis[0]),
+                      [combine(zip(vec, basis), basis[0]) for vec in kernel])
 
 
 # -- reductions over a common denominator --------------------------------
