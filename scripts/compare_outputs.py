@@ -38,6 +38,8 @@ for d in (3, 5):
         fh.write(to_text(psi))
 """
 
+# read by the last step only, so the verify steps above it stay as they were
+Y_FILE = "y_above_weight.series"
 FIXED_INPUTS = {
     "malformed.series": "alphabet: X0 X1\ndegree: 3\nnot a term\n",
     "no_header.series": '"1" 1/1\n',
@@ -45,6 +47,7 @@ FIXED_INPUTS = {
     "wrong_alphabet.series": 'alphabet: Y1 Y2\ndegree: 2\n"1" 1/1\n',
     "constant0.series": 'alphabet: X0 X1\ndegree: 2\n"X0.X1" 1/2\n',
     "above_degree.series": 'alphabet: X0 X1\ndegree: 1\n"1" 1/1\n"X0.X1" 1/1\n',
+    Y_FILE: 'alphabet: Y1 Y2\ndegree: 2\n"Y2.Y1" 1/1\n',
 }
 
 
@@ -61,7 +64,8 @@ def matrix():
     """The commands, in order: argument lists for `assoclab`, or a
     ("python", code) step, or a ("perturb", src, dst) step."""
     phis = ["phi6.series", "phi6z.series", "phi6q.series"]
-    inputs = phis + ["phi6p.series", "phi7.series"] + sorted(FIXED_INPUTS) + ["missing.series"]
+    fixed = sorted(set(FIXED_INPUTS) - {Y_FILE})
+    inputs = phis + ["phi6p.series", "phi7.series"] + fixed + ["missing.series"]
     steps = [
         ["solve-pentagon", "--degree", "6", "-o", "phi6.series"],
         ["solve-pentagon", "--degree", "6", "--c2-zero", "-o", "phi6z.series"],
@@ -114,6 +118,9 @@ def matrix():
         # drop one of them (the value of --c2, the tags) and pass; they now exit 2
         ["solve-pentagon", "--degree", "4", "--c2-zero", "--c2", "5"],
         ["bar", "check", "--index", "2", "--index-b", "1", "--tags", "bogus"],
+        # last, so the rest is compared first: a Y-alphabet file used to be
+        # read with weights and fail on its degree; it now fails on its alphabet
+        ["verify", "main", "--phi", Y_FILE],
     ]
     out = []
     for step in steps:

@@ -38,12 +38,13 @@ def pentagon_linear_map(basis, model, gens):
     Column i is the signed sum over the five pentagon factors of the
     standard bracketing of basis[i] evaluated in the model, a word -> int
     table summed from the model's integer bracket images, which every
-    evaluation in it shares.
+    evaluation in it shares; their memo is looked up once per factor.
     """
     columns = [{} for _ in basis]
     for g0, g1, sign in pentagon_arguments(gens):
+        memo = model.bracket_images((g0, g1))
         for col, lw in zip(columns, basis):
-            image = model.lie_image(lw, (g0, g1)).items()
+            image = model.lie_image(lw, memo).items()
             accumulate(col, image if sign > 0 else ((w, -m) for w, m in image))
     return columns
 

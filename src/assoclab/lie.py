@@ -8,7 +8,7 @@ degree-d part of the free Lie algebra.
 from functools import lru_cache
 
 from .rings import RATIONALS, accumulate
-from .series import Series
+from .series import Series, join_series, reduced, split_series
 
 
 def lyndon_words(num_letters, length):
@@ -80,21 +80,25 @@ def lyndon_coordinates(s):
     A standard bracketing is its Lyndon word plus larger words of the same
     length (Reutenauer, Free Lie Algebras, Thm 5.1), so peeling the
     Lyndon words off in increasing order reads each coordinate as the
-    coefficient left on its word.  Returns (coords, remainder): coords maps
-    each Lyndon word with a nonzero coordinate to it, in increasing order
-    per degree, and remainder = s - sum c * bracketing(w) is empty exactly
+    coefficient left on its word.  The bracketings are integer tables, so
+    each integer table of the split of s is peeled on its own.  Returns
+    (coords, remainder): coords is a split (D, {k: {Lyndon word: int}})
+    in the kernel's one format, over the ring of s, and remainder = s -
+    sum c * bracketing(w), a series holding its split, is empty exactly
     when s is Lie up to the truncation.  Only unweighted alphabets.
     """
-    embed = s.ring.embed
-    rest = dict(s.terms)
-    coords = {}
-    for d in range(1, s.trunc + 1):
-        for lw in lyndon_words(len(s.alphabet), d):
-            c = rest.get(lw)
-            if c:
-                coords[lw] = c
-                accumulate(rest, ((w, -c * embed(m)) for w, m in bracketing(lw).items()))
-    return coords, Series(s.alphabet, s.trunc, s.ring, rest, _clean=True)
+    den, tables = split_series(s)
+    coords, rest = {}, {}
+    for k, table in tables.items():
+        table, peeled = dict(table), {}
+        for d in range(1, s.trunc + 1):
+            for lw in lyndon_words(len(s.alphabet), d):
+                c = table.get(lw)
+                if c:
+                    peeled[lw] = c
+                    accumulate(table, ((w, -c * m) for w, m in bracketing(lw).items()))
+        coords[k], rest[k] = peeled, table
+    return reduced((den, coords)), join_series((den, rest), s)
 
 
 def lie_basis(alphabet, degree, trunc, ring=RATIONALS):

@@ -43,10 +43,11 @@ derivations of its letters (`action`).  A group-like series is evaluated
 in a model as exp of its Lie logarithm.  When the two letter images are
 integer combinations of letters, the standard bracketings are integer
 tables memoized by model name and images, shared by every truncation
-and coefficient ring, and the Lyndon coordinates are summed against
-them over the integers too; other series and images go through the
-word-by-word substitution.  A check peels log phi once for all of its
-factors.
+and coefficient ring, and one `linear_map` sums the split Lyndon
+coordinates of log phi against them; a rational phi and its coordinates
+are read as they are in every model ring (e_0 = 1 in each).  Other
+series and images go through the word-by-word substitution.  A check
+peels log phi once for all of its factors.
 """
 
 from functools import partial
@@ -290,8 +291,9 @@ class PBWModel:
             parts[cls[w[0]]][w] = m
         return parts[FIBER], parts[BASE]
 
-    def _bracket_images(self, images):
-        """The bracket-image memo of these letter images, or None when one
+    def bracket_images(self, images):
+        """The bracket-image memo of these letter images, Lyndon word -> word
+        -> int, shared by model name and the integer images; None when one
         of them is not an integer combination of letters."""
         tables = []
         for g in images:
@@ -306,50 +308,43 @@ class PBWModel:
             memo = _LIE_IMAGES[key] = {(i,): t for i, t in enumerate(tables)}
         return memo
 
-    def lie_image(self, lw, images):
-        """Image of the standard bracketing of the Lyndon word lw, letter i -> images[i].
-
-        The images must be integer combinations of the model letters.  The
-        image is a word -> int table in normal form, the bracket of the
-        images of u and v over the standard factorization lw = u.v.  It is
-        memoized by model name and the integer letter images, so one table
-        serves every truncation and every coefficient ring.
-        """
-        memo = self._bracket_images(images)
-        if memo is None:
-            raise ValueError("letter images must be integer combinations of letters")
-        return self._lie_image(lw, memo)
-
-    def _lie_image(self, lw, memo):
-        """`lie_image` on the bracket-image memo, looked up once by the caller."""
+    def lie_image(self, lw, memo):
+        """Image of the standard bracketing of the Lyndon word lw, letter i ->
+        images[i], for memo = `bracket_images`(images), looked up once by
+        the caller.  The image is a word -> int table in normal form, the
+        bracket of the images of u and v over the standard factorization
+        lw = u.v, kept in the memo."""
         val = memo.get(lw)
         if val is None:
             u, v = standard_factorization(lw)
-            val = memo[lw] = self.bracket(self._lie_image(u, memo), self._lie_image(v, memo))
+            val = memo[lw] = self.bracket(self.lie_image(u, memo), self.lie_image(v, memo))
         return val
 
     def _exp_lie(self, coords, memo):
-        """exp of sum_lw coords[lw] * `_lie_image`(lw, memo), one `linear_map`
+        """exp of sum_lw coords(lw) * `lie_image`(lw, memo), one `linear_map`
         of the split Lyndon coordinates: phi(g0, g1) for the group-like phi
         whose Lie logarithm has the Lyndon coordinates coords, with memo the
-        bracket-image memo of (g0, g1), looked up once by the caller; words
-        longer than the truncation drop out."""
-        x = split_terms({lw: c for lw, c in coords.items() if len(lw) <= self.trunc}, self.ring)
-        lie = linear_map(x, lambda lw: (1, {0: self._lie_image(lw, memo)}), self.ring)
+        bracket-image memo of (g0, g1), looked up once by the caller.  The
+        coordinates are read as they are, over the rationals or the model
+        ring (e_0 = 1 in both); a Lyndon word longer than the truncation
+        maps to zero."""
+        trunc, image = self.trunc, self.lie_image
+        lie = linear_map(coords, lambda lw: (1, {0: image(lw, memo)} if len(lw) <= trunc else {}),
+                         self.ring)
         return self.exp(join_series(lie, self))
 
     def evaluate(self, phi, g0, g1, coords=_PEEL):
-        """phi(g0, g1) for a series phi over X0, X1.
+        """phi(g0, g1) for a series phi over X0, X1, over the rationals or
+        the model ring.
 
         A group-like phi is exp of the Lie series log(phi): when g0 and g1
         are integer combinations of letters, its Lyndon coordinates go to
         `_exp_lie`.  A caller that evaluates one phi several times peels it
-        once and passes coords = lie_coordinates(phi), over the model
-        ring; otherwise phi is peeled here.  Every other phi, a phi
-        truncated below the model and other images go through the word
-        path.
+        once and passes coords = lie_coordinates(phi); otherwise phi is
+        peeled here.  Every other phi, a phi truncated below the model and
+        other images go through the word path.
         """
-        memo = self._bracket_images((g0, g1)) if phi.trunc >= self.trunc else None
+        memo = self.bracket_images((g0, g1)) if phi.trunc >= self.trunc else None
         if memo is not None:
             if coords is _PEEL:
                 coords = lie_coordinates(phi)
@@ -359,7 +354,8 @@ class PBWModel:
 
 
 def lie_coordinates(phi):
-    """The Lyndon coordinates of log(phi) for a group-like phi, else None."""
+    """The Lyndon coordinates of log(phi) for a group-like phi, as the split
+    `lyndon_coordinates` peels over the ring of phi, else None."""
     if phi.constant_term() != phi.ring.one:
         return None
     coords, rest = lyndon_coordinates(phi.log())
@@ -435,16 +431,6 @@ def p5_generators(model):
     return g
 
 
-# -- ring lifting -------------------------------------------------------
-
-
-def lift_series(s, ring):
-    """Re-embed a rational-coefficient series into a larger ring."""
-    return Series(
-        s.alphabet, s.trunc, ring, {w: ring.embed(c) for w, c in s.terms.items()}
-    )
-
-
 # -- equation checkers --------------------------------------------------
 
 
@@ -500,16 +486,14 @@ def check_5cycle(phi):
 def check_hexagons(phi):
     """Residuals of the two hexagon equations over QQ[mu]/(mu^2 - 24 c_{X0X1}).
 
-    phi is peeled once over the rationals and its coordinates lifted.
+    phi is peeled once; phi and its coordinates stay rational, since a
+    split over QQ is one over QQ[mu].
     """
     ring = QuadraticExtension(phi.coefficient((0, 1)) * 24)
     mu_half = ring.mu * ring.embed(qq(1, 2))
     m = a4_model(phi.trunc, ring)
     g = a4_generators(m)
     coords = lie_coordinates(phi)
-    if coords is not None:
-        coords = {lw: ring.embed(c) for lw, c in coords.items()}
-    phi = lift_series(phi, ring)
 
     def f(g0, g1):
         return m.evaluate(phi, g0, g1, coords)

@@ -12,6 +12,7 @@ basis: `split(c)` gives the rational coordinates of c, `join(coords)`
 the element with these coordinates, and `basis_product(i, j)` the pairs
 (k, m) with e_i e_j = sum m e_k.  The bases are {1} for the rationals
 and {1, nu} with nu = R mu and nu^2 = P R for q = P/R in lowest terms.
+e_0 = 1 in every ring, so a split over Q is a split over every ring.
 Any ring with these three methods runs on the kernel; the tier-1 tests
 add Q[T] and Q(sqrt 5) as test rings.  The integer kernel of `series`
 multiplies coordinate tables over `INTEGERS`, whose elements are Python

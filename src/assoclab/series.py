@@ -600,24 +600,21 @@ def geometric_coefficient(k):
 
 
 def to_text(s):
-    """Series text format; exact round-trip, rational coefficients only."""
+    """Series text format; exact round-trip, rational coefficients and weight-1 letters only."""
     lines = ["alphabet: %s" % " ".join(s.alphabet.names), "degree: %d" % s.trunc]
     fmt = s.alphabet.format_word
     lines += ['"%s" %s' % (fmt(w), format_rational(s.terms[w])) for w in s.support()]
     return "\n".join(lines) + "\n"
 
 
-def from_text(text, weights=None):
-    """Parse the series text format; a negative degree, a repeated word, a
-    term above the declared degree or a zero denominator raises
-    AlgebraError."""
+def from_text(text):
+    """Parse the series text format, every letter of weight 1; a negative
+    degree, a repeated word, a term above the declared degree or a zero
+    denominator raises AlgebraError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("alphabet:") or not lines[1].startswith("degree:"):
         raise AlgebraError("malformed series file: missing header")
-    names = tuple(lines[0].split(":", 1)[1].split())
-    if weights is None and all(n[:1] == "Y" and n[1:].isdigit() for n in names):
-        weights = tuple(int(n[1:]) for n in names)
-    alphabet = Alphabet(names, weights)
+    alphabet = Alphabet(tuple(lines[0].split(":", 1)[1].split()))
     trunc = int(lines[1].split(":", 1)[1])
     if trunc < 0:
         raise AlgebraError("negative degree %d" % trunc)

@@ -11,7 +11,7 @@ from assoclab import yside
 from assoclab.barcx import A0, A1, B0, B1, G, M05, BarError
 from assoclab.dmr import _on_each_factor, _on_words, s_f_map, s_f_y_map
 from assoclab.lie import lie_basis
-from assoclab.models import BASE, FIBER, PBWModel, lift_series, p5_generators
+from assoclab.models import BASE, FIBER, PBWModel, p5_generators
 from assoclab.presented import PresentationError
 from assoclab.rationals import QQ, qq
 from assoclab.rings import RATIONALS
@@ -25,6 +25,11 @@ from assoclab.yside import all_indices, stuffle_terms  # noqa: F401  (all_indice
 def widen(s, trunc):
     """The same series viewed at another truncation degree; words above it drop."""
     return Series(s.alphabet, trunc, s.ring, dict(s.terms))
+
+
+def lift_series(s, ring):
+    """Re-embed a rational-coefficient series into a larger ring."""
+    return Series(s.alphabet, s.trunc, ring, {w: ring.embed(c) for w, c in s.terms.items()})
 
 
 def random_rational(rng, bound=5):

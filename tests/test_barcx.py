@@ -18,12 +18,13 @@ from assoclab.barcx import (
     series_shuffle_rhs,
     swap_xy,
 )
-from assoclab.models import lift_series, p5_model, p5_generators
+from assoclab.models import p5_model, p5_generators
 from assoclab.rationals import qq
 from assoclab.series import AlphabetMismatch, letter
 from assoclab.words import X_ALPHABET
 
-from support import M05_DUAL, T_RING, all_indices, integral_regularized, is_admissible, pair_p5
+from support import (M05_DUAL, T_RING, all_indices, integral_regularized, is_admissible,
+                     lift_series, pair_p5)
 
 
 def bar(terms):

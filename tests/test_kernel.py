@@ -16,7 +16,7 @@ from math import factorial, gcd
 import pytest
 
 from assoclab.lie import lie_basis
-from assoclab.models import a4_model, ab_model, check_hexagons, lift_series, p5_model
+from assoclab.models import a4_model, ab_model, check_hexagons, p5_model
 from assoclab.presented import Presentation
 from assoclab.rationals import QQ, qq
 from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
@@ -42,7 +42,7 @@ from assoclab.series import (
 from assoclab.words import X_ALPHABET, shuffle_words, y_alphabet
 from assoclab.yside import delta_star, pi_y
 
-from support import T_RING, Poly, random_lie_mixed, word_split
+from support import T_RING, Poly, lift_series, random_lie_mixed, word_split
 
 HEX_Q = 24 * qq(-2, 5)  # mu^2 for c2 = -2/5: P/R = -48/5, not an integer
 HEX_RING = QuadraticExtension(HEX_Q)

@@ -7,11 +7,15 @@ from assoclab.lie import (
     lyndon_coordinates,
     lyndon_words,
 )
-from assoclab.rings import RATIONALS, accumulate
-from assoclab.series import Series, coproduct, is_lie, primitive_tensor, zero
+from assoclab.models import lie_coordinates
+from assoclab.rationals import qq
+from assoclab.rings import RATIONALS, QuadElt, QuadraticExtension, accumulate
+from assoclab.series import (Series, coproduct, is_lie, join_series, linear_map, primitive_tensor,
+                             reduced, split_series, zero)
 from assoclab.words import X_ALPHABET, y_alphabet
 
-from support import lie_bracket, random_group_like, random_lie, random_lie_mixed, random_series
+from support import (lie_bracket, lift_series, random_group_like, random_lie, random_lie_mixed,
+                     random_series)
 
 # necklace counts: dimensions of the free Lie algebra on two generators
 WITT_2 = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
@@ -61,11 +65,9 @@ def test_bracket_closure_and_jacobi():
 
 
 def _recombine(coords, remainder):
-    out = remainder
-    for lw, c in coords.items():
-        terms = {w: c * m for w, m in bracketing(lw).items()}
-        out = out.add(Series(X_ALPHABET, remainder.trunc, RATIONALS, terms))
-    return out
+    """remainder plus the sum of the split coords against the bracketings."""
+    lie = linear_map(coords, lambda lw: (1, {0: bracketing(lw)}), remainder.ring)
+    return join_series(lie, remainder).add(remainder)
 
 
 def test_lyndon_coordinates_round_trip():
@@ -82,7 +84,7 @@ def test_lyndon_coordinates_round_trip():
         coords, remainder = lyndon_coordinates(s)
         assert _recombine(coords, remainder) == s
         assert remainder.is_zero() == is_lie(s)
-        assert all(coords.values())
+        assert coords == reduced(coords) and all(coords[1].values())
     assert lyndon_coordinates(inputs[0])[1].is_zero()
     assert not lyndon_coordinates(inputs[3])[1].is_zero()
 
@@ -91,7 +93,25 @@ def test_lyndon_coordinates_of_a_basis_element():
     for d in range(1, 6):
         for lw, e in lie_basis(X_ALPHABET, d, 6):
             coords, remainder = lyndon_coordinates(e.scale(RATIONALS.embed(3)))
-            assert coords == {lw: 3} and remainder.is_zero()
+            assert coords == (1, {0: {lw: 3}}) and remainder.is_zero()
+
+
+def test_lyndon_coordinates_peel_each_table_over_the_hexagon_ring():
+    """A Lie series with nonzero e_0 and e_1 tables peels to a split with
+    both tables and no remainder; one coefficient added off the Lyndon
+    words leaves a remainder, and its exp has no Lie coordinates."""
+    ring = QuadraticExtension(qq(24, 7))
+    lie = lift_series(random_lie_mixed(random.Random(62), 4), ring)
+    lie = lie.scale(QuadElt(qq(1, 3), qq(2, 7), ring.q))
+    assert set(split_series(lie)[1]) == {0, 1}
+    coords, remainder = lyndon_coordinates(lie)
+    assert set(coords[1]) == {0, 1} and remainder.is_zero()
+    assert _recombine(coords, remainder) == lie
+    bad = dict(lie.terms)
+    bad[(1, 0)] = bad.get((1, 0), ring.zero) + ring.mu * ring.embed(qq(1, 7))
+    bad = Series(X_ALPHABET, 4, ring, bad)
+    assert not lyndon_coordinates(bad)[1].is_zero()
+    assert lie_coordinates(bad.exp()) is None
 
 
 def _left_normed(word):

@@ -191,13 +191,6 @@ def test_text_roundtrip():
     assert from_text(to_text(s)) == s
 
 
-def test_text_roundtrip_weighted_alphabet():
-    rng = random.Random(20)
-    ya = y_alphabet(4)
-    s = random_series(rng, ya, 4)
-    assert from_text(to_text(s), weights=ya.weights) == s
-
-
 def test_accumulate_drops_cancelled_keys():
     out = accumulate({"a": qq(1)}, [("a", qq(-1)), ("b", qq(2)), ("c", qq(0))])
     assert out == {"b": qq(2)}
