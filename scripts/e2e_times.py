@@ -25,6 +25,9 @@ the checkout (the current directory unless --repo is given):
   its membership test, which run both coproducts (`series.coproduct` and
   `yside.delta_star`) at degree 10; `dmr.solve_dmr0` writes the two
   inputs beforehand, untimed;
+- `assoclab bar shuffle --max-weight 8`, the bar-construction side
+  (`barcx`): every l-element of weight <= 8, its integrability and the
+  series shuffle formula;
 - the tier-1 suite, `python -m pytest -q --continue-on-collection-errors`.
 
 Each entry holds the command, its exit code, its wall time in seconds,
@@ -51,6 +54,7 @@ P5_DEGREE_LARGE = 8
 A4_DEGREE_LARGE = 7
 LEMMAS_DEGREE = 6
 BRACKET_DEGREES = (3, 7)
+BAR_WEIGHT = 8
 WRITE_PSI = """
 import sys
 from assoclab import dmr
@@ -128,6 +132,9 @@ def main():
         )
         out["dmr_bracket"] = timed(
             cli + ["dmr", "bracket", "--lhs", lhs, "--rhs", rhs, "--check"], tmp, env
+        )
+        out["bar_shuffle"] = timed(
+            cli + ["bar", "shuffle", "--max-weight", str(BAR_WEIGHT)], tmp, env
         )
     out["tier1"] = timed(
         ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],

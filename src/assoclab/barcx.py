@@ -22,9 +22,8 @@ pairing against the coefficient functionals l_a.
 """
 
 from .models import ab_model
-from .rationals import ONE as Q_ONE
-from .rings import INTEGERS, RATIONALS, accumulate
-from .series import Series, split_terms
+from .rings import INTEGERS, accumulate
+from .series import Series
 from .words import Alphabet
 from .yside import stuffle_terms, x_word
 
@@ -79,7 +78,7 @@ M05 = Alphabet(M05_NAMES)
 
 
 class BarElement(Series):
-    """A bar element on M_{0,5}: a rational Series over its 1-forms,
+    """A bar element on M_{0,5}: an integer Series over its 1-forms,
     truncated at its weight.  Every letter is a 1-form, so the weight is
     the length of the longest word and no term is dropped."""
 
@@ -88,7 +87,7 @@ class BarElement(Series):
     def __init__(self, terms):
         terms = {w: c for w, c in terms.items() if c}
         trunc = max(map(len, terms), default=0)
-        super().__init__(M05, trunc, RATIONALS, terms, _clean=True)
+        super().__init__(M05, trunc, INTEGERS, terms, _clean=True)
 
     def shuffle(self, other):
         """Product dual to deconcatenation: the shuffle product, at the sum
@@ -106,11 +105,11 @@ def check_integrability(e):
 
     For each slot j the sum of c_I [..|w_{i_{j+1}} ^ w_{i_j}|..] must be
     zero; terms are grouped by slot position and surrounding word and
-    the integer wedge numerators summed over the integers, on the split
-    of e.
+    the integer wedge numerators summed over the integers, on the integer
+    terms of e.
     """
     acc = {}
-    for w, c in split_terms(e.terms, e.ring)[1].get(0, {}).items():
+    for w, c in e.terms.items():
         for pos in range(len(w) - 1):
             table = acc.setdefault((pos, w[:pos], w[pos + 2 :]), {})
             accumulate(table, ((m, c * v) for m, v in WEDGE[(w[pos], w[pos + 1])].terms.items()))
@@ -139,7 +138,7 @@ def build_l(a, tag):
         sub = _ONE_VAR_SUB[tag]
     except KeyError:
         raise BarError("unknown tag %r" % tag)
-    words = {(): Q_ONE}
+    words = {(): 1}
     for ch in x_word(a):
         nxt = {}
         for w, c in words.items():

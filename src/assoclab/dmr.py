@@ -155,7 +155,7 @@ def x_decomposition(f):
     return p, [pi_y(join_series((den, part), f)) for part in parts]
 
 
-def _y_letter(n, trunc, ring=RATIONALS):
+def _y_letter(n, trunc, ring):
     return from_word(y_alphabet(trunc), trunc, (n - 1,), ring)
 
 
@@ -278,7 +278,7 @@ def lemma_telescoping_check(section, k):
         * qq(1 + (-1) ** p)
         * c
     )
-    expected = _y_letter(p - k, g.trunc, g.ring).scale_q(scalar)
+    expected = _y_letter(p - k, g.trunc, g.ring).scale(scalar)
     return diagonals[k] == expected
 
 
@@ -286,14 +286,12 @@ def lemma_telescoping_check(section, k):
 
 
 @lru_cache(maxsize=None)
-def u_generators(trunc, ring=RATIONALS):
-    """U_1, ..., U_trunc: the graded parts of log(1 + Y1 + Y2 + ...), a
-    tuple computed once per truncation and ring."""
+def u_generators(trunc):
+    """U_1, ..., U_trunc: the graded parts of log(1 + Y1 + Y2 + ...) over
+    the rationals, a tuple computed once per truncation."""
     ya = y_alphabet(trunc)
-    total = Series(
-        ya, trunc, ring, {(i,): ring.one for i in range(len(ya))}
-    )
-    logarithm = one(ya, trunc, ring).add(total).log()
+    total = Series(ya, trunc, RATIONALS, {(i,): RATIONALS.one for i in range(len(ya))})
+    logarithm = one(ya, trunc).add(total).log()
     return tuple(logarithm.degree_part(i) for i in range(1, trunc + 1))
 
 
@@ -303,7 +301,7 @@ def _weighted_lyndon(weight):
     return sorted(a for a in words if all(a < a[i:] for i in range(1, len(a))))
 
 
-def lie_y_basis(weight, trunc, ring=RATIONALS):
+def lie_y_basis(weight, trunc):
     """Basis of the weight-w part of the Lie algebra on the U generators.
 
     The primitives of the quasi-shuffle Hopf algebra form the free Lie
@@ -312,8 +310,8 @@ def lie_y_basis(weight, trunc, ring=RATIONALS):
     """
     from .lie import bracketing
 
-    us = u_generators(trunc, ring)
-    ys = SeriesAlgebra(y_alphabet(trunc), trunc, ring)
+    us = u_generators(trunc)
+    ys = SeriesAlgebra(y_alphabet(trunc), trunc)
     return [combine(((m, reduce(Series.mul, [us[i - 1] for i in word]))
                      for word, m in bracketing(lw).items()), ys)
             for lw in _weighted_lyndon(weight)]
@@ -327,13 +325,13 @@ def qualifying_defect(g):
     return split_series(yside.antipode_x(f).add(f))
 
 
-def qualifying_basis(weight, trunc, ring=RATIONALS):
+def qualifying_basis(weight, trunc):
     """Primitive Y-series g of the given weight with S_X(sec g) = -sec g.
 
     These are exactly the inputs meeting the hypotheses of the pairing
     identities: the kernel of `qualifying_defect` on lie_y_basis.
     """
-    basis = lie_y_basis(weight, trunc, ring)
+    basis = lie_y_basis(weight, trunc)
     return solve_defect(map(qualifying_defect, basis), basis, (1, {}))[1]
 
 

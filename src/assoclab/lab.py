@@ -66,7 +66,7 @@ def solve_pentagon(trunc, c2=0):
     psi = SeriesAlgebra(X_ALPHABET, trunc, ring).zero()
     if trunc >= 2:
         ((_, e2),) = lie_basis(X_ALPHABET, 2, trunc, ring)
-        psi = e2.scale_q(c2)
+        psi = e2.scale(c2)
     kernel_dims = {}
     for d in range(3, trunc + 1):
         residual = check_pentagon(Series(X_ALPHABET, d, ring, psi.terms).exp())

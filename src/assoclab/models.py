@@ -17,14 +17,16 @@ bracket coefficients are integers; the memo is keyed by the core of a
 word, what is left between its leading fiber letters and its trailing
 base and central letters, which are already in place.
 
-Products run over the integers (`series.kernel_mul`): the factors are
-split into integer tables over one common denominator and each pair of
-tables is multiplied as normalize(a.mul(b)).  exp, log and
-inverse are substitutions and run on the same kernel.  Each result keeps
-its split and a factor that holds one is not split again; the checks'
-differences and zero tests read the splits too, so a product is joined
-into ring coefficients only when a caller reads its terms, and a passing
-check reads none.
+A model is a `series.SeriesAlgebra` with a normal form, so its letters
+hold their split as every `from_word` does, and products run over the
+integers (`series.kernel_mul`): the factors are split into integer
+tables over one common denominator and each pair of tables is
+multiplied as normalize(a.mul(b)).  exp, log and inverse are
+substitutions and run on the same kernel.  Each result keeps its split
+and no series is split twice; the checks' sums, scalings, differences
+and zero tests read the splits too, so a product is joined into ring
+coefficients only when a caller reads its terms, and a passing check
+reads none.
 
 The commutative quotient QQ[[x0, x1]] of the series over X0, X1 is a
 model of the same kind: fiber X0, base X1 and no bracket, so its normal
@@ -57,18 +59,16 @@ from .rationals import qq
 from .rings import INTEGERS, RATIONALS, QuadraticExtension, accumulate
 from .series import (
     Series,
+    SeriesAlgebra,
     exp_coefficient,
     geometric_coefficient,
     join_series,
     kernel_mul,
     linear_map,
     log_coefficient,
-    one,
     power_series,
     split_series,
-    split_terms,
     substitute,
-    zero,
 )
 from .words import Alphabet, X_ALPHABET
 
@@ -88,16 +88,14 @@ _LIE_IMAGES = {}
 _PEEL = object()
 
 
-class PBWModel:
+class PBWModel(SeriesAlgebra):
     """Quotient algebra with a straightening normal form."""
 
     def __init__(self, name, alphabet, classes, brackets, trunc, ring=RATIONALS):
+        super().__init__(alphabet, trunc, ring)
         self.name = name
-        self.alphabet = alphabet
         self.classes = tuple(classes)
         self.brackets = brackets
-        self.trunc = trunc
-        self.ring = ring
         spec = (alphabet, self.classes, brackets)
         if _MODEL_SPECS.setdefault(name, spec) != spec:
             raise ValueError("model name %r is in use for another presentation" % name)
@@ -187,22 +185,12 @@ class PBWModel:
 
     # -- algebra protocol -----------------------------------------------
 
-    def one(self):
-        return one(self.alphabet, self.trunc, self.ring)
-
-    def zero(self):
-        return zero(self.alphabet, self.trunc, self.ring)
-
-    def letter(self, name):
-        i = self.alphabet.index(name)
-        return Series(self.alphabet, self.trunc, self.ring, {(i,): self.ring.one})
-
     def combo(self, coeffs):
-        """Degree-1 element from a name -> rational table."""
-        terms = {}
-        for name, c in coeffs.items():
-            terms[(self.alphabet.index(name),)] = self.ring.embed(c)
-        return Series(self.alphabet, self.trunc, self.ring, terms)
+        """Degree-1 element from a name -> nonzero int table, holding its
+        integer split (1, {0: {letter: int}}) as a letter does."""
+        index = self.alphabet.index
+        tables = {0: {(index(name),): c for name, c in coeffs.items()}} if self.trunc else {}
+        return join_series((1, tables), self)
 
     def mul(self, *factors):
         """The product of the factors, left to right, on the integer kernel.
@@ -293,13 +281,14 @@ class PBWModel:
 
     def bracket_images(self, images):
         """The bracket-image memo of these letter images, Lyndon word -> word
-        -> int, shared by model name and the integer images; None when one
-        of them is not an integer combination of letters."""
+        -> int, shared by model name and the integer images, read from the
+        images' splits (each split once and kept); None when one of them is
+        not an integer combination of letters."""
         tables = []
         for g in images:
-            den, parts = split_terms(g.terms, self.ring)
-            table = parts.pop(0, {})
-            if den != 1 or parts or any(len(w) != 1 for w in table):
+            den, parts = split_series(g)
+            table = parts.get(0, {})
+            if den != 1 or parts.keys() - {0} or any(len(w) != 1 for w in table):
                 return None
             tables.append(table)
         key = (self.name,) + tuple(frozenset(t.items()) for t in tables)

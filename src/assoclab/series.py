@@ -13,15 +13,17 @@ e_k of the ring, over one common denominator D, the series being
 wraps it as a series.  The kernel is two loops over the ring's structure
 constants: `linear_map` sums a split against the splits of its keys'
 images once, at their common denominator (every substitution, and
-`combine`, so `add` and `scale_q`), and `bilinear` extends an integer
-bilinear map of two tables to two splits (`kernel_mul`, so `Series.mul`
-over any ring but the integers, `shuffle_mul`, `tensor`, `derivation`).
-A Series holds its ring terms, its split at the least denominator, or
-both, and builds each form at most once, when it is first read: a kernel
-result or a `from_word` keeps only its split, and `add`, `sub`, `==`,
-`is_zero` and `coefficient` read the splits whenever an operand holds
-one, so a chain of kernel steps passes integer tables along.  A held
-split is shared, never written to.
+`combine`, so `add`), and `bilinear` extends an integer bilinear map of
+two tables to two splits (`kernel_mul`, so `Series.mul` over any ring
+but the integers, `scale`, `shuffle_mul`, `tensor`, `derivation`).
+The split at the least denominator is the one form a series' arithmetic
+reads: `add`, `sub`, `scale`, `==` over one ring, `is_zero` and
+`coefficient` all read it, so a chain of kernel steps passes integer
+tables along whatever its operands held.  A Series built from ring
+terms splits them when first read and keeps the split; a kernel result
+or a `from_word` holds only its split, and joins its ring terms for
+readers that print, normalize or index them.  A held split is shared,
+never written to.
 """
 
 from bisect import bisect_left
@@ -86,9 +88,7 @@ class Series:
     # -- basic queries ------------------------------------------------
 
     def coefficient(self, word):
-        if self._split is None:
-            return self.terms.get(word, self.ring.zero)
-        den, parts = self._split
+        den, parts = split_series(self)
         cs = [QQ(parts[k].get(word, 0), den) if k in parts else 0
               for k in range(max(parts, default=0) + 1)]
         return self.ring.join(cs) if any(cs) else self.ring.zero
@@ -105,13 +105,13 @@ class Series:
         return Series(self.alphabet, self.trunc, self.ring, terms, _clean=True)
 
     def is_zero(self):
-        return not (self.terms if self._split is None else self._split[1])
+        return not split_series(self)[1]
 
     def __eq__(self, other):
-        """Equal terms; compared on the splits when an operand holds one."""
+        """Equal splits over one ring; equal terms across rings."""
         same = isinstance(other, Series) and self.alphabet == other.alphabet
         if same and self.trunc == other.trunc:
-            if self.ring is other.ring and (self._split or other._split):
+            if self.ring is other.ring:
                 return split_series(self) == split_series(other)
             return self.terms == other.terms
         return False
@@ -133,13 +133,9 @@ class Series:
             )
 
     def add(self, other, sign=1):
-        """self + sign * other, on the splits when an operand holds one."""
+        """self + sign * other: one `combine` of the splits."""
         self._check_compatible(other)
-        if self.ring is other.ring and (self._split or other._split):
-            return combine(((1, self), (sign, other)), self)
-        pairs = other.terms.items() if sign == 1 else ((w, -c) for w, c in other.terms.items())
-        out = accumulate(dict(self.terms), pairs)
-        return Series(self.alphabet, self.trunc, self.ring, out, _clean=True)
+        return combine(((1, self), (sign, other)), self)
 
     def neg(self):
         return word_map(self, lambda w: (w, -1))
@@ -148,12 +144,11 @@ class Series:
         return self.add(other, -1)
 
     def scale(self, c):
-        terms = {w: c * x for w, x in self.terms.items()} if c else None
-        return Series(self.alphabet, self.trunc, self.ring, terms)
-
-    def scale_q(self, q):
-        """self times the rational q, on the split."""
-        return combine(((QQ(q), self),), self)
+        """self times the ring element c: `bilinear` on the split of self and
+        the split of c, a constant over the empty word."""
+        x = split_terms({(): c} if c else {}, self.ring)
+        return join_series(bilinear(split_series(self), x, self.ring,
+                                    lambda a, b: {w: m * b[()] for w, m in a.items()}), self)
 
     # -- products -----------------------------------------------------
 
