@@ -18,7 +18,8 @@ The matrix covers `solve-pentagon` with c2 = 1, 0 and -2/5 and rejected
 arguments; the five `verify` checks on solved, perturbed, malformed,
 zero-denominator, wrong-alphabet, constant-0 and missing files; `dims`
 with both engines, and the generic engine on a4 to degree 6 and p5 to
-degree 7; `dmr dims|lemmas|bracket`; `bar check|shuffle`; `group-law`.
+degree 7; `dmr dims|lemmas|bracket`; `bar check|shuffle`, the exhaustive
+shuffle to weights 6 and 7; `group-law`.
 Each command runs with the text report and with `--report json`.
 """
 
@@ -121,6 +122,9 @@ def matrix():
         # last, so the rest is compared first: a Y-alphabet file used to be
         # read with weights and fail on its degree; it now fails on its alphabet
         ["verify", "main", "--phi", Y_FILE],
+        # last, so the rest is compared first: every quasi-shuffle of total
+        # weight 7 through the series shuffle formula
+        ["bar", "shuffle", "--max-weight", "7"],
     ]
     out = []
     for step in steps:

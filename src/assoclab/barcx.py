@@ -25,7 +25,7 @@ from .models import ab_model
 from .rings import INTEGERS, accumulate
 from .series import Series
 from .words import Alphabet
-from .yside import stuffle_terms, x_word
+from .yside import quasi_shuffles, x_word
 
 A0, A1, B0, B1, G = range(5)
 
@@ -217,20 +217,24 @@ def build_l2_yx(a, b):
 
 
 def series_shuffle_rhs(a, b):
-    """Right-hand side of the series shuffle formula for l^x_a . l^y_b."""
+    """Right-hand side of the series shuffle formula for l^x_a . l^y_b: the
+    sum over the quasi-shuffles (c, i, j) of a and b, with i and j the
+    positions in c of the last entries of a and of b.  A term is Li_c(xy)
+    when they share a slot (i == j), Li_{c[:i], c[i:]}(x, y) when b ends c
+    (j == len(c)) and Li_{c[:j], c[j:]}(y, x) when a ends it."""
     terms = {}
-    for (pair, tag, full) in stuffle_terms(a, b):
-        if tag == "xy":
-            e = build_l(full, "xy")
-        elif tag == "x,y":
-            e = build_l2(pair[0], pair[1])
+    for c, i, j in quasi_shuffles(a, b):
+        if i == j:
+            e = build_l(c, "xy")
+        elif j == len(c):
+            e = build_l2(c[:i], c[i:])
         else:
-            e = build_l2_yx(pair[0], pair[1])
+            e = build_l2_yx(c[:j], c[j:])
         accumulate(terms, e.terms.items())
     return BarElement(terms)
 
 
 def check_series_shuffle_bar(a, b):
-    """l^x_a . l^y_b equals the ordered-stuffle sum, as exact bar elements."""
+    """l^x_a . l^y_b equals the quasi-shuffle sum, as exact bar elements."""
     lhs = build_l(a, "x").shuffle(build_l(b, "y"))
     return lhs == series_shuffle_rhs(a, b)

@@ -10,12 +10,12 @@ companions and the Y-side derivation D^Y_f) together with exact checks
 of the identities that drive the bracket-closure proof.
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm
 
 from .rationals import binomial, qq
 from .rings import RATIONALS
-from .lie import lie_basis
+from .lie import bracketing, lie_basis
 from .series import (
     Series,
     SeriesAlgebra,
@@ -29,6 +29,7 @@ from .series import (
     primitive_tensor,
     reduced,
     split_series,
+    substitute,
     tensor,
     tensor_factors,
 )
@@ -306,15 +307,17 @@ def lie_y_basis(weight, trunc):
 
     The primitives of the quasi-shuffle Hopf algebra form the free Lie
     algebra on U_1, U_2, ...; the basis elements are the standard
-    bracketings of the weighted Lyndon words.
+    bracketings of the weighted Lyndon words, each written as a Y-series
+    on the letters i - 1 and evaluated at Y_i -> U_i by `substitute`.
     """
-    from .lie import bracketing
+    ys = SeriesAlgebra(y_alphabet(trunc), trunc)
+
+    def on_y_letters(lw):
+        table = {tuple(i - 1 for i in w): m for w, m in bracketing(lw).items()}
+        return join_series((1, {0: table}), ys)
 
     us = u_generators(trunc)
-    ys = SeriesAlgebra(y_alphabet(trunc), trunc)
-    return [combine(((m, reduce(Series.mul, [us[i - 1] for i in word]))
-                     for word, m in bracketing(lw).items()), ys)
-            for lw in _weighted_lyndon(weight)]
+    return [substitute(on_y_letters(lw), us, ys) for lw in _weighted_lyndon(weight)]
 
 
 def qualifying_defect(g):

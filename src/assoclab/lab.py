@@ -24,6 +24,7 @@ from .series import (
     one,
     split_series,
     substitute,
+    word_map,
 )
 from .words import X_ALPHABET
 
@@ -57,10 +58,11 @@ def solve_pentagon(trunc, c2=0):
     own, is affine in the unknown degree-d part of psi, so each degree is
     one `solve_defect` over the Lyndon basis: its columns are the
     `pentagon_linear_map`, its right-hand side the residual's split,
-    negated.  When the particular solution is zero and the kernel is not,
-    the first kernel basis vector is added so the output stays away from
-    the trivial solution.  Returns a report dict with the series, its
-    logarithm and the per-degree kernel dimensions.
+    negated.  psi is truncated on its split, by a `word_map`.  When the
+    particular solution is zero and the kernel is not, the first kernel
+    basis vector is added so the output stays away from the trivial
+    solution.  Returns a report dict with the series, its logarithm and
+    the per-degree kernel dimensions.
     """
     ring = RATIONALS
     psi = SeriesAlgebra(X_ALPHABET, trunc, ring).zero()
@@ -69,7 +71,9 @@ def solve_pentagon(trunc, c2=0):
         psi = e2.scale(c2)
     kernel_dims = {}
     for d in range(3, trunc + 1):
-        residual = check_pentagon(Series(X_ALPHABET, d, ring, psi.terms).exp())
+        low = word_map(psi, lambda w: (w, 1) if len(w) <= d else None,
+                       SeriesAlgebra(X_ALPHABET, d, ring))
+        residual = check_pentagon(low.exp())
         model = a4_model(d, ring)
         basis = lie_basis(X_ALPHABET, d, trunc, ring)
         # a generator, so the columns are freed inside the solve

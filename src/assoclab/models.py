@@ -84,8 +84,6 @@ _MODEL_SPECS = {}
 # Lyndon word -> word -> int.
 _ACTION_TABLES = {}
 _LIE_IMAGES = {}
-# The default of `PBWModel.evaluate`: peel phi there.
-_PEEL = object()
 
 
 class PBWModel(SeriesAlgebra):
@@ -322,23 +320,19 @@ class PBWModel(SeriesAlgebra):
                          self.ring)
         return self.exp(join_series(lie, self))
 
-    def evaluate(self, phi, g0, g1, coords=_PEEL):
+    def evaluate(self, phi, g0, g1, coords):
         """phi(g0, g1) for a series phi over X0, X1, over the rationals or
-        the model ring.
+        the model ring, with coords = `lie_coordinates`(phi), which a caller
+        that evaluates one phi several times peels once.
 
         A group-like phi is exp of the Lie series log(phi): when g0 and g1
         are integer combinations of letters, its Lyndon coordinates go to
-        `_exp_lie`.  A caller that evaluates one phi several times peels it
-        once and passes coords = lie_coordinates(phi); otherwise phi is
-        peeled here.  Every other phi, a phi truncated below the model and
-        other images go through the word path.
+        `_exp_lie`.  Every other phi (coords None), a phi truncated below
+        the model and other images go through the word path.
         """
         memo = self.bracket_images((g0, g1)) if phi.trunc >= self.trunc else None
-        if memo is not None:
-            if coords is _PEEL:
-                coords = lie_coordinates(phi)
-            if coords is not None:
-                return self._exp_lie(coords, memo)
+        if memo is not None and coords is not None:
+            return self._exp_lie(coords, memo)
         return substitute(phi, [g0, g1], self)
 
 

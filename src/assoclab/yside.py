@@ -8,7 +8,6 @@ X0, X1 into its star-regularization, whose group-likeness for Delta_* is
 the generalized double shuffle relation.
 """
 
-from functools import lru_cache
 from math import factorial
 
 from .rationals import qq
@@ -146,76 +145,23 @@ def all_indices(max_weight):
     return sorted(out, key=lambda a: (sum(a), len(a), a))
 
 
-# -- ordered shuffles with merges -------------------------------------
+# -- quasi-shuffles ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def merge_patterns(k, l):
-    """All interleavings-with-merges of k 'a'-slots and l 'b'-slots.
+def quasi_shuffles(a, b):
+    """The terms (c, i, j) of the quasi-shuffle product a * b of two indices.
 
-    Each pattern is a tuple of slots ('a', s), ('b', t) or ('m', s, t)
-    with both subsequences increasing; these enumerate the surjections
-    sigma: {1..k+l} -> {1..N} monotone on each block.
+    The last entry of c is the last entry of a, of b or their sum; the
+    rest of c is a term of the product with that entry dropped.  i and j
+    count the entries of c up to and including the one that holds the last
+    entry of a and of b, 0 for an empty index.
     """
-    if k == 0:
-        return (tuple(("b", t) for t in range(1, l + 1)),)
-    if l == 0:
-        return (tuple(("a", s) for s in range(1, k + 1)),)
-    out = []
-
-    def rec(i, j, acc):
-        if i > k and j > l:
-            out.append(tuple(acc))
-            return
-        if i <= k:
-            rec(i + 1, j, acc + [("a", i)])
-        if j <= l:
-            rec(i, j + 1, acc + [("b", j)])
-        if i <= k and j <= l:
-            rec(i + 1, j + 1, acc + [("m", i, j)])
-
-    rec(1, 1, [])
-    return tuple(out)
-
-
-def stuffle_terms(a, b):
-    """The quasi-shuffle expansion of l_a . l_b as [(pair, tag, full index)].
-
-    pair is ((c_1..c_j), (c_{j+1}..c_N)); the tag records which variable
-    pattern the term carries: "xy" when the last slot merges the ends of
-    both indices, "x,y" when the last slot ends b, "y,x" when it ends a.
-    """
-    k, l = len(a), len(b)
-    out = []
-    for pattern in merge_patterns(k, l):
-        n = len(pattern)
-        c = []
-        pos_a = pos_b = None
-        for idx, slot in enumerate(pattern, start=1):
-            if slot[0] == "a":
-                c.append(a[slot[1] - 1])
-                if slot[1] == k:
-                    pos_a = idx
-            elif slot[0] == "b":
-                c.append(b[slot[1] - 1])
-                if slot[1] == l:
-                    pos_b = idx
-            else:
-                c.append(a[slot[1] - 1] + b[slot[2] - 1])
-                if slot[1] == k:
-                    pos_a = idx
-                if slot[2] == l:
-                    pos_b = idx
-        c = tuple(c)
-        if pos_a == n and pos_b == n:
-            out.append(((c, ()), "xy", c))
-        elif pos_b == n:
-            j = pos_a
-            out.append(((c[:j], c[j:]), "x,y", c))
-        else:
-            j = pos_b
-            out.append(((c[:j], c[j:]), "y,x", c))
-    return out
+    if not a or not b:
+        return [(a + b, len(a), len(b))]
+    return ([(c + a[-1:], len(c) + 1, j) for c, _, j in quasi_shuffles(a[:-1], b)]
+            + [(c + b[-1:], i, len(c) + 1) for c, i, _ in quasi_shuffles(a, b[:-1])]
+            + [(c + (a[-1] + b[-1],), len(c) + 1, len(c) + 1)
+               for c, _, _ in quasi_shuffles(a[:-1], b[:-1])])
 
 
 # -- plumbing between the X and Y pictures ----------------------------

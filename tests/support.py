@@ -19,7 +19,7 @@ from assoclab.series import (POWER_ALPHABET, Series, SeriesAlgebra, combine, exp
                              from_word, join_series, letter, linear_map, one, reduced,
                              split_series, substitute, tensor_alphabet, tensor_factors, zero)
 from assoclab.words import Alphabet, X_ALPHABET, y_alphabet
-from assoclab.yside import all_indices, stuffle_terms  # noqa: F401  (all_indices is re-exported)
+from assoclab.yside import all_indices, quasi_shuffles  # noqa: F401  (all_indices is re-exported)
 
 
 def widen(s, trunc):
@@ -85,7 +85,7 @@ def index_to_word(a):
 def stuffle(a, b):
     """Quasi-shuffle product of two indices, as an index -> multiplicity table."""
     out = {}
-    for _, _, c in stuffle_terms(a, b):
+    for c, _, _ in quasi_shuffles(a, b):
         out[c] = out.get(c, 0) + 1
     return out
 

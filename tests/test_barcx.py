@@ -18,7 +18,7 @@ from assoclab.barcx import (
     series_shuffle_rhs,
     swap_xy,
 )
-from assoclab.models import p5_model, p5_generators
+from assoclab.models import lie_coordinates, p5_model, p5_generators
 from assoclab.rationals import qq
 from assoclab.series import AlphabetMismatch, letter
 from assoclab.words import X_ALPHABET
@@ -36,17 +36,19 @@ def paired(phi5):
     """phi_451 phi_123 in the five-strand model, plus the T-deformed lift."""
     m = p5_model(phi5.trunc)
     g = p5_generators(m)
-    f451 = m.evaluate(phi5, g["X45"], g["X51"])
-    f123 = m.evaluate(phi5, g["X12"], g["X23"])
+    coords = lie_coordinates(phi5)
+    f451 = m.evaluate(phi5, g["X45"], g["X51"], coords)
+    f123 = m.evaluate(phi5, g["X12"], g["X23"], coords)
     big = m.mul(f451, f123)
     mt = p5_model(phi5.trunc, T_RING)
     gt = p5_generators(mt)
     phi_t = lift_series(phi5, T_RING)
+    coords_t = lie_coordinates(phi_t)
     big_t = mt.mul(
         mt.exp(gt["X51"].scale(T_RING.gen)),
         mt.mul(
-            mt.evaluate(phi_t, gt["X45"], gt["X51"]),
-            mt.evaluate(phi_t, gt["X12"], gt["X23"]),
+            mt.evaluate(phi_t, gt["X45"], gt["X51"], coords_t),
+            mt.evaluate(phi_t, gt["X12"], gt["X23"], coords_t),
         ),
     )
     return {"big": big, "big_t": big_t, "f123": f123}

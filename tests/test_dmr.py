@@ -445,6 +445,14 @@ def test_lie_y_basis_dimensions():
     assert [len(dmr.lie_y_basis(w, w + 1)) for w in range(1, 6)] == [1, 1, 2, 3, 6]
 
 
+def test_lie_y_basis_above_its_weight_is_primitive_star():
+    # the weighted Lyndon counts up to weight 6, each element primitive for
+    # Delta_* at a truncation two above its weight
+    bases = [dmr.lie_y_basis(w, w + 2) for w in range(1, 7)]
+    assert [len(b) for b in bases] == [1, 1, 2, 3, 6, 9]
+    assert all(yside.is_primitive_star(g) for b in bases for g in b)
+
+
 # -- depth-graded sums and the gamma image -------------------------------------------
 
 

@@ -15,8 +15,10 @@ from math import factorial, gcd
 
 import pytest
 
+from assoclab.lab import solve_pentagon
 from assoclab.lie import lie_basis
-from assoclab.models import a4_generators, a4_model, ab_model, check_hexagons, p5_model
+from assoclab.models import (a4_generators, a4_model, ab_model, check_hexagons, check_pentagon,
+                             p5_model)
 from assoclab.presented import Presentation
 from assoclab.rationals import QQ, qq
 from assoclab.rings import INTEGERS, RATIONALS, QuadElt, QuadraticExtension
@@ -340,6 +342,16 @@ def test_passing_hexagon_check_joins_no_coefficient(monkeypatch, phi5_c2):
     bad[(0, 0, 1)] = bad.get((0, 0, 1), 0) + qq(1, 7)
     for phi in (phi5_c2.log().add(e.scale(qq(1, 7))).exp(), Series(X_ALPHABET, 5, RATIONALS, bad)):
         assert [r.is_zero() for r in check_hexagons(phi)] == [False, False]
+
+
+def test_pentagon_solver_truncates_psi_without_joining(monkeypatch):
+    # psi is truncated on its split at every degree; the one join per degree
+    # is the constant term that `lie_coordinates` reads
+    joins, join = [], type(RATIONALS).join
+    monkeypatch.setattr(type(RATIONALS), "join", lambda ring, cs: joins.append(cs) or join(ring, cs))
+    phi = solve_pentagon(6, c2=qq(3, 7))["phi"]
+    assert len(joins) == 4
+    assert check_pentagon(phi).is_zero()
 
 
 def test_held_letter_splits_leave_hexagon_sums_unjoined(monkeypatch):

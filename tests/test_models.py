@@ -16,6 +16,7 @@ from assoclab.models import (
     check_5cycle,
     check_hexagons,
     check_pentagon,
+    lie_coordinates,
     p5_generators,
     p5_model,
     pentagon_arguments,
@@ -143,7 +144,7 @@ def test_lie_image_and_evaluate_resolve_their_memo_once_per_call(monkeypatch):
     assert m.lie_image((0, 0, 1, 0, 1, 1), m.bracket_images(images))
     assert len(calls) == 1
     phi = random_group_like(random.Random(50), BRACKET_TRUNC)
-    assert m.evaluate(phi, *images) == substitute(phi, list(images), m)
+    assert m.evaluate(phi, *images, lie_coordinates(phi)) == substitute(phi, list(images), m)
     assert len(calls) == 2
 
 
@@ -161,12 +162,12 @@ def test_non_integral_images_take_the_word_path():
         (mq, phi_q, (gq["t12"].scale(ring.mu), gq["t23"])),
     ):
         assert model.bracket_images(images) is None
-        assert model.evaluate(s, *images) == substitute(s, list(images), model)
+        assert model.evaluate(s, *images, lie_coordinates(s)) == substitute(s, list(images), model)
     # integer multiples other than 1 take the bracket path
     for model, s, gens in ((m, phi, g), (mq, phi_q, gq)):
         embed = model.ring.embed
         images = [gens["t12"].scale(embed(-2)), gens["t24"].scale(embed(3)).add(gens["c"])]
-        assert model.evaluate(s, *images) == substitute(s, images, model)
+        assert model.evaluate(s, *images, lie_coordinates(s)) == substitute(s, images, model)
 
 
 def test_central_element_commutes_in_a4():
@@ -211,14 +212,14 @@ def test_hexagons_for_c2_zero_solution(phi5):
 
 def test_projection_after_embedding_is_identity(phi5):
     m = p5_model(phi5.trunc)
-    e = m.evaluate(phi5, *embedding_images("i123", m))
+    e = m.evaluate(phi5, *embedding_images("i123", m), lie_coordinates(phi5))
     target = SeriesAlgebra(X_ALPHABET, e.trunc, e.ring)
     assert substitute(e, projection_images("p4", e.trunc, e.ring), target) == phi5
 
 
 def test_projection_kills_transverse_embedding(phi5):
     m = p5_model(phi5.trunc)
-    e = m.evaluate(phi5, *embedding_images("i451", m))
+    e = m.evaluate(phi5, *embedding_images("i451", m), lie_coordinates(phi5))
     target = SeriesAlgebra(X_ALPHABET, e.trunc, e.ring)
     p4 = projection_images("p4", e.trunc, e.ring)
     assert substitute(e, p4, target) == one(X_ALPHABET, phi5.trunc)
@@ -334,7 +335,7 @@ def equivalence_inputs(ring=RATIONALS):
 def assert_paths_agree(m, pairs, inputs):
     for phi in inputs:
         for g0, g1 in pairs:
-            assert m.evaluate(phi, g0, g1) == word_path(m, phi, g0, g1)
+            assert m.evaluate(phi, g0, g1, lie_coordinates(phi)) == word_path(m, phi, g0, g1)
 
 
 def test_evaluate_matches_word_path_on_pentagon_pairs():
@@ -371,7 +372,8 @@ def test_rational_series_evaluate_in_the_hexagon_ring():
     for phi in equivalence_inputs():
         lifted = lift_series(phi, ring)
         for g0, g1 in pairs:
-            assert m.evaluate(phi, g0, g1) == m.evaluate(lifted, g0, g1)
+            assert (m.evaluate(phi, g0, g1, lie_coordinates(phi))
+                    == m.evaluate(lifted, g0, g1, lie_coordinates(lifted)))
 
 
 def test_model_exp_is_the_power_series():
@@ -393,7 +395,9 @@ def test_residuals_match_word_path(monkeypatch):
 
     def residuals():
         out = [check_pentagon(phi), check_5cycle(phi), check_hexagons(phi), check_hexagons(c2)]
-        out += [m5.evaluate(phi, *embedding_images(w, m5)) for w in ("i123", "i451", "i432", "i215")]
+        coords = lie_coordinates(phi)
+        out += [m5.evaluate(phi, *embedding_images(w, m5), coords)
+                for w in ("i123", "i451", "i432", "i215")]
         return out
 
     by_brackets = residuals()

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -145,25 +146,44 @@ def test_stuffle_matches_oracle():
             assert stuffle(a, b) == stuffle_oracle(a, b)
 
 
-def test_stuffle_terms_cover_the_product():
+def test_quasi_shuffles_cover_the_product():
     idx = all_indices(4)
     for a in idx:
         for b in idx:
             table = {}
-            for (_, tag, full) in yside.stuffle_terms(a, b):
-                assert tag in ("xy", "x,y", "y,x")
-                table[full] = table.get(full, 0) + 1
+            for c, i, j in yside.quasi_shuffles(a, b):
+                assert 1 <= i <= len(c) and 1 <= j <= len(c) and max(i, j) == len(c)
+                table[c] = table.get(c, 0) + 1
             assert table == stuffle_oracle(a, b)
 
 
-def test_stuffle_terms_tags():
-    terms = yside.stuffle_terms((2,), (1,))
-    tags = sorted((tag, pair) for (pair, tag, _) in terms)
-    assert tags == [
-        ("x,y", ((2,), (1,))),
-        ("xy", ((3,), ())),
-        ("y,x", ((1,), (2,))),
-    ]
+def slot_quasi_shuffles(a, b):
+    """The quasi-shuffles of a and b as (c, i, j), from the placements of
+    a and b on N slots: an increasing k-subset and l-subset of the slots
+    whose union is every slot.  A slot holds the sum of what lands on it;
+    i and j are the last slots of a and of b (0 for an empty index)."""
+    k, l = len(a), len(b)
+    out = []
+    for n in range(max(k, l), k + l + 1):
+        for sa in combinations(range(n), k):
+            for sb in combinations(range(n), l):
+                if len(set(sa) | set(sb)) < n:
+                    continue
+                c = [0] * n
+                for pos, x in zip(sa + sb, a + b):
+                    c[pos] += x
+                out.append((tuple(c), sa[-1] + 1 if k else 0, sb[-1] + 1 if l else 0))
+    return out
+
+
+def test_quasi_shuffle_positions_match_the_slot_placements():
+    assert sorted(yside.quasi_shuffles((2,), (1,))) == [((1, 2), 2, 1), ((2, 1), 1, 2),
+                                                       ((3,), 1, 1)]
+    idx = [()] + all_indices(7)
+    for a in idx:
+        for b in idx:
+            if sum(a) + sum(b) <= 7:
+                assert sorted(yside.quasi_shuffles(a, b)) == sorted(slot_quasi_shuffles(a, b))
 
 
 def test_delta_star_dual_to_stuffle():
